@@ -1,9 +1,11 @@
 """Buchberger's algorithm, polynomial reduction and ideal dimension.
 
 The basis computation follows the classical improved Buchberger loop: normal
-pair selection (smallest lcm degree, ties broken by the monomial order),
-Gebauer-Moeller style application of the coprimality and chain criteria, and a
-final interreduction yielding the unique reduced basis.  Dimension of the
+pair selection (smallest lcm degree, ties broken by the monomial order) from a
+heap-ordered pair queue, and the Gebauer-Moeller update, which computes the
+lcm of the new lead with each basis lead once and applies the coprimality and
+chain criteria with it.  A final interreduction reduces every tail against
+one shared reducer list, yielding the unique reduced basis.  Dimension of the
 zero set is read off the initial ideal as the largest set of variables that
 supports no leading monomial.
 
@@ -17,6 +19,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import chain
+from operator import le
 
 from .errors import DimensionMismatchError, InvalidInputError
 from .polyring import MonomialOrder, PolyRing, Polynomial, PrimeField, monomial_lcm
@@ -277,9 +281,10 @@ def buchberger(generators, *, poll=None, poll_every=8) -> GroebnerBasis:
 
     ``generators`` is an :class:`Ideal` or an iterable of polynomials in one
     ring.  ``poll``, when given, is called with a :class:`GBStats` every
-    ``poll_every`` processed pairs and may raise to cancel the run (the
-    command line uses this for timeouts).  Output is deterministic for fixed
-    input and order.
+    ``poll_every`` processed pairs, and once per basis element during the
+    final interreduction; it may raise to cancel the run (the command line
+    uses this for timeouts).  Output is deterministic for fixed input and
+    order.
     """
     if isinstance(generators, Ideal):
         ideal = generators
@@ -312,8 +317,10 @@ def buchberger(generators, *, poll=None, poll_every=8) -> GroebnerBasis:
 
     polys: list[dict] = []   # append-only store of monic candidates
     lms: list[tuple] = []
+    degs: list[int] = []     # total degree of each lead
     active: list[int] = []   # indices of the current basis, ascending
-    pairs: dict = {}         # (i, j) i<j -> selection key
+    pairs: dict = {}         # live pairs (i, j), i < j -> lcm of their leads
+    queue: list = []         # heap of (deg lcm, order key of lcm, i, j)
     reducers_dirty = [True]
     reducer_cache: list = []
 
@@ -330,50 +337,43 @@ def buchberger(generators, *, poll=None, poll_every=8) -> GroebnerBasis:
             reducers_dirty[0] = False
         return reducer_cache
 
-    def pair_key(i, j):
-        lcm = monomial_lcm(lms[i], lms[j])
-        return (sum(lcm), okey(lcm), i, j)
-
     def update(ih):
         """Gebauer-Moeller update of basis and pair set with new element ih."""
-        nonlocal pairs
         mh = lms[ih]
+        dh = degs[ih]
+        # lcm(mh, lm_g) once per basis element; phases 1-3 share it.
+        lcm_h = {ig: monomial_lcm(mh, lms[ig]) for ig in active}
         # Phase 1: filter candidate pairs (ih, g) with the chain criterion.
+        # Coprime pairs stay in D, where they still cover later candidates.
         candidates = list(active)
         D = []
         while candidates:
             ig = candidates.pop()
-            mg = lms[ig]
-            lcm_hg = monomial_lcm(mh, mg)
-            coprime = all(a + b == c for a, b, c in zip(mh, mg, lcm_hg))
-
-            def covered(ip):
-                lcm_hp = monomial_lcm(mh, lms[ip])
-                return all(x <= y for x, y in zip(lcm_hp, lcm_hg))
-
-            if coprime or (
-                not any(covered(ip) for ip in candidates)
-                and not any(covered(pr[1]) for pr in D)
+            lcm_hg = lcm_h[ig]
+            if sum(lcm_hg) == dh + degs[ig] or not any(
+                all(map(le, lcm_h[ip], lcm_hg)) for ip in chain(candidates, D)
             ):
-                D.append((ih, ig, coprime))
-        # Phase 2: drop pairs with coprime leads (Buchberger's first criterion).
-        new_pairs = [(ih, ig) for ih, ig, coprime in D if not coprime]
-        # Phase 3: prune old pairs made redundant by mh (chain criterion).
-        kept = {}
-        for (i1, i2), k in pairs.items():
-            l12 = monomial_lcm(lms[i1], lms[i2])
-            if (
-                not all(x <= y for x, y in zip(mh, l12))
-                or monomial_lcm(lms[i1], mh) == l12
-                or monomial_lcm(lms[i2], mh) == l12
-            ):
-                kept[(i1, i2)] = k
-        for ih_, ig in new_pairs:
-            a, b = (ig, ih_) if ig < ih_ else (ih_, ig)
-            kept[(a, b)] = pair_key(a, b)
-        pairs = kept
+                D.append(ig)
+        # Phase 2: prune old pairs made redundant by mh (chain criterion).
+        # Their heap entries are skipped when popped.  A pair may still name
+        # a retired element, which has no entry in lcm_h.
+        dead = [
+            ij for ij, l12 in pairs.items()
+            if all(map(le, mh, l12))
+            and all((lcm_h.get(i) or monomial_lcm(mh, lms[i])) != l12 for i in ij)
+        ]
+        for ij in dead:
+            del pairs[ij]
+        # Phase 3: queue the new pairs, minus those with coprime leads
+        # (Buchberger's first criterion: deg lcm = deg mh + deg mg).
+        for ig in D:
+            lcm_hg = lcm_h[ig]
+            deg = sum(lcm_hg)
+            if deg != dh + degs[ig]:
+                pairs[(ig, ih)] = lcm_hg
+                heapq.heappush(queue, (deg, okey(lcm_hg), ig, ih))
         # Phase 4: retire basis elements whose lead became divisible.
-        survivors = [ig for ig in active if not all(x <= y for x, y in zip(mh, lms[ig]))]
+        survivors = [ig for ig in active if not all(map(le, mh, lms[ig]))]
         survivors.append(ih)
         survivors.sort()
         active[:] = survivors
@@ -383,6 +383,7 @@ def buchberger(generators, *, poll=None, poll_every=8) -> GroebnerBasis:
         lm = _leading(terms, order)
         polys.append(_monic_dict(terms, lm, field))
         lms.append(lm)
+        degs.append(sum(lm))
         return len(polys) - 1
 
     for terms in sorted(seed, key=lambda t: okey(_leading(t, order))):
@@ -390,8 +391,9 @@ def buchberger(generators, *, poll=None, poll_every=8) -> GroebnerBasis:
 
     pairs_done = 0
     while pairs:
-        (i, j) = min(pairs, key=pairs.__getitem__)
-        del pairs[(i, j)]
+        _, _, i, j = heapq.heappop(queue)
+        if pairs.pop((i, j), None) is None:
+            continue  # pruned by a later update
         s = _spoly_dict(polys[i], lms[i], polys[j], lms[j], field)
         h = _reduce_full(s, current_reducers(), order, field)
         pairs_done += 1
@@ -400,15 +402,18 @@ def buchberger(generators, *, poll=None, poll_every=8) -> GroebnerBasis:
         if h:
             update(add_poly(h))
 
-    # Interreduce the minimal basis into the reduced one.
+    # Interreduce the minimal basis into the reduced one.  A tail term lies
+    # below its own lead, so only the other leads of the shared reducer list
+    # can divide it.
+    reducers = current_reducers()
     final = []
-    for idx in active:
-        others = _make_reducers(
-            [polys[k] for k in active if k != idx], order, field
-        )
-        r = _reduce_full(polys[idx], others, order, field)
-        final.append(Polynomial(ring, r))
-    final.sort(key=lambda g: okey(g.leading_monomial()), reverse=True)
+    for idx in sorted(active, key=lambda k: okey(lms[k]), reverse=True):
+        if poll is not None:
+            poll(GBStats(len(active), pairs_done, 0))
+        lm = lms[idx]
+        terms = polys[idx]
+        tail = _reduce_full({m: c for m, c in terms.items() if m != lm}, reducers, order, field)
+        final.append(Polynomial(ring, {lm: terms[lm], **tail}))
     return GroebnerBasis(ring, final)
 
 

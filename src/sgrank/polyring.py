@@ -210,21 +210,6 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def monomial_div(a: Monomial, b: Monomial):
-    """Return a/b as a monomial, or None when b does not divide a."""
-    q = []
-    for x, y in zip(a, b):
-        if x < y:
-            return None
-        q.append(x - y)
-    return tuple(q)
-
-
-def monomial_divides(b: Monomial, a: Monomial) -> bool:
-    """True when b divides a."""
-    return all(y <= x for x, y in zip(a, b))
-
-
 def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x if x > y else y for x, y in zip(a, b))
 

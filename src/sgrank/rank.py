@@ -13,6 +13,7 @@ the last group, giving n+1 polynomials in (d-1)(n+1) variables.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -166,7 +167,7 @@ def matrix_rank(matrix, field=None) -> int:
         fr = [Fraction(v) if not isinstance(v, Fraction) else v for v in r]
         lcm = 1
         for v in fr:
-            lcm = lcm * v.denominator // _gcd(lcm, v.denominator)
+            lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
         cleared.append([int(v * lcm) for v in fr])
     a = cleared
     nrows = len(a)
@@ -188,12 +189,6 @@ def matrix_rank(matrix, field=None) -> int:
         rank += 1
         col += 1
     return rank
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # ---------------------------------------------------------------------------

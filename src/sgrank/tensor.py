@@ -125,7 +125,7 @@ class SymmetricTensor:
         """Expand to explicit entries on every permuted multi-index."""
         out = {}
         for idx, val in self.entries.items():
-            for perm in set(_permutations(idx)):
+            for perm in set(itertools.permutations(idx)):
                 out[perm] = val
         return GeneralTensor(self.order, self.dim, out, self.field, _clean=True)
 
@@ -301,7 +301,7 @@ class GeneralTensor:
 
     def is_symmetric(self) -> bool:
         for idx, val in self.entries.items():
-            for perm in set(_permutations(idx)):
+            for perm in set(itertools.permutations(idx)):
                 if self.entries.get(perm) != val:
                     return False
         return True
@@ -322,10 +322,6 @@ class GeneralTensor:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
-
-
-def _permutations(idx):
-    return itertools.permutations(idx)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ from sgrank.groebner import (
     s_polynomial,
 )
 from sgrank.polyring import GREVLEX, LEX, PolyRing, PrimeField, QQ, parse_polynomial
+from sgrank.rank import singular_ideal
+from sgrank.tensor import big_cw, complete_homogeneous_cubic, sym_matrix_mult
 
 FP = PrimeField(2**31 - 1)
 
@@ -180,6 +182,46 @@ def test_poll_cancellation():
 
     with pytest.raises(ComputationTimeout):
         buchberger(gens, poll=poll, poll_every=1)
+
+
+def test_poll_cancels_final_interreduction():
+    # poll_every exceeds the pair count, so only the once-per-element poll of
+    # the final interreduction can fire
+    r = PolyRing(3)
+    gens = [
+        P("x0^2 + x1^2 + x2^2", ring=r),
+        P("x0*x1 + x1*x2", ring=r),
+        P("x0*x2 + x1^2", ring=r),
+    ]
+    seen = []
+
+    def poll(stats):
+        seen.append(stats)
+        raise ComputationTimeout("stop", basis_size=stats.basis_size,
+                                 pairs_done=stats.pairs_done, pairs_left=stats.pairs_left)
+
+    with pytest.raises(ComputationTimeout):
+        buchberger(gens, poll=poll, poll_every=10**6)
+    assert len(seen) == 1 and seen[0].pairs_left == 0 and seen[0].pairs_done >= 1
+
+
+@pytest.mark.parametrize("form, counts", [
+    (lambda: sym_matrix_mult(3, FP), (95, 57, 25)),
+    (lambda: complete_homogeneous_cubic(5).to_polynomial(), (177, 60, 43)),
+    (lambda: big_cw(2, 3).to_polynomial(), (4, 3, 4)),
+], ids=["sym_matrix_mult-3-Fp", "h3-5-QQ", "big_cw-2-3-QQ"])
+def test_engine_counts_pinned(form, counts):
+    # (pairs reduced, peak queued pairs, basis size) guard the pair-selection
+    # order and the criteria against engine changes
+    done = [0]
+    peak = [0]
+
+    def poll(stats):
+        done[0] = max(done[0], stats.pairs_done)
+        peak[0] = max(peak[0], stats.pairs_left)
+
+    gb = buchberger(singular_ideal(form()), poll=poll, poll_every=1)
+    assert (done[0], peak[0], len(gb)) == counts
 
 
 # ---------------------------------------------------------------------------
