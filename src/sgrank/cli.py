@@ -21,7 +21,7 @@ from .errors import (
     ParseError,
     SgrankError,
 )
-from .groebner import Ideal, buchberger, ideal_dimension
+from .groebner import Ideal, buchberger, deadline_poll, ideal_dimension
 from .polyring import PolyRing, QQ, order_by_name, parse_field, parse_polynomial
 from .rank import RankReport, rank_report, singular_ideal
 from .strata import (
@@ -51,7 +51,6 @@ class Config:
     json_output: bool
     verbose: int
     order: object
-    jobs: int = 1
 
     @classmethod
     def from_args(cls, args) -> "Config":
@@ -66,20 +65,21 @@ class Config:
             json_output=bool(getattr(args, "json", False)),
             verbose=int(getattr(args, "verbose", 0) or 0),
             order=order_by_name(getattr(args, "order", "grevlex")),
-            jobs=int(getattr(args, "jobs", 1) or 1),
         )
 
 
-def _add_common(p, with_seed=False, with_jobs=False):
+def _add_common(p):
+    """--field, --timeout and --json, read by every subcommand that runs the engine."""
     p.add_argument("--field", default="QQ", help="coefficient field: QQ or Fp:<prime> (default QQ)")
     p.add_argument("--timeout", type=float, default=300.0, help="seconds per computation (default 300)")
-    p.add_argument("--order", default="grevlex", choices=["grevlex", "lex"], help="monomial order")
     p.add_argument("--json", action="store_true", help="machine-readable JSON output")
+
+
+def _add_engine_flags(p):
+    """_add_common plus --order and -v; sample reads neither, verify none of them."""
+    _add_common(p)
+    p.add_argument("--order", default="grevlex", choices=["grevlex", "lex"], help="monomial order")
     p.add_argument("-v", "--verbose", action="count", default=0, help="print extra diagnostics")
-    if with_seed:
-        p.add_argument("--seed", type=int, default=0, help="sampler seed (default 0)")
-    if with_jobs:
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers for batch cases")
 
 
 def _add_input_flags(p):
@@ -87,18 +87,6 @@ def _add_input_flags(p):
     g.add_argument("--poly", help="polynomial in the text grammar, e.g. 'x0*x1^2 + x0*x2^2'")
     g.add_argument("--tensor", help="path to a tensor JSON file")
     p.add_argument("--nvars", type=int, default=None, help="ambient variable count (default: inferred)")
-
-
-def _deadline_poll(deadline):
-    def poll(stats):
-        if time.monotonic() > deadline:
-            raise ComputationTimeout(
-                "computation timed out",
-                basis_size=stats.basis_size,
-                pairs_done=stats.pairs_done,
-                pairs_left=stats.pairs_left,
-            )
-    return poll
 
 
 def _load_input(args, cfg: Config):
@@ -144,7 +132,7 @@ def cmd_sgr(args) -> int:
     obj = _load_input(args, cfg)
     if isinstance(obj, GeneralTensor):
         obj = obj.to_symmetric()
-    poll = _deadline_poll(time.monotonic() + cfg.timeout)
+    poll = deadline_poll(cfg.timeout)
     report = rank_report(obj, compute_gr=False, field=cfg.field, order=cfg.order, poll=poll)
     _emit_report(report, cfg)
     return EXIT_OK
@@ -153,7 +141,7 @@ def cmd_sgr(args) -> int:
 def cmd_gr(args) -> int:
     cfg = Config.from_args(args)
     obj = _load_input(args, cfg)
-    poll = _deadline_poll(time.monotonic() + cfg.timeout)
+    poll = deadline_poll(cfg.timeout)
     report = rank_report(obj, compute_gr=True, field=cfg.field, order=cfg.order, poll=poll)
     _emit_report(report, cfg)
     return EXIT_OK
@@ -178,7 +166,7 @@ def cmd_dim(args) -> int:
         ideal = singular_ideal(polys[0])
     else:
         ideal = Ideal(polys)
-    poll = _deadline_poll(time.monotonic() + cfg.timeout)
+    poll = deadline_poll(cfg.timeout)
     basis = buchberger(ideal, poll=poll)
     dim = ideal_dimension(basis)
     ms = round((time.perf_counter() - t0) * 1000.0, 3)
@@ -210,7 +198,7 @@ def cmd_hypergraph(args) -> int:
         raise ParseError(f"cannot read edge file {args.edges!r}: {exc}") from exc
     hg = parse_hypergraph(text)
     tensor = hypergraph_tensor(hg)
-    poll = _deadline_poll(time.monotonic() + cfg.timeout)
+    poll = deadline_poll(cfg.timeout)
     report = rank_report(tensor, compute_gr=args.gr, field=cfg.field, order=cfg.order, poll=poll)
     annotation = (f"symmetric subrank of the hypergraph tensor <= {report.sgr} "
                   f"(vertices={hg.n}, uniformity={hg.uniformity}, edges={len(hg.edges)})")
@@ -249,7 +237,7 @@ def cmd_sample(args) -> int:
 
     checked_ok = True
     if args.check:
-        poll = _deadline_poll(time.monotonic() + cfg.timeout)
+        poll = deadline_poll(cfg.timeout)
         value = compute_sgr(poly, field=cfg.field, poll=poll)
         meta["sgr"] = value
         meta["expected_sgr"] = expected
@@ -276,30 +264,24 @@ def cmd_sample(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = Config.from_args(args)
-    try:
-        cases = verify_mod.suite_cases(args.suite)
-    except KeyError as exc:
-        raise ParseError(str(exc)) from exc
     t0 = time.perf_counter()
-    results = (
-        [verify_mod.run_case(c) for c in cases]
-        if cfg.jobs <= 1
-        else verify_mod.run_suite(args.suite, jobs=cfg.jobs)
-    )
+    try:
+        results = verify_mod.run_suite(args.suite, jobs=args.jobs)
+    except KeyError as exc:  # unknown suite; run_case turns case errors into results
+        raise ParseError(str(exc)) from exc
     failed = 0
     for res in results:
         status = "PASS" if res.ok else "FAIL"
         if not res.ok:
             failed += 1
-        if cfg.json_output:
+        if args.json:
             print(json.dumps({
                 "case": res.name, "ok": res.ok, "detail": res.detail, "ms": res.ms,
             }))
         else:
             print(f"{status}  {res.name}  ({res.ms} ms)  {res.detail}")
     elapsed = time.perf_counter() - t0
-    if not cfg.json_output:
+    if not args.json:
         print(f"suite {args.suite}: {len(results) - failed} passed, {failed} failed "
               f"({elapsed:.1f} s)")
     return EXIT_OK if failed == 0 else EXIT_FAILED
@@ -314,12 +296,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sgr", help="symmetric geometric rank of a form or symmetric tensor")
     _add_input_flags(p)
-    _add_common(p)
+    _add_engine_flags(p)
     p.set_defaults(func=cmd_sgr)
 
     p = sub.add_parser("gr", help="geometric rank (and sgr for symmetric input)")
     _add_input_flags(p)
-    _add_common(p)
+    _add_engine_flags(p)
     p.set_defaults(func=cmd_gr)
 
     p = sub.add_parser("dim", help="affine dimension of the zero set of given polynomials")
@@ -328,13 +310,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nvars", type=int, default=None)
     p.add_argument("--singular", action="store_true",
                    help="use the partial-derivative ideal of the single given form")
-    _add_common(p)
+    _add_engine_flags(p)
     p.set_defaults(func=cmd_dim)
 
     p = sub.add_parser("hypergraph", help="rank bound for a uniform hypergraph edge file")
     p.add_argument("edges", help="edge file: one edge per line, 1-based vertices, # comments")
     p.add_argument("--gr", action="store_true", help="also compute the geometric rank")
-    _add_common(p)
+    _add_engine_flags(p)
     p.set_defaults(func=cmd_hypergraph)
 
     p = sub.add_parser("sample", help="draw a random form from a rank stratum")
@@ -345,12 +327,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d2", type=int, default=1, help="second factor degree (reducible)")
     p.add_argument("--check", action="store_true", help="compute sgr and compare")
     p.add_argument("--out", default=None, help="write the sample here plus a .json sidecar")
-    _add_common(p, with_seed=True)
+    p.add_argument("--seed", type=int, default=0, help="sampler seed (default 0)")
+    _add_common(p)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite", help="one of: " + ", ".join(sorted(verify_mod.SUITES)))
-    _add_common(p, with_seed=True, with_jobs=True)
+    p.add_argument("--jobs", type=int, default=1, help="parallel workers for batch cases")
+    p.add_argument("--json", action="store_true", help="machine-readable JSON output")
     p.set_defaults(func=cmd_verify)
 
     return parser

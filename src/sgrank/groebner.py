@@ -11,18 +11,20 @@ supports no leading monomial.
 
 Internally polynomials are plain {exponent tuple: coefficient} dicts and all
 basis elements are kept monic, so a reduction step is a fused
-multiply-subtract.  The prime-field and rational inner loops are specialized:
-the modular one runs on raw ints, the rational one on Fractions.
+multiply-subtract.  One reduction loop serves both fields: it runs on raw ints
+over a prime field, reducing each coefficient mod p once, when its monomial
+is extracted, and on Fractions over the rationals.
 """
 
 from __future__ import annotations
 
 import heapq
+import time
 from dataclasses import dataclass
 from itertools import chain
 from operator import le
 
-from .errors import DimensionMismatchError, InvalidInputError
+from .errors import ComputationTimeout, DimensionMismatchError, InvalidInputError
 from .polyring import MonomialOrder, PolyRing, Polynomial, PrimeField, monomial_lcm
 
 
@@ -33,6 +35,22 @@ class GBStats:
     basis_size: int
     pairs_done: int
     pairs_left: int
+
+
+def deadline_poll(seconds: float):
+    """A poll callback for buchberger() that raises ComputationTimeout, with
+    the progress of the run, once ``seconds`` have passed since this call."""
+    deadline = time.monotonic() + seconds
+
+    def poll(stats: GBStats):
+        if time.monotonic() > deadline:
+            raise ComputationTimeout(
+                "computation timed out",
+                basis_size=stats.basis_size,
+                pairs_done=stats.pairs_done,
+                pairs_left=stats.pairs_left,
+            )
+    return poll
 
 
 class Ideal:
@@ -101,32 +119,22 @@ class GroebnerBasis:
 # Reduction (multivariate division)
 # ---------------------------------------------------------------------------
 
-def _leading(terms: dict, order) -> tuple:
-    key = order.key
-    return max(terms, key=key)
-
-
-def _monic_dict(terms: dict, lm, field) -> dict:
+def _monic(terms: dict, order, field):
+    """(leading monomial, monic copy) of a nonzero term dict."""
+    lm = max(terms, key=order.key)
     lc = terms[lm]
     if lc == field.one:
-        return dict(terms)
+        return lm, dict(terms)
     inv = field.inv(lc)
     if isinstance(field, PrimeField):
         p = field.p
-        return {m: c * inv % p for m, c in terms.items()}
-    return {m: c * inv for m, c in terms.items()}
+        return lm, {m: c * inv % p for m, c in terms.items()}
+    return lm, {m: c * inv for m, c in terms.items()}
 
 
-def _make_reducers(term_dicts, order, field):
-    """Precompute (leading monomial, monic tail) pairs, small leads first."""
-    entries = []
-    for terms in term_dicts:
-        if not terms:
-            continue
-        lm = _leading(terms, order)
-        monic = _monic_dict(terms, lm, field)
-        tail = [(m, c) for m, c in monic.items() if m != lm]
-        entries.append((lm, tail))
+def _make_reducers(monics, order):
+    """(leading monomial, tail) pairs from (lead, monic terms), small leads first."""
+    entries = [(lm, [(m, c) for m, c in terms.items() if m != lm]) for lm, terms in monics]
     entries.sort(key=lambda e: order.key(e[0]))
     return entries
 
@@ -136,10 +144,13 @@ def _reduce_full(fdict: dict, reducers, order, field) -> dict:
 
     Repeatedly extracts the largest remaining monomial; either eliminates it
     with the first reducer whose lead divides it or moves it to the remainder.
-    A lazy-deletion heap keeps extraction cheap.
+    A lazy-deletion heap keeps extraction cheap.  Over a prime field the
+    working coefficients are raw ints, reduced mod p once, when popped; an
+    entry that cancels mod p is dropped then.
     """
     if not fdict or not reducers:
         return dict(fdict)
+    p = field.p if isinstance(field, PrimeField) else None
     heap_key = order.heap_key
     work = dict(fdict)
     heap = [(heap_key(m), m) for m in work]
@@ -147,74 +158,40 @@ def _reduce_full(fdict: dict, reducers, order, field) -> dict:
     push = heapq.heappush
     pop = heapq.heappop
     rem = {}
-
-    if isinstance(field, PrimeField):
-        p = field.p
-        while heap:
-            m = pop(heap)[1]
-            c = work.pop(m, None)
-            if c is None:
+    while heap:
+        m = pop(heap)[1]
+        c = work.pop(m, None)
+        if c is None:
+            continue
+        if p is not None:
+            c %= p
+            if not c:
                 continue
-            for lm, tail in reducers:
-                divisible = True
-                for a, b in zip(lm, m):
-                    if a > b:
-                        divisible = False
-                        break
-                if not divisible:
-                    continue
-                if tail:
-                    shift = tuple(x - y for x, y in zip(m, lm))
-                    for mt, ct in tail:
-                        mm = tuple(x + y for x, y in zip(mt, shift))
-                        prev = work.get(mm)
-                        if prev is None:
-                            v = -c * ct % p
-                            if v:
-                                work[mm] = v
-                                push(heap, (heap_key(mm), mm))
-                        else:
-                            v = (prev - c * ct) % p
-                            if v:
-                                work[mm] = v
-                            else:
-                                del work[mm]
-                break
-            else:
-                rem[m] = c
-    else:
-        while heap:
-            m = pop(heap)[1]
-            c = work.pop(m, None)
-            if c is None:
+        for lm, tail in reducers:
+            divisible = True
+            for a, b in zip(lm, m):
+                if a > b:
+                    divisible = False
+                    break
+            if not divisible:
                 continue
-            for lm, tail in reducers:
-                divisible = True
-                for a, b in zip(lm, m):
-                    if a > b:
-                        divisible = False
-                        break
-                if not divisible:
-                    continue
-                if tail:
-                    shift = tuple(x - y for x, y in zip(m, lm))
-                    for mt, ct in tail:
-                        mm = tuple(x + y for x, y in zip(mt, shift))
-                        prev = work.get(mm)
-                        if prev is None:
-                            v = -c * ct
-                            if v:
-                                work[mm] = v
-                                push(heap, (heap_key(mm), mm))
+            if tail:
+                shift = tuple(x - y for x, y in zip(m, lm))
+                for mt, ct in tail:
+                    mm = tuple(x + y for x, y in zip(mt, shift))
+                    prev = work.get(mm)
+                    if prev is None:
+                        work[mm] = -c * ct
+                        push(heap, (heap_key(mm), mm))
+                    else:
+                        v = prev - c * ct
+                        if v:
+                            work[mm] = v
                         else:
-                            v = prev - c * ct
-                            if v:
-                                work[mm] = v
-                            else:
-                                del work[mm]
-                break
-            else:
-                rem[m] = c
+                            del work[mm]
+            break
+        else:
+            rem[m] = c
     return rem
 
 
@@ -229,8 +206,9 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
     for g in polys:
         if g.ring != ring:
             raise DimensionMismatchError("normal_form operands live in different rings")
-    reducers = _make_reducers([g.terms for g in polys if not g.is_zero()], ring.order, ring.field)
-    rem = _reduce_full(f.terms, reducers, ring.order, ring.field)
+    order, field = ring.order, ring.field
+    monics = [_monic(g.terms, order, field) for g in polys if not g.is_zero()]
+    rem = _reduce_full(f.terms, _make_reducers(monics, order), order, field)
     return Polynomial(ring, rem)
 
 
@@ -242,10 +220,9 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
         raise InvalidInputError("s_polynomial of a zero polynomial")
     ring = f.ring
     field = ring.field
-    fm = _monic_dict(f.terms, f.leading_monomial(), field)
-    gm = _monic_dict(g.terms, g.leading_monomial(), field)
-    out = _spoly_dict(fm, f.leading_monomial(), gm, g.leading_monomial(), field)
-    return Polynomial(ring, out)
+    lmf, fm = _monic(f.terms, ring.order, field)
+    lmg, gm = _monic(g.terms, ring.order, field)
+    return Polynomial(ring, _spoly_dict(fm, lmf, gm, lmg, field))
 
 
 def _spoly_dict(fi: dict, lmi, fj: dict, lmj, field) -> dict:
@@ -297,18 +274,16 @@ def buchberger(generators, *, poll=None, poll_every=8) -> GroebnerBasis:
 
     # Interreduce the input: replace each generator by its normal form
     # modulo the others until stable.  Cheap, and trims redundant seeds.
-    seed = [dict(g.terms) for g in ideal.generators]
+    seed = [_monic(g.terms, order, field) for g in ideal.generators]
     while True:
         reduced = []
         changed = False
-        for i, terms in enumerate(seed):
-            others = reduced + seed[i + 1:]
-            reducers = _make_reducers(others, order, field)
-            r = _reduce_full(terms, reducers, order, field)
+        for i, (_, terms) in enumerate(seed):
+            r = _reduce_full(terms, _make_reducers(reduced + seed[i + 1:], order), order, field)
             if r != terms:
                 changed = True
             if r:
-                reduced.append(_monic_dict(r, _leading(r, order), field))
+                reduced.append(_monic(r, order, field))
         seed = reduced
         if not changed:
             break
@@ -321,24 +296,17 @@ def buchberger(generators, *, poll=None, poll_every=8) -> GroebnerBasis:
     active: list[int] = []   # indices of the current basis, ascending
     pairs: dict = {}         # live pairs (i, j), i < j -> lcm of their leads
     queue: list = []         # heap of (deg lcm, order key of lcm, i, j)
-    reducers_dirty = [True]
-    reducer_cache: list = []
+    reducers = None          # reducer list of the current basis; None when stale
 
     def current_reducers():
-        if reducers_dirty[0]:
-            reducer_cache.clear()
-            entries = []
-            for idx in active:
-                lm = lms[idx]
-                tail = [(m, c) for m, c in polys[idx].items() if m != lm]
-                entries.append((lm, tail))
-            entries.sort(key=lambda e: okey(e[0]))
-            reducer_cache.extend(entries)
-            reducers_dirty[0] = False
-        return reducer_cache
+        nonlocal reducers
+        if reducers is None:
+            reducers = _make_reducers([(lms[i], polys[i]) for i in active], order)
+        return reducers
 
     def update(ih):
         """Gebauer-Moeller update of basis and pair set with new element ih."""
+        nonlocal reducers
         mh = lms[ih]
         dh = degs[ih]
         # lcm(mh, lm_g) once per basis element; phases 1-3 share it.
@@ -377,17 +345,16 @@ def buchberger(generators, *, poll=None, poll_every=8) -> GroebnerBasis:
         survivors.append(ih)
         survivors.sort()
         active[:] = survivors
-        reducers_dirty[0] = True
+        reducers = None
 
-    def add_poly(terms: dict) -> int:
-        lm = _leading(terms, order)
-        polys.append(_monic_dict(terms, lm, field))
+    def add_poly(lm, monic: dict) -> int:
+        polys.append(monic)
         lms.append(lm)
         degs.append(sum(lm))
         return len(polys) - 1
 
-    for terms in sorted(seed, key=lambda t: okey(_leading(t, order))):
-        update(add_poly(terms))
+    for lm, terms in sorted(seed, key=lambda e: okey(e[0])):
+        update(add_poly(lm, terms))
 
     pairs_done = 0
     while pairs:
@@ -400,19 +367,19 @@ def buchberger(generators, *, poll=None, poll_every=8) -> GroebnerBasis:
         if poll is not None and pairs_done % poll_every == 0:
             poll(GBStats(len(active), pairs_done, len(pairs)))
         if h:
-            update(add_poly(h))
+            update(add_poly(*_monic(h, order, field)))
 
     # Interreduce the minimal basis into the reduced one.  A tail term lies
     # below its own lead, so only the other leads of the shared reducer list
     # can divide it.
-    reducers = current_reducers()
     final = []
     for idx in sorted(active, key=lambda k: okey(lms[k]), reverse=True):
         if poll is not None:
             poll(GBStats(len(active), pairs_done, 0))
         lm = lms[idx]
         terms = polys[idx]
-        tail = _reduce_full({m: c for m, c in terms.items() if m != lm}, reducers, order, field)
+        tail = {m: c for m, c in terms.items() if m != lm}
+        tail = _reduce_full(tail, current_reducers(), order, field)
         final.append(Polynomial(ring, {lm: terms[lm], **tail}))
     return GroebnerBasis(ring, final)
 

@@ -206,10 +206,6 @@ def parse_field(selector: str):
 # Monomials and monomial orders
 # ---------------------------------------------------------------------------
 
-def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x if x > y else y for x, y in zip(a, b))
 
@@ -503,16 +499,6 @@ class Polynomial:
             base = base * base if e > 1 else base
             e >>= 1
         return result
-
-    def monic(self) -> "Polynomial":
-        if not self.terms:
-            return self
-        field = self.ring.field
-        lc = self.leading_coefficient()
-        if lc == field.one:
-            return self
-        inv = field.inv(lc)
-        return Polynomial(self.ring, {m: field.mul(c, inv) for m, c in self.terms.items()})
 
     def __eq__(self, other):
         return (

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ComputationTimeout
-from .groebner import buchberger, ideal_dimension
+from .groebner import buchberger, deadline_poll, ideal_dimension
 from .polyring import DEFAULT_PRIME, LEX, PolyRing, Polynomial, PrimeField
 from .rank import gr, matrix_rank, sgr
 from .strata import (
@@ -196,17 +196,7 @@ def _case_matmul_odd():
 
 
 def _case_matmul_stretch():
-    deadline = time.monotonic() + MATMUL_STRETCH_TIMEOUT
-
-    def poll(stats):
-        if time.monotonic() > deadline:
-            raise ComputationTimeout(
-                "stretch case out of time",
-                basis_size=stats.basis_size,
-                pairs_done=stats.pairs_done,
-                pairs_left=stats.pairs_left,
-            )
-
+    poll = deadline_poll(MATMUL_STRETCH_TIMEOUT)
     try:
         s = sgr(sym_matrix_mult(4), field=PrimeField(DEFAULT_PRIME), poll=poll)
     except ComputationTimeout as exc:

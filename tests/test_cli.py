@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from sgrank.cli import main
 from sgrank.tensor import big_cw
 
@@ -216,6 +218,14 @@ def test_verify_unknown_suite(capsys):
     code, _, err = run(capsys, "verify", "nonsense")
     assert code == 2
     assert "unknown suite" in err
+
+
+def test_verify_rejects_engine_flags(capsys):
+    # verify runs fixed suites: a flag it would ignore is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "identity", "--timeout", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_verify_identity_suite(capsys):

@@ -61,6 +61,26 @@ def test_normal_form_remainder_property():
                 assert not all(a <= b for a, b in zip(lm, m))
 
 
+def test_normal_form_mod_p_matches_rational():
+    # Coefficients in -5..5 collide mod 7, so the prime-field kernel meets
+    # real cancellations.  Division is linear in f and every lead coefficient
+    # is a unit mod 7, so reducing mod 7 commutes with taking the remainder.
+    f7 = PrimeField(7)
+    rng = random.Random(4)
+    ring = PolyRing(3)
+    cases = 0
+    for _ in range(300):
+        f = _random_poly(rng, ring)
+        gs = [g for g in (_random_poly(rng, ring) for _ in range(3)) if not g.is_zero()]
+        if not gs:
+            continue
+        rem = normal_form(f.convert_field(f7), [g.convert_field(f7) for g in gs])
+        assert normal_form(f, gs).convert_field(f7) == rem
+        assert all(1 <= c < 7 for c in rem.terms.values())
+        cases += 1
+    assert cases > 250
+
+
 def _random_poly(rng, ring, max_terms=4, max_deg=3):
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
