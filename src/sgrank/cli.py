@@ -1,15 +1,17 @@
 """Command line front end.
 
 Subcommands: ``sgr``, ``gr``, ``dim``, ``hypergraph``, ``sample``, ``verify``.
-Exit codes: 0 success, 1 failed check or failed suite, 2 unparseable input,
-3 precondition violation (zero tensor, degree < 2, bad parameters),
-4 timeout (with partial diagnostics, never a wrong number).
+Exit codes: 0 success, 1 failed check, failed suite or stdout closed early by
+its reader, 2 unparseable input, 3 precondition violation (zero tensor,
+degree < 2, bad parameters), 4 timeout (with partial diagnostics, never a
+wrong number).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -345,6 +347,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # The reader closed stdout early (``| head``).  Point stdout at
+        # devnull so the interpreter's flush at exit stays silent.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_FAILED
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -9,11 +9,29 @@ one shared reducer list, yielding the unique reduced basis.  Dimension of the
 zero set is read off the initial ideal as the largest set of variables that
 supports no leading monomial.
 
-Internally polynomials are plain {exponent tuple: coefficient} dicts and all
-basis elements are kept monic, so a reduction step is a fused
-multiply-subtract.  One reduction loop serves both fields: it runs on raw ints
-over a prime field, reducing each coefficient mod p once, when its monomial
-is extracted, and on Fractions over the rationals.
+Internally each exponent vector is packed into one Python int, after Monagan
+& Pearce, "Polynomial division using dynamic arrays, heaps, and packed
+exponent vectors" (CASC 2007).  The int holds n variable fields plus a
+total-degree field, each w bits wide, and the top bit of every field is a
+guard bit that stays clear.  Under grevlex the degree field is on top, then
+x_{n-1} and so on down to x0, and the order key is ``p ^ VARMASK``: flipping
+the variable fields turns the reverse-lex tie-break into a plain int compare.
+Under lex x0 is on top and the degree field at the bottom, and the key is
+``p`` itself.  A monomial product is ``+``, and ``a`` divides ``b`` exactly
+when ``(b - a) & GUARD`` is zero.  Polynomials are packed once on entry and
+unpacked only on exit; the pair update alone keeps tuple leads and lcms.
+
+Overflow is never silent.  The width starts at the smallest that holds the
+input degree, and at least 8 bits.  Guard bits are checked wherever exponents
+grow: when packing, in the S-pair multiplier and on every new term of a
+reduction.  A set guard bit aborts the run, which restarts from the input at
+twice the width.
+
+Packed polynomials are {int: coefficient} dicts and all basis elements are
+kept monic, so a reduction step is a fused multiply-subtract.  One reduction
+loop serves both fields: it runs on raw ints over a prime field, reducing
+each coefficient mod p once, when its monomial is extracted, and on
+Fractions over the rationals.
 """
 
 from __future__ import annotations
@@ -25,7 +43,15 @@ from itertools import chain
 from operator import le
 
 from .errors import ComputationTimeout, DimensionMismatchError, InvalidInputError
-from .polyring import MonomialOrder, PolyRing, Polynomial, PrimeField, monomial_lcm
+from .polyring import (
+    GREVLEX,
+    LEX,
+    MonomialOrder,
+    PolyRing,
+    Polynomial,
+    PrimeField,
+    monomial_lcm,
+)
 
 
 @dataclass(frozen=True)
@@ -116,12 +142,76 @@ class GroebnerBasis:
 
 
 # ---------------------------------------------------------------------------
+# Packed exponent vectors
+# ---------------------------------------------------------------------------
+
+class _Overflow(Exception):
+    """An exponent outgrew its packed field; the run restarts wider."""
+
+
+class _Packing:
+    """Exponent vectors of one ring packed into ints at one field width.
+
+    ``key`` maps a packed monomial to an int that sorts like the order's key;
+    ``guard`` holds the guard bit of every field.
+    """
+
+    __slots__ = ("shifts", "dshift", "fmask", "top", "guard", "mask", "key")
+
+    def __init__(self, nvars: int, order: MonomialOrder, width: int):
+        if order == GREVLEX:
+            self.shifts = tuple(i * width for i in range(nvars))
+            self.dshift = nvars * width
+            varfields = self.shifts
+        elif order == LEX:
+            self.shifts = tuple((nvars - i) * width for i in range(nvars))
+            self.dshift = 0
+            varfields = ()
+        else:
+            raise InvalidInputError(f"no packed layout for the monomial order {order!r}")
+        self.fmask = (1 << width) - 1
+        self.top = (1 << (width - 1)) - 1  # largest exponent a field holds
+        self.guard = sum(1 << (s + width - 1) for s in (*self.shifts, self.dshift))
+        self.mask = sum(self.fmask << s for s in varfields)
+        self.key = self.mask.__xor__
+
+    def pack(self, m) -> int:
+        d = sum(m)
+        if d > self.top:  # the degree bounds every exponent
+            raise _Overflow
+        return sum((e << s for e, s in zip(m, self.shifts)), d << self.dshift)
+
+    def unpack(self, p: int) -> tuple:
+        fmask = self.fmask
+        return tuple(p >> s & fmask for s in self.shifts)
+
+    def pack_terms(self, terms: dict) -> dict:
+        pack = self.pack
+        return {pack(m): c for m, c in terms.items()}
+
+    def unpack_terms(self, terms: dict) -> dict:
+        unpack = self.unpack
+        return {unpack(m): c for m, c in terms.items()}
+
+
+def _packed_run(ring: PolyRing, degree: int, run):
+    """run(packing) at the narrowest field width (8 bits at least) that holds
+    ``degree``; each overflow doubles the width and reruns from the input."""
+    width = max(8, degree.bit_length() + 1)
+    while True:
+        try:
+            return run(_Packing(ring.nvars, ring.order, width))
+        except _Overflow:
+            width *= 2
+
+
+# ---------------------------------------------------------------------------
 # Reduction (multivariate division)
 # ---------------------------------------------------------------------------
 
-def _monic(terms: dict, order, field):
-    """(leading monomial, monic copy) of a nonzero term dict."""
-    lm = max(terms, key=order.key)
+def _monic(terms: dict, pk: _Packing, field):
+    """(leading monomial, monic copy) of a nonzero packed term dict."""
+    lm = max(terms, key=pk.key)
     lc = terms[lm]
     if lc == field.one:
         return lm, dict(terms)
@@ -132,34 +222,35 @@ def _monic(terms: dict, order, field):
     return lm, {m: c * inv for m, c in terms.items()}
 
 
-def _make_reducers(monics, order):
+def _make_reducers(monics, pk: _Packing):
     """(leading monomial, tail) pairs from (lead, monic terms), small leads first."""
     entries = [(lm, [(m, c) for m, c in terms.items() if m != lm]) for lm, terms in monics]
-    entries.sort(key=lambda e: order.key(e[0]))
+    entries.sort(key=lambda e: pk.key(e[0]))
     return entries
 
 
-def _reduce_full(fdict: dict, reducers, order, field) -> dict:
-    """Full normal form of fdict modulo the (monic) reducers.
+def _reduce_full(fdict: dict, reducers, pk: _Packing, field) -> dict:
+    """Full normal form of the packed fdict modulo the (monic) reducers.
 
     Repeatedly extracts the largest remaining monomial; either eliminates it
     with the first reducer whose lead divides it or moves it to the remainder.
-    A lazy-deletion heap keeps extraction cheap.  Over a prime field the
-    working coefficients are raw ints, reduced mod p once, when popped; an
-    entry that cancels mod p is dropped then.
+    A lazy-deletion heap of negated order keys keeps extraction cheap.  Over a
+    prime field the working coefficients are raw ints, reduced mod p once,
+    when popped; an entry that cancels mod p is dropped then.
     """
     if not fdict or not reducers:
         return dict(fdict)
     p = field.p if isinstance(field, PrimeField) else None
-    heap_key = order.heap_key
+    mask = pk.mask
+    guard = pk.guard
     work = dict(fdict)
-    heap = [(heap_key(m), m) for m in work]
+    heap = [-(m ^ mask) for m in work]
     heapq.heapify(heap)
     push = heapq.heappush
     pop = heapq.heappop
     rem = {}
     while heap:
-        m = pop(heap)[1]
+        m = -pop(heap) ^ mask
         c = work.pop(m, None)
         if c is None:
             continue
@@ -168,27 +259,25 @@ def _reduce_full(fdict: dict, reducers, order, field) -> dict:
             if not c:
                 continue
         for lm, tail in reducers:
-            divisible = True
-            for a, b in zip(lm, m):
-                if a > b:
-                    divisible = False
-                    break
-            if not divisible:
-                continue
-            if tail:
-                shift = tuple(x - y for x, y in zip(m, lm))
-                for mt, ct in tail:
-                    mm = tuple(x + y for x, y in zip(mt, shift))
-                    prev = work.get(mm)
-                    if prev is None:
-                        work[mm] = -c * ct
-                        push(heap, (heap_key(mm), mm))
+            shift = m - lm
+            if shift & guard:
+                continue  # lm does not divide m
+            for mt, ct in tail:
+                mm = mt + shift
+                prev = work.get(mm)
+                if prev is None:
+                    # An overflowed product has a guard bit set, so it is
+                    # never a key of work and always lands here.
+                    if mm & guard:
+                        raise _Overflow
+                    work[mm] = -c * ct
+                    push(heap, -(mm ^ mask))
+                else:
+                    v = prev - c * ct
+                    if v:
+                        work[mm] = v
                     else:
-                        v = prev - c * ct
-                        if v:
-                            work[mm] = v
-                        else:
-                            del work[mm]
+                        del work[mm]
             break
         else:
             rem[m] = c
@@ -206,10 +295,16 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
     for g in polys:
         if g.ring != ring:
             raise DimensionMismatchError("normal_form operands live in different rings")
-    order, field = ring.order, ring.field
-    monics = [_monic(g.terms, order, field) for g in polys if not g.is_zero()]
-    rem = _reduce_full(f.terms, _make_reducers(monics, order), order, field)
-    return Polynomial(ring, rem)
+    field = ring.field
+    divisors = [g for g in polys if not g.is_zero()]
+
+    def run(pk):
+        monics = [_monic(pk.pack_terms(g.terms), pk, field) for g in divisors]
+        rem = _reduce_full(pk.pack_terms(f.terms), _make_reducers(monics, pk), pk, field)
+        return pk.unpack_terms(rem)
+
+    degree = max(g.total_degree() for g in (f, *divisors))
+    return Polynomial(ring, _packed_run(ring, degree, run))
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -220,23 +315,34 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
         raise InvalidInputError("s_polynomial of a zero polynomial")
     ring = f.ring
     field = ring.field
-    lmf, fm = _monic(f.terms, ring.order, field)
-    lmg, gm = _monic(g.terms, ring.order, field)
-    return Polynomial(ring, _spoly_dict(fm, lmf, gm, lmg, field))
+
+    def run(pk):
+        lmf, fm = _monic(pk.pack_terms(f.terms), pk, field)
+        lmg, gm = _monic(pk.pack_terms(g.terms), pk, field)
+        lcm = pk.pack(monomial_lcm(pk.unpack(lmf), pk.unpack(lmg)))
+        return pk.unpack_terms(_spoly_dict(fm, lmf, gm, lmg, lcm, pk, field))
+
+    return Polynomial(ring, _packed_run(ring, max(f.total_degree(), g.total_degree()), run))
 
 
-def _spoly_dict(fi: dict, lmi, fj: dict, lmj, field) -> dict:
-    lcm = monomial_lcm(lmi, lmj)
-    ui = tuple(a - b for a, b in zip(lcm, lmi))
-    uj = tuple(a - b for a, b in zip(lcm, lmj))
+def _spoly_dict(fi: dict, lmi, fj: dict, lmj, lcm, pk: _Packing, field) -> dict:
+    """S-polynomial of the monic packed fi and fj, whose leads have the packed lcm."""
+    guard = pk.guard
+    ui = lcm - lmi
+    uj = lcm - lmj
     out = {}
     for m, c in fi.items():
-        out[tuple(x + y for x, y in zip(m, ui))] = c
+        mm = m + ui
+        if mm & guard:
+            raise _Overflow
+        out[mm] = c
     zero = field.zero
     sub = field.sub
     neg = field.neg
     for m, c in fj.items():
-        mm = tuple(x + y for x, y in zip(m, uj))
+        mm = m + uj
+        if mm & guard:
+            raise _Overflow
         prev = out.get(mm)
         if prev is None:
             out[mm] = neg(c)
@@ -258,40 +364,50 @@ def buchberger(generators, *, poll=None, poll_every=8) -> GroebnerBasis:
 
     ``generators`` is an :class:`Ideal` or an iterable of polynomials in one
     ring.  ``poll``, when given, is called with a :class:`GBStats` every
-    ``poll_every`` processed pairs, and once per basis element during the
-    final interreduction; it may raise to cancel the run (the command line
-    uses this for timeouts).  Output is deterministic for fixed input and
-    order.
+    ``poll_every`` reduced seed generators (with no pair done yet) and
+    processed pairs, and once per basis element during the final
+    interreduction; it may raise to cancel the run (the command line uses
+    this for timeouts).  Output is deterministic for fixed input and order.
     """
     if isinstance(generators, Ideal):
         ideal = generators
     else:
         ideal = Ideal(list(generators))
+    degree = max(g.total_degree() for g in ideal.generators)
+    return _packed_run(ideal.ring, degree, lambda pk: _buchberger(ideal, pk, poll, poll_every))
+
+
+def _buchberger(ideal: Ideal, pk: _Packing, poll, poll_every) -> GroebnerBasis:
     ring = ideal.ring
     field = ring.field
-    order = ring.order
-    okey = order.key
+    okey = ring.order.key
+    pkey = pk.key
 
     # Interreduce the input: replace each generator by its normal form
     # modulo the others until stable.  Cheap, and trims redundant seeds.
-    seed = [_monic(g.terms, order, field) for g in ideal.generators]
+    seed = [_monic(pk.pack_terms(g.terms), pk, field) for g in ideal.generators]
+    seed_done = 0
     while True:
         reduced = []
         changed = False
         for i, (_, terms) in enumerate(seed):
-            r = _reduce_full(terms, _make_reducers(reduced + seed[i + 1:], order), order, field)
+            r = _reduce_full(terms, _make_reducers(reduced + seed[i + 1:], pk), pk, field)
+            seed_done += 1
+            if poll is not None and seed_done % poll_every == 0:
+                poll(GBStats(len(seed), 0, 0))
             if r != terms:
                 changed = True
             if r:
-                reduced.append(_monic(r, order, field))
+                reduced.append(_monic(r, pk, field))
         seed = reduced
         if not changed:
             break
     if not seed:
         raise InvalidInputError("all generators are zero (the zero ideal is not supported)")
 
-    polys: list[dict] = []   # append-only store of monic candidates
-    lms: list[tuple] = []
+    polys: list[dict] = []   # append-only store of monic packed candidates
+    plms: list[int] = []     # packed lead of each
+    lms: list[tuple] = []    # the same leads unpacked, for update()
     degs: list[int] = []     # total degree of each lead
     active: list[int] = []   # indices of the current basis, ascending
     pairs: dict = {}         # live pairs (i, j), i < j -> lcm of their leads
@@ -301,7 +417,7 @@ def buchberger(generators, *, poll=None, poll_every=8) -> GroebnerBasis:
     def current_reducers():
         nonlocal reducers
         if reducers is None:
-            reducers = _make_reducers([(lms[i], polys[i]) for i in active], order)
+            reducers = _make_reducers([(plms[i], polys[i]) for i in active], pk)
         return reducers
 
     def update(ih):
@@ -347,40 +463,43 @@ def buchberger(generators, *, poll=None, poll_every=8) -> GroebnerBasis:
         active[:] = survivors
         reducers = None
 
-    def add_poly(lm, monic: dict) -> int:
+    def add_poly(plm: int, monic: dict) -> int:
         polys.append(monic)
+        plms.append(plm)
+        lm = pk.unpack(plm)
         lms.append(lm)
         degs.append(sum(lm))
         return len(polys) - 1
 
-    for lm, terms in sorted(seed, key=lambda e: okey(e[0])):
-        update(add_poly(lm, terms))
+    for plm, terms in sorted(seed, key=lambda e: pkey(e[0])):
+        update(add_poly(plm, terms))
 
     pairs_done = 0
     while pairs:
         _, _, i, j = heapq.heappop(queue)
-        if pairs.pop((i, j), None) is None:
+        lcm = pairs.pop((i, j), None)
+        if lcm is None:
             continue  # pruned by a later update
-        s = _spoly_dict(polys[i], lms[i], polys[j], lms[j], field)
-        h = _reduce_full(s, current_reducers(), order, field)
+        s = _spoly_dict(polys[i], plms[i], polys[j], plms[j], pk.pack(lcm), pk, field)
+        h = _reduce_full(s, current_reducers(), pk, field)
         pairs_done += 1
         if poll is not None and pairs_done % poll_every == 0:
             poll(GBStats(len(active), pairs_done, len(pairs)))
         if h:
-            update(add_poly(*_monic(h, order, field)))
+            update(add_poly(*_monic(h, pk, field)))
 
     # Interreduce the minimal basis into the reduced one.  A tail term lies
     # below its own lead, so only the other leads of the shared reducer list
     # can divide it.
     final = []
-    for idx in sorted(active, key=lambda k: okey(lms[k]), reverse=True):
+    for idx in sorted(active, key=lambda k: pkey(plms[k]), reverse=True):
         if poll is not None:
             poll(GBStats(len(active), pairs_done, 0))
-        lm = lms[idx]
+        lm = plms[idx]
         terms = polys[idx]
         tail = {m: c for m, c in terms.items() if m != lm}
-        tail = _reduce_full(tail, current_reducers(), order, field)
-        final.append(Polynomial(ring, {lm: terms[lm], **tail}))
+        tail = _reduce_full(tail, current_reducers(), pk, field)
+        final.append(Polynomial(ring, pk.unpack_terms({lm: terms[lm], **tail})))
     return GroebnerBasis(ring, final)
 
 

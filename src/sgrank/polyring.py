@@ -222,10 +222,6 @@ class MonomialOrder:
     def key(self, m: Monomial):
         raise NotImplementedError
 
-    def heap_key(self, m: Monomial):
-        """Key whose minimum corresponds to the leading monomial (for heaps)."""
-        raise NotImplementedError
-
     def __eq__(self, other):
         return type(self) is type(other)
 
@@ -244,9 +240,6 @@ class GrevlexOrder(MonomialOrder):
     def key(self, m):
         return (sum(m), tuple(-e for e in reversed(m)))
 
-    def heap_key(self, m):
-        return (-sum(m), tuple(reversed(m)))
-
 
 class LexOrder(MonomialOrder):
     """Lexicographic order with precedence x0 > x1 > ..."""
@@ -255,9 +248,6 @@ class LexOrder(MonomialOrder):
 
     def key(self, m):
         return m
-
-    def heap_key(self, m):
-        return tuple(-e for e in m)
 
 
 GREVLEX = GrevlexOrder()

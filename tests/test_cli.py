@@ -1,9 +1,15 @@
 """Command line behavior: dispatch, formats, exit codes."""
 
+import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sgrank
 from sgrank.cli import main
 from sgrank.tensor import big_cw
 
@@ -239,3 +245,22 @@ def test_verify_jobs_flag(capsys):
     code, out, _ = run(capsys, "verify", "matmul", "--jobs", "2")
     assert code == 0
     assert "0 failed" in out
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # dim -v prints a summary line, then a basis element larger than a pipe
+    # holds, so the command is still writing when the reader goes away
+    cubics = " + ".join(f"2*x{a}*x{b}*x{c}" for a, b, c in itertools.combinations(range(35), 3))
+    src = str(Path(sgrank.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sgrank.cli", "dim", "--poly", "3*x0^4 + " + cubics, "-v"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert first.startswith(b"affine dimension")
+    assert b"Traceback" not in err

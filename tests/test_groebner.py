@@ -4,9 +4,12 @@ import random
 
 import pytest
 
+from sgrank import groebner
 from sgrank.errors import ComputationTimeout, InvalidInputError
 from sgrank.groebner import (
     Ideal,
+    _Overflow,
+    _Packing,
     buchberger,
     ideal_dimension,
     ideal_membership,
@@ -196,12 +199,32 @@ def test_poll_cancellation():
     ]
 
     def poll(stats):
-        assert stats.pairs_done >= 1
+        if stats.pairs_done == 0:
+            return  # seed interreduction; cancel from the pair loop
         raise ComputationTimeout("stop", basis_size=stats.basis_size,
                                  pairs_done=stats.pairs_done, pairs_left=stats.pairs_left)
 
     with pytest.raises(ComputationTimeout):
         buchberger(gens, poll=poll, poll_every=1)
+
+
+def test_poll_fires_during_seed_interreduction():
+    r = PolyRing(3)
+    gens = [
+        P("x0^2 + x1^2 + x2^2", ring=r),
+        P("x0*x1 + x1*x2", ring=r),
+        P("x0*x2 + x1^2", ring=r),
+    ]
+    seen = []
+
+    def poll(stats):
+        seen.append(stats)
+        raise ComputationTimeout("stop", basis_size=stats.basis_size,
+                                 pairs_done=stats.pairs_done, pairs_left=stats.pairs_left)
+
+    with pytest.raises(ComputationTimeout):
+        buchberger(gens, poll=poll, poll_every=1)
+    assert len(seen) == 1 and seen[0].pairs_done == 0 and seen[0].basis_size == 3
 
 
 def test_poll_cancels_final_interreduction():
@@ -242,6 +265,81 @@ def test_engine_counts_pinned(form, counts):
 
     gb = buchberger(singular_ideal(form()), poll=poll, poll_every=1)
     assert (done[0], peak[0], len(gb)) == counts
+
+
+# ---------------------------------------------------------------------------
+# Packed exponent vectors
+# ---------------------------------------------------------------------------
+
+def _random_monomials(rng, nvars, count, top):
+    """Random exponent tuples with total degree at most top."""
+    return [tuple(rng.randint(0, top // nvars) for _ in range(nvars)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+def test_pack_unpack_roundtrip(order):
+    rng = random.Random(21)
+    for nvars, width in ((1, 8), (4, 8), (16, 8), (5, 16)):
+        pk = _Packing(nvars, order, width)
+        for m in _random_monomials(rng, nvars, 200, pk.top):
+            p = pk.pack(m)
+            assert p & pk.guard == 0
+            assert pk.unpack(p) == m
+
+
+def test_packed_key_matches_order():
+    # the packed key sorts exactly like order.key, ties (repeated monomials) included
+    rng = random.Random(10)
+    for order in (GREVLEX, LEX):
+        for nvars, width in ((3, 8), (4, 8), (6, 16)):
+            pk = _Packing(nvars, order, width)
+            monos = [tuple(rng.randint(0, 4) for _ in range(nvars)) for _ in range(300)]
+            monos += _random_monomials(rng, nvars, 100, pk.top)
+            by_key = sorted(monos, key=order.key)
+            by_packed = sorted(monos, key=lambda m: pk.key(pk.pack(m)))
+            assert by_key == by_packed
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+def test_packed_divisibility_matches_fieldwise(order):
+    rng = random.Random(22)
+    for nvars, hi in ((3, 3), (4, 31), (8, 2)):
+        pk = _Packing(nvars, order, 8)
+        monos = [tuple(rng.randint(0, hi) for _ in range(nvars)) for _ in range(80)]
+        for a in monos:
+            for b in monos:
+                fieldwise = all(x <= y for x, y in zip(a, b))
+                assert ((pk.pack(b) - pk.pack(a)) & pk.guard == 0) == fieldwise
+
+
+def test_pack_overflow_is_detected():
+    pk = _Packing(3, GREVLEX, 8)
+    with pytest.raises(_Overflow):
+        pk.pack((100, 20, 8))  # degree 128 does not fit 7 value bits
+    a, b = pk.pack((100, 0, 0)), pk.pack((0, 27, 1))
+    assert (a + b) & pk.guard  # degree 128 sets the degree field's guard bit
+
+
+def test_lex_overflow_widens(monkeypatch):
+    # the input fits 8-bit fields, the basis (x1^400) does not
+    widths = []
+
+    class RecordingPacking(_Packing):
+        __slots__ = ()
+
+        def __init__(self, nvars, order, width):
+            widths.append(width)
+            super().__init__(nvars, order, width)
+
+    monkeypatch.setattr(groebner, "_Packing", RecordingPacking)
+    r = PolyRing(3, order=LEX)
+    gb = buchberger([P("x0 - x1^100", ring=r), P("x0^4 - x2", ring=r)])
+    assert set(gb) == {P("x0 - x1^100", ring=r), P("x1^400 - x2", ring=r)}
+    assert widths == [8, 16]
+    # a remainder that outgrows the fields while dividing
+    del widths[:]
+    assert normal_form(P("x0^3", ring=r), [P("x0 - x1^100", ring=r)]) == P("x1^300", ring=r)
+    assert widths == [8, 16]
 
 
 # ---------------------------------------------------------------------------

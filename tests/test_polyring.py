@@ -280,15 +280,6 @@ def test_grevlex_refines_degree():
             assert GREVLEX.key(a) < GREVLEX.key(b)
 
 
-def test_heap_key_consistency():
-    rng = random.Random(10)
-    for order in (GREVLEX, LEX):
-        monos = [tuple(rng.randint(0, 4) for _ in range(3)) for _ in range(50)]
-        by_key = sorted(monos, key=order.key, reverse=True)
-        by_heap = sorted(monos, key=order.heap_key)
-        assert by_key == by_heap
-
-
 # ---------------------------------------------------------------------------
 # Parse / format
 # ---------------------------------------------------------------------------
