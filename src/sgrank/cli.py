@@ -170,7 +170,7 @@ def cmd_dim(args) -> int:
         ideal = Ideal(polys)
     poll = deadline_poll(cfg.timeout)
     basis = buchberger(ideal, poll=poll)
-    dim = ideal_dimension(basis)
+    dim = ideal_dimension(basis, poll=poll)
     ms = round((time.perf_counter() - t0) * 1000.0, 3)
     if cfg.json_output:
         print(json.dumps({

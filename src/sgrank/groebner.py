@@ -18,14 +18,19 @@ x_{n-1} and so on down to x0, and the order key is ``p ^ VARMASK``: flipping
 the variable fields turns the reverse-lex tie-break into a plain int compare.
 Under lex x0 is on top and the degree field at the bottom, and the key is
 ``p`` itself.  A monomial product is ``+``, and ``a`` divides ``b`` exactly
-when ``(b - a) & GUARD`` is zero.  Polynomials are packed once on entry and
-unpacked only on exit; the pair update alone keeps tuple leads and lcms.
+when ``(b - a) & GUARD`` is zero.  An lcm takes the field-wise max of the
+variable fields: ``((a | GUARD) - b) & GUARD`` marks the fields where a >= b.
+Its degree field is recomputed as the sum of the variable fields, read off
+one multiply by a ones-per-field constant.  Leads and lcms have coprime
+supports exactly when ``lcm(a, b) == a + b``.  Polynomials are packed once on
+entry and unpacked only on exit; the pair update works on packed leads and
+lcms too, so no tuple monomial remains inside the engine.
 
 Overflow is never silent.  The width starts at the smallest that holds the
 input degree, and at least 8 bits.  Guard bits are checked wherever exponents
 grow: when packing, in the S-pair multiplier and on every new term of a
-reduction.  A set guard bit aborts the run, which restarts from the input at
-twice the width.
+reduction; an lcm checks its recomputed degree.  An overflow aborts the run,
+which restarts from the input at twice the width.
 
 Packed polynomials are {int: coefficient} dicts and all basis elements are
 kept monic, so a reduction step is a fused multiply-subtract.  One reduction
@@ -39,8 +44,8 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
-from operator import le
 
 from .errors import ComputationTimeout, DimensionMismatchError, InvalidInputError
 from .polyring import (
@@ -50,7 +55,6 @@ from .polyring import (
     PolyRing,
     Polynomial,
     PrimeField,
-    monomial_lcm,
 )
 
 
@@ -153,33 +157,60 @@ class _Packing:
     """Exponent vectors of one ring packed into ints at one field width.
 
     ``key`` maps a packed monomial to an int that sorts like the order's key;
-    ``guard`` holds the guard bit of every field.
+    ``guard`` holds the guard bit of every field, ``varmask`` every bit of the
+    variable fields.
     """
 
-    __slots__ = ("shifts", "dshift", "fmask", "top", "guard", "mask", "key")
+    __slots__ = (
+        "width", "shifts", "dshift", "fmask", "top", "guard", "mask", "key",
+        "varmask", "varguard", "ones", "sumshift",
+    )
 
     def __init__(self, nvars: int, order: MonomialOrder, width: int):
         if order == GREVLEX:
             self.shifts = tuple(i * width for i in range(nvars))
             self.dshift = nvars * width
-            varfields = self.shifts
         elif order == LEX:
             self.shifts = tuple((nvars - i) * width for i in range(nvars))
             self.dshift = 0
-            varfields = ()
         else:
             raise InvalidInputError(f"no packed layout for the monomial order {order!r}")
+        self.width = width
         self.fmask = (1 << width) - 1
         self.top = (1 << (width - 1)) - 1  # largest exponent a field holds
         self.guard = sum(1 << (s + width - 1) for s in (*self.shifts, self.dshift))
-        self.mask = sum(self.fmask << s for s in varfields)
+        self.varmask = sum(self.fmask << s for s in self.shifts)
+        self.varguard = self.guard & self.varmask
+        self.mask = self.varmask if order == GREVLEX else 0
         self.key = self.mask.__xor__
+        # The variable fields are contiguous, so a multiply by one 1 per field
+        # sums all of them into the field of the topmost one.
+        self.ones = sum(1 << i * width for i in range(nvars))
+        self.sumshift = max(self.shifts)
 
     def pack(self, m) -> int:
         d = sum(m)
         if d > self.top:  # the degree bounds every exponent
             raise _Overflow
         return sum((e << s for e, s in zip(m, self.shifts)), d << self.dshift)
+
+    def degree(self, p: int) -> int:
+        return p >> self.dshift & self.fmask
+
+    def lcm(self, a: int, b: int) -> int:
+        """Packed lcm of packed a and b, with its degree field recomputed."""
+        varguard = self.varguard
+        va = a & self.varmask
+        vb = b & self.varmask
+        ge = ((va | varguard) - vb) & varguard  # guard set where a >= b
+        sel = ge - (ge >> self.width - 1)  # value bits of those fields
+        vm = vb ^ ((va ^ vb) & sel)
+        # deg lcm <= deg a + deg b <= 2 * top fits a whole field, and so does
+        # every partial sum of the multiply: no carry reaches the read field.
+        d = (vm * self.ones >> self.sumshift) & self.fmask
+        if d > self.top:
+            raise _Overflow
+        return vm | d << self.dshift
 
     def unpack(self, p: int) -> tuple:
         fmask = self.fmask
@@ -319,8 +350,7 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     def run(pk):
         lmf, fm = _monic(pk.pack_terms(f.terms), pk, field)
         lmg, gm = _monic(pk.pack_terms(g.terms), pk, field)
-        lcm = pk.pack(monomial_lcm(pk.unpack(lmf), pk.unpack(lmg)))
-        return pk.unpack_terms(_spoly_dict(fm, lmf, gm, lmg, lcm, pk, field))
+        return pk.unpack_terms(_spoly_dict(fm, lmf, gm, lmg, pk.lcm(lmf, lmg), pk, field))
 
     return Polynomial(ring, _packed_run(ring, max(f.total_degree(), g.total_degree()), run))
 
@@ -380,8 +410,10 @@ def buchberger(generators, *, poll=None, poll_every=8) -> GroebnerBasis:
 def _buchberger(ideal: Ideal, pk: _Packing, poll, poll_every) -> GroebnerBasis:
     ring = ideal.ring
     field = ring.field
-    okey = ring.order.key
     pkey = pk.key
+    guard = pk.guard
+    lcm = pk.lcm
+    degree = pk.degree
 
     # Interreduce the input: replace each generator by its normal form
     # modulo the others until stable.  Cheap, and trims redundant seeds.
@@ -407,10 +439,8 @@ def _buchberger(ideal: Ideal, pk: _Packing, poll, poll_every) -> GroebnerBasis:
 
     polys: list[dict] = []   # append-only store of monic packed candidates
     plms: list[int] = []     # packed lead of each
-    lms: list[tuple] = []    # the same leads unpacked, for update()
-    degs: list[int] = []     # total degree of each lead
     active: list[int] = []   # indices of the current basis, ascending
-    pairs: dict = {}         # live pairs (i, j), i < j -> lcm of their leads
+    pairs: dict = {}         # live pairs (i, j), i < j -> packed lcm of their leads
     queue: list = []         # heap of (deg lcm, order key of lcm, i, j)
     reducers = None          # reducer list of the current basis; None when stale
 
@@ -423,10 +453,9 @@ def _buchberger(ideal: Ideal, pk: _Packing, poll, poll_every) -> GroebnerBasis:
     def update(ih):
         """Gebauer-Moeller update of basis and pair set with new element ih."""
         nonlocal reducers
-        mh = lms[ih]
-        dh = degs[ih]
+        mh = plms[ih]
         # lcm(mh, lm_g) once per basis element; phases 1-3 share it.
-        lcm_h = {ig: monomial_lcm(mh, lms[ig]) for ig in active}
+        lcm_h = {ig: lcm(mh, plms[ig]) for ig in active}
         # Phase 1: filter candidate pairs (ih, g) with the chain criterion.
         # Coprime pairs stay in D, where they still cover later candidates.
         candidates = list(active)
@@ -434,8 +463,8 @@ def _buchberger(ideal: Ideal, pk: _Packing, poll, poll_every) -> GroebnerBasis:
         while candidates:
             ig = candidates.pop()
             lcm_hg = lcm_h[ig]
-            if sum(lcm_hg) == dh + degs[ig] or not any(
-                all(map(le, lcm_h[ip], lcm_hg)) for ip in chain(candidates, D)
+            if lcm_hg == mh + plms[ig] or not any(
+                not (lcm_hg - lcm_h[ip]) & guard for ip in chain(candidates, D)
             ):
                 D.append(ig)
         # Phase 2: prune old pairs made redundant by mh (chain criterion).
@@ -443,21 +472,20 @@ def _buchberger(ideal: Ideal, pk: _Packing, poll, poll_every) -> GroebnerBasis:
         # a retired element, which has no entry in lcm_h.
         dead = [
             ij for ij, l12 in pairs.items()
-            if all(map(le, mh, l12))
-            and all((lcm_h.get(i) or monomial_lcm(mh, lms[i])) != l12 for i in ij)
+            if not (l12 - mh) & guard
+            and all((lcm_h.get(i) or lcm(mh, plms[i])) != l12 for i in ij)
         ]
         for ij in dead:
             del pairs[ij]
         # Phase 3: queue the new pairs, minus those with coprime leads
-        # (Buchberger's first criterion: deg lcm = deg mh + deg mg).
+        # (Buchberger's first criterion).
         for ig in D:
             lcm_hg = lcm_h[ig]
-            deg = sum(lcm_hg)
-            if deg != dh + degs[ig]:
+            if lcm_hg != mh + plms[ig]:
                 pairs[(ig, ih)] = lcm_hg
-                heapq.heappush(queue, (deg, okey(lcm_hg), ig, ih))
+                heapq.heappush(queue, (degree(lcm_hg), pkey(lcm_hg), ig, ih))
         # Phase 4: retire basis elements whose lead became divisible.
-        survivors = [ig for ig in active if not all(map(le, mh, lms[ig]))]
+        survivors = [ig for ig in active if (plms[ig] - mh) & guard]
         survivors.append(ih)
         survivors.sort()
         active[:] = survivors
@@ -466,9 +494,6 @@ def _buchberger(ideal: Ideal, pk: _Packing, poll, poll_every) -> GroebnerBasis:
     def add_poly(plm: int, monic: dict) -> int:
         polys.append(monic)
         plms.append(plm)
-        lm = pk.unpack(plm)
-        lms.append(lm)
-        degs.append(sum(lm))
         return len(polys) - 1
 
     for plm, terms in sorted(seed, key=lambda e: pkey(e[0])):
@@ -477,10 +502,10 @@ def _buchberger(ideal: Ideal, pk: _Packing, poll, poll_every) -> GroebnerBasis:
     pairs_done = 0
     while pairs:
         _, _, i, j = heapq.heappop(queue)
-        lcm = pairs.pop((i, j), None)
-        if lcm is None:
+        lcm_ij = pairs.pop((i, j), None)
+        if lcm_ij is None:
             continue  # pruned by a later update
-        s = _spoly_dict(polys[i], plms[i], polys[j], plms[j], pk.pack(lcm), pk, field)
+        s = _spoly_dict(polys[i], plms[i], polys[j], plms[j], lcm_ij, pk, field)
         h = _reduce_full(s, current_reducers(), pk, field)
         pairs_done += 1
         if poll is not None and pairs_done % poll_every == 0:
@@ -512,8 +537,12 @@ def ideal_membership(f: Polynomial, basis) -> bool:
 # Dimension of the zero set
 # ---------------------------------------------------------------------------
 
-def _min_hitting_set_size(supports, nvars: int) -> int:
-    """Smallest number of variables meeting every support set (exact B&B)."""
+def _min_hitting_set_size(supports, nvars: int, tick=None) -> int:
+    """Smallest number of variables meeting every support set (exact B&B).
+
+    ``tick``, when given, is called with no argument at every branching node
+    and may raise to cancel the search.
+    """
     minimal = []
     for s in sorted(set(supports), key=len):
         if not any(t <= s for t in minimal):
@@ -525,6 +554,8 @@ def _min_hitting_set_size(supports, nvars: int) -> int:
             if chosen.isdisjoint(s):
                 if len(chosen) + 1 >= best[0]:
                     return
+                if tick is not None:
+                    tick()
                 for v in sorted(s):
                     chosen.add(v)
                     search(chosen)
@@ -537,12 +568,14 @@ def _min_hitting_set_size(supports, nvars: int) -> int:
     return best[0]
 
 
-def ideal_dimension(basis: GroebnerBasis) -> int:
+def ideal_dimension(basis: GroebnerBasis, *, poll=None) -> int:
     """Affine dimension of the zero set of the ideal, from its initial ideal.
 
     Computed as the largest cardinality of a variable subset containing the
     support of no leading monomial.  Returns -1 for the unit ideal (empty
-    variety).
+    variety).  ``poll``, when given, is the buchberger() callback; the search
+    calls it at every branching node with the size of the basis and no pairs,
+    and it may raise to cancel the search.
     """
     if basis.is_unit_ideal:
         return -1
@@ -551,7 +584,8 @@ def ideal_dimension(basis: GroebnerBasis) -> int:
         frozenset(i for i, e in enumerate(lm) if e)
         for lm in basis.leading_monomials()
     ]
-    return nvars - _min_hitting_set_size(supports, nvars)
+    tick = None if poll is None else partial(poll, GBStats(len(basis), 0, 0))
+    return nvars - _min_hitting_set_size(supports, nvars, tick)
 
 
 def is_reduced_groebner_basis(basis) -> bool:

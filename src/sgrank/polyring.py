@@ -206,14 +206,6 @@ def parse_field(selector: str):
 # Monomials and monomial orders
 # ---------------------------------------------------------------------------
 
-def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x if x > y else y for x, y in zip(a, b))
-
-
-def monomial_degree(a: Monomial) -> int:
-    return sum(a)
-
-
 class MonomialOrder:
     """A global monomial order, given by a sort key (max key = leading)."""
 

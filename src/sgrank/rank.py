@@ -65,7 +65,7 @@ def sgr_details(obj, *, field=None, order=None, poll=None):
     """(sgr, affine dimension of the singular locus, Groebner basis)."""
     form = _as_polynomial(obj, field=field, order=order)
     basis = buchberger(singular_ideal(form), poll=poll)
-    dim = ideal_dimension(basis)
+    dim = ideal_dimension(basis, poll=poll)
     return form.ring.nvars - dim, dim, basis
 
 
@@ -119,7 +119,7 @@ def gr_details(obj, *, field=None, order=None, poll=None):
         raise InvalidInputError("geometric rank needs order at least 2")
     ring, gens = _multilinear_generators(t, order or GREVLEX)
     basis = buchberger(Ideal(gens), poll=poll)
-    dim = ideal_dimension(basis)
+    dim = ideal_dimension(basis, poll=poll)
     return ring.nvars - dim, dim, basis
 
 

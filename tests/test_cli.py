@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -106,6 +107,18 @@ def test_timeout_exit_code(capsys):
 # ---------------------------------------------------------------------------
 # dim
 # ---------------------------------------------------------------------------
+
+def test_timeout_holds_in_dimension_search(capsys):
+    # The basis of a 41-variable cycle edge ideal takes milliseconds; its
+    # dimension search takes seconds, so the timeout lands inside it.
+    polys = [a for i in range(41) for a in ("--poly", f"x{i}*x{(i + 1) % 41}")]
+    t0 = time.monotonic()
+    code, _, err = run(capsys, "dim", *polys, "--timeout", "0.3")
+    elapsed = time.monotonic() - t0
+    assert code == 4
+    assert "basis_size=41" in err
+    assert elapsed < 0.3 + 2.0
+
 
 def test_dim_generators(capsys):
     code, out, _ = run(capsys, "dim", "--poly", "x0*x2", "--poly", "x0*x3 + x1*x2")

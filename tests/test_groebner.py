@@ -7,6 +7,7 @@ import pytest
 from sgrank import groebner
 from sgrank.errors import ComputationTimeout, InvalidInputError
 from sgrank.groebner import (
+    GBStats,
     Ideal,
     _Overflow,
     _Packing,
@@ -303,13 +304,29 @@ def test_packed_key_matches_order():
 @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
 def test_packed_divisibility_matches_fieldwise(order):
     rng = random.Random(22)
-    for nvars, hi in ((3, 3), (4, 31), (8, 2)):
+    overflows = 0
+    # the last three draw exponents near top, so some lcms outgrow the fields
+    for nvars, hi in ((3, 3), (4, 31), (8, 2), (1, 127), (2, 100), (3, 90)):
         pk = _Packing(nvars, order, 8)
-        monos = [tuple(rng.randint(0, hi) for _ in range(nvars)) for _ in range(80)]
+        monos = [tuple(rng.randint(0, hi) for _ in range(nvars)) for _ in range(200)]
+        monos = [m for m in monos if sum(m) <= pk.top][:80]
         for a in monos:
+            pa = pk.pack(a)
             for b in monos:
+                pb = pk.pack(b)
                 fieldwise = all(x <= y for x, y in zip(a, b))
-                assert ((pk.pack(b) - pk.pack(a)) & pk.guard == 0) == fieldwise
+                assert ((pb - pa) & pk.guard == 0) == fieldwise
+                lcm = tuple(map(max, a, b))
+                if sum(lcm) > pk.top:
+                    overflows += 1
+                    with pytest.raises(_Overflow):
+                        pk.lcm(pa, pb)
+                    continue
+                pl = pk.lcm(pa, pb)
+                assert pk.unpack(pl) == lcm
+                assert pk.degree(pl) == sum(lcm)
+                assert pl == pk.pack(lcm)
+    assert overflows
 
 
 def test_pack_overflow_is_detected():
@@ -318,6 +335,9 @@ def test_pack_overflow_is_detected():
         pk.pack((100, 20, 8))  # degree 128 does not fit 7 value bits
     a, b = pk.pack((100, 0, 0)), pk.pack((0, 27, 1))
     assert (a + b) & pk.guard  # degree 128 sets the degree field's guard bit
+    with pytest.raises(_Overflow):
+        pk.lcm(a, b)  # lcm (100, 27, 1) has degree 128, above both leads'
+    assert pk.degree(pk.lcm(a, pk.pack((0, 27, 0)))) == pk.top
 
 
 def test_lex_overflow_widens(monkeypatch):
@@ -395,6 +415,31 @@ def test_dimension_against_bruteforce():
             continue
         gb = buchberger([ring.from_dict({m: 1}) for m in monos])
         assert ideal_dimension(gb) == _dimension_bruteforce(monos, nvars)
+
+
+def _cycle_basis(nvars):
+    """Basis of the cycle edge ideal (x0*x1, x1*x2, ..., x_{n-1}*x0)."""
+    r = PolyRing(nvars)
+    return buchberger([P(f"x{i}*x{(i + 1) % nvars}", ring=r) for i in range(nvars)])
+
+
+def test_poll_cancels_dimension_search():
+    gb = _cycle_basis(33)
+    seen = []
+
+    def poll(stats):
+        seen.append(stats)
+        if len(seen) == 50:
+            raise ComputationTimeout("stop")
+
+    with pytest.raises(ComputationTimeout):
+        ideal_dimension(gb, poll=poll)
+    assert len(seen) == 50
+    assert set(seen) == {GBStats(33, 0, 0)}
+    # a poll that does not raise leaves the answer alone
+    del seen[:]
+    assert ideal_dimension(_cycle_basis(21), poll=seen.append) == 10
+    assert seen
 
 
 def test_dimension_field_and_order_stability():

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from sgrank.errors import InvalidInputError
+from sgrank import rank
+from sgrank.errors import ComputationTimeout, InvalidInputError
 from sgrank.groebner import buchberger, ideal_membership
 from sgrank.polyring import LEX, PolyRing, PrimeField, parse_polynomial
 from sgrank.rank import (
@@ -307,3 +308,25 @@ def test_report_invariants_on_random_inputs():
         assert 1 <= rep.sgr <= n + 1
         assert rep.sgr <= rep.gr
         assert rep.sing_dim_affine + rep.sgr == rep.ambient
+
+
+@pytest.mark.parametrize("details", ["sgr_details", "gr_details"])
+def test_poll_reaches_dimension_search(monkeypatch, details):
+    # the poll raises only once buchberger has returned, so only the
+    # dimension search can see it raise
+    finished = []
+    real_buchberger = rank.buchberger
+
+    def buchberger(ideal, **kwargs):
+        gb = real_buchberger(ideal, **kwargs)
+        finished.append(gb)
+        return gb
+
+    def poll(stats):
+        if finished:
+            raise ComputationTimeout("stop")
+
+    monkeypatch.setattr(rank, "buchberger", buchberger)
+    with pytest.raises(ComputationTimeout):
+        getattr(rank, details)(big_cw(2, 3), poll=poll)
+    assert len(finished) == 1
