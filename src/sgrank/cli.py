@@ -58,7 +58,7 @@ class Config:
     def from_args(cls, args) -> "Config":
         field = parse_field(getattr(args, "field", "QQ"))
         timeout = float(getattr(args, "timeout", 300.0))
-        if timeout <= 0:
+        if not timeout > 0:  # NaN too
             raise InvalidInputError("timeout must be positive")
         return cls(
             field=field,

@@ -4,10 +4,13 @@ The basis computation follows the classical improved Buchberger loop: normal
 pair selection (smallest lcm degree, ties broken by the monomial order) from a
 heap-ordered pair queue, and the Gebauer-Moeller update, which computes the
 lcm of the new lead with each basis lead once and applies the coprimality and
-chain criteria with it.  A final interreduction reduces every tail against
-one shared reducer list, yielding the unique reduced basis.  Dimension of the
-zero set is read off the initial ideal as the largest set of variables that
-supports no leading monomial.
+chain criteria with it.  The generators enter through the same step as a
+reduced S-polynomial: smallest lead first, each is reduced against the basis
+so far and, if nonzero, added by the update.  One tail pass then reduces
+every tail against one shared reducer list; the same pass after the pair
+loop yields the unique reduced basis.  Dimension of the zero set is read off
+the initial ideal as the largest set of variables that supports no leading
+monomial.
 
 Internally each exponent vector is packed into one Python int, after Monagan
 & Pearce, "Polynomial division using dynamic arrays, heaps, and packed
@@ -394,10 +397,11 @@ def buchberger(generators, *, poll=None, poll_every=8) -> GroebnerBasis:
 
     ``generators`` is an :class:`Ideal` or an iterable of polynomials in one
     ring.  ``poll``, when given, is called with a :class:`GBStats` every
-    ``poll_every`` reduced seed generators (with no pair done yet) and
-    processed pairs, and once per basis element during the final
-    interreduction; it may raise to cancel the run (the command line uses
-    this for timeouts).  Output is deterministic for fixed input and order.
+    ``poll_every`` reductions in the seed step (each generator, then each
+    tail of the seeded basis, with no pair done yet) and every ``poll_every``
+    processed pairs, and once per basis element during the final tail pass;
+    it may raise to cancel the run (the command line uses this for
+    timeouts).  Output is deterministic for fixed input and order.
     """
     if isinstance(generators, Ideal):
         ideal = generators
@@ -415,29 +419,7 @@ def _buchberger(ideal: Ideal, pk: _Packing, poll, poll_every) -> GroebnerBasis:
     lcm = pk.lcm
     degree = pk.degree
 
-    # Interreduce the input: replace each generator by its normal form
-    # modulo the others until stable.  Cheap, and trims redundant seeds.
-    seed = [_monic(pk.pack_terms(g.terms), pk, field) for g in ideal.generators]
-    seed_done = 0
-    while True:
-        reduced = []
-        changed = False
-        for i, (_, terms) in enumerate(seed):
-            r = _reduce_full(terms, _make_reducers(reduced + seed[i + 1:], pk), pk, field)
-            seed_done += 1
-            if poll is not None and seed_done % poll_every == 0:
-                poll(GBStats(len(seed), 0, 0))
-            if r != terms:
-                changed = True
-            if r:
-                reduced.append(_monic(r, pk, field))
-        seed = reduced
-        if not changed:
-            break
-    if not seed:
-        raise InvalidInputError("all generators are zero (the zero ideal is not supported)")
-
-    polys: list[dict] = []   # append-only store of monic packed candidates
+    polys: list[dict] = []   # monic packed candidates; reduce_tails rewrites tails
     plms: list[int] = []     # packed lead of each
     active: list[int] = []   # indices of the current basis, ascending
     pairs: dict = {}         # live pairs (i, j), i < j -> packed lcm of their leads
@@ -496,10 +478,41 @@ def _buchberger(ideal: Ideal, pk: _Packing, poll, poll_every) -> GroebnerBasis:
         plms.append(plm)
         return len(polys) - 1
 
-    for plm, terms in sorted(seed, key=lambda e: pkey(e[0])):
-        update(add_poly(plm, terms))
+    def reduce_tails(every: int, done: int):
+        """Reduce each basis tail against the current reducers and write lead
+        + reduced tail back into polys.  A tail term lies below its own lead,
+        so only the other leads can divide it.  Counting on from ``done``,
+        polls once every ``every`` elements.  Returns the basis indices, largest
+        lead first."""
+        nonlocal reducers
+        rs = current_reducers()
+        order = sorted(active, key=lambda k: pkey(plms[k]), reverse=True)
+        for idx in order:
+            done += 1
+            if poll is not None and done % every == 0:
+                poll(GBStats(len(active), pairs_done, 0))
+            lm = plms[idx]
+            terms = polys[idx]
+            tail = _reduce_full({m: c for m, c in terms.items() if m != lm}, rs, pk, field)
+            polys[idx] = {lm: terms[lm], **tail}
+        reducers = None
+        return order
 
+    # Seed the basis as the pair loop grows it: each generator, smallest lead
+    # first, is reduced against the basis so far and added if nonzero.
+    seed = sorted(
+        (_monic(pk.pack_terms(g.terms), pk, field) for g in ideal.generators),
+        key=lambda e: pkey(e[0]),
+    )
     pairs_done = 0
+    for k, (_, terms) in enumerate(seed, 1):
+        h = _reduce_full(terms, current_reducers(), pk, field)
+        if poll is not None and k % poll_every == 0:
+            poll(GBStats(len(seed), 0, 0))
+        if h:
+            update(add_poly(*_monic(h, pk, field)))
+    reduce_tails(poll_every, len(seed))
+
     while pairs:
         _, _, i, j = heapq.heappop(queue)
         lcm_ij = pairs.pop((i, j), None)
@@ -513,19 +526,9 @@ def _buchberger(ideal: Ideal, pk: _Packing, poll, poll_every) -> GroebnerBasis:
         if h:
             update(add_poly(*_monic(h, pk, field)))
 
-    # Interreduce the minimal basis into the reduced one.  A tail term lies
-    # below its own lead, so only the other leads of the shared reducer list
-    # can divide it.
-    final = []
-    for idx in sorted(active, key=lambda k: pkey(plms[k]), reverse=True):
-        if poll is not None:
-            poll(GBStats(len(active), pairs_done, 0))
-        lm = plms[idx]
-        terms = polys[idx]
-        tail = {m: c for m, c in terms.items() if m != lm}
-        tail = _reduce_full(tail, current_reducers(), pk, field)
-        final.append(Polynomial(ring, pk.unpack_terms({lm: terms[lm], **tail})))
-    return GroebnerBasis(ring, final)
+    # Interreduce the minimal basis into the reduced one.
+    final = reduce_tails(1, 0)
+    return GroebnerBasis(ring, [Polynomial(ring, pk.unpack_terms(polys[i])) for i in final])
 
 
 def ideal_membership(f: Polynomial, basis) -> bool:

@@ -34,7 +34,7 @@ def is_prime(n: int) -> bool:
     """Deterministic primality test for n below 3.3e24."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_WITNESSES:
         if n % q == 0:
             return n == q
     if n >= _MR_LIMIT:
@@ -510,9 +510,6 @@ class Polynomial:
             nm = m[:i] + (e - 1,) + m[i + 1:]
             out[nm] = field.add(out[nm], nc) if nm in out else nc
         return Polynomial(self.ring, {m: c for m, c in out.items() if c != field.zero})
-
-    def gradient(self):
-        return [self.partial_derivative(i) for i in range(self.ring.nvars)]
 
     def evaluate(self, point):
         """Exact evaluation at a point (sequence of coercible scalars)."""

@@ -13,14 +13,12 @@ the last group, giving n+1 polynomials in (d-1)(n+1) variables.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DimensionMismatchError, InvalidInputError
 from .groebner import Ideal, buchberger, ideal_dimension
-from .polyring import GREVLEX, PolyRing, Polynomial, PrimeField
+from .polyring import GREVLEX, QQ, PolyRing, Polynomial
 from .tensor import GeneralTensor, SymmetricTensor
 
 
@@ -128,66 +126,31 @@ def gr_details(obj, *, field=None, order=None, poll=None):
 # ---------------------------------------------------------------------------
 
 def matrix_rank(matrix, field=None) -> int:
-    """Rank of an exact matrix by fraction-free (Bareiss) elimination.
+    """Rank of an exact matrix by Gaussian elimination over ``field``.
 
-    Rational and integer input is eliminated over the integers after clearing
-    row denominators; prime-field input reduces modulo p.
+    ``field`` defaults to QQ; every entry goes through ``field.convert``, so
+    an inexact (float) entry raises InvalidInputError.
     """
-    rows = [list(r) for r in matrix]
-    if not rows or not rows[0]:
+    field = QQ if field is None else field
+    a = [[field.convert(v) for v in r] for r in matrix]
+    if not a or not a[0]:
         return 0
-    ncols = len(rows[0])
-    if any(len(r) != ncols for r in rows):
+    ncols = len(a[0])
+    if any(len(r) != ncols for r in a):
         raise DimensionMismatchError("ragged matrix")
-
-    if isinstance(field, PrimeField):
-        p = field.p
-        a = [[field.convert(v) for v in r] for r in rows]
-        rank = 0
-        col = 0
-        nrows = len(a)
-        while rank < nrows and col < ncols:
-            pivot = next((r for r in range(rank, nrows) if a[r][col] % p), None)
-            if pivot is None:
-                col += 1
-                continue
-            a[rank], a[pivot] = a[pivot], a[rank]
-            inv = pow(a[rank][col], p - 2, p)
-            for r in range(rank + 1, nrows):
-                f = a[r][col] * inv % p
-                if f:
-                    a[r] = [(x - f * y) % p for x, y in zip(a[r], a[rank])]
-            rank += 1
-            col += 1
-        return rank
-
-    # integer Bareiss after clearing denominators row by row
-    cleared = []
-    for r in rows:
-        fr = [Fraction(v) if not isinstance(v, Fraction) else v for v in r]
-        lcm = 1
-        for v in fr:
-            lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-        cleared.append([int(v * lcm) for v in fr])
-    a = cleared
-    nrows = len(a)
+    zero, mul, sub = field.zero, field.mul, field.sub
     rank = 0
-    col = 0
-    prev = 1
-    while rank < nrows and col < ncols:
-        pivot = next((r for r in range(rank, nrows) if a[r][col]), None)
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(a)) if a[r][col] != zero), None)
         if pivot is None:
-            col += 1
             continue
         a[rank], a[pivot] = a[pivot], a[rank]
-        for r in range(rank + 1, nrows):
-            a[r] = [
-                (a[rank][col] * a[r][c] - a[r][col] * a[rank][c]) // prev
-                for c in range(ncols)
-            ]
-        prev = a[rank][col]
+        inv = field.inv(a[rank][col])
+        for r in range(rank + 1, len(a)):
+            f = mul(a[r][col], inv)
+            if f != zero:
+                a[r] = [sub(x, mul(f, y)) for x, y in zip(a[r], a[rank])]
         rank += 1
-        col += 1
     return rank
 
 

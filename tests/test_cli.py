@@ -104,6 +104,15 @@ def test_timeout_exit_code(capsys):
     assert "pairs_done" in err
 
 
+@pytest.mark.parametrize("timeout", ["nan", "0", "-1"])
+def test_timeout_must_be_positive(capsys, timeout):
+    # NaN compares false with everything, so "timeout <= 0" let it through
+    # and the run had no deadline at all
+    code, _, err = run(capsys, "sgr", "--poly", "x0^3+x1^3", "--timeout", timeout)
+    assert code == 3
+    assert "timeout must be positive" in err
+
+
 # ---------------------------------------------------------------------------
 # dim
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from sgrank.groebner import (
     s_polynomial,
 )
 from sgrank.polyring import GREVLEX, LEX, PolyRing, PrimeField, QQ, parse_polynomial
-from sgrank.rank import singular_ideal
+from sgrank.rank import matrix_rank, singular_ideal
 from sgrank.tensor import big_cw, complete_homogeneous_cubic, sym_matrix_mult
 
 FP = PrimeField(2**31 - 1)
@@ -189,6 +189,42 @@ def test_membership_squared_linear_forms():
     M = P("x2", ring=r)
     gb = buchberger([L * L, L * M])
     assert ideal_membership(L * L, gb)
+
+
+def test_later_seed_retires_earlier_seed():
+    # x0*x1*x2 + x2 reduces by x0*x2 to x2, whose lead divides x0*x2
+    r = PolyRing(3)
+    gb = buchberger([P("x0*x2", ring=r), P("x0*x1*x2 + x2", ring=r)])
+    assert list(gb) == [P("x2", ring=r)]
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["QQ", "Fp"])
+def test_linear_seeds_give_reduced_row_echelon_form(field):
+    # Dense linear forms that all lead with x0: the reduced basis is the
+    # reduced row-echelon form of their coefficients.  The leading 4x4 minor
+    # is nonzero and below 4! * 9^4 < p, so x0..x3 are the pivots in both fields.
+    rng = random.Random(5)
+    n, k = 6, 4
+    ring = PolyRing(n, field)
+    rows = [[0] * n]
+    while matrix_rank([r[:k] for r in rows]) < k:
+        rows = [[rng.randint(1, 9) for _ in range(n)] for _ in range(k)]
+    a = [[field.convert(c) for c in r] for r in rows]
+    for i in range(k):  # Gauss-Jordan
+        piv = next(r for r in range(i, k) if a[r][i] != field.zero)
+        a[i], a[piv] = a[piv], a[i]
+        inv = field.inv(a[i][i])
+        a[i] = [field.mul(inv, x) for x in a[i]]
+        for r in range(k):
+            if r != i:
+                f = a[r][i]
+                a[r] = [field.sub(x, field.mul(f, y)) for x, y in zip(a[r], a[i])]
+
+    def linear(row):
+        return sum((c * x for c, x in zip(row, ring.gens())), ring.zero())
+
+    gb = buchberger([linear(r) for r in rows])
+    assert list(gb) == [linear(r) for r in a]
 
 
 def test_poll_cancellation():

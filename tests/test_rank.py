@@ -261,6 +261,29 @@ def test_matrix_rank_prime_field():
     assert matrix_rank([[7, 0], [0, 1]]) == 2      # but rank 2 over QQ
 
 
+def test_matrix_rank_mod_large_prime_matches_rational():
+    # every minor of a 6x6 matrix with entries in [-5, 5] is below
+    # 6! * 5^6 < 2^31 - 1 in absolute value, so no rank drops mod p
+    fp = PrimeField(2**31 - 1)
+    rng = random.Random(48)
+    ranks = set()
+    for _ in range(200):
+        a = [[rng.randint(-5, 5) for _ in range(6)] for _ in range(6)]
+        for _ in range(rng.randint(0, 5)):  # repeated rows lower the rank
+            i, j, sign = rng.randrange(6), rng.randrange(6), rng.choice((-1, 1))
+            a[i] = [sign * x for x in a[j]]
+        a = [list(col) for col in zip(*a)] if rng.random() < 0.5 else a
+        r = matrix_rank(a)
+        assert matrix_rank(a, fp) == r == _rank_oracle(a)
+        ranks.add(r)
+    assert ranks >= {3, 4, 5, 6}
+
+
+def test_matrix_rank_rejects_inexact_entries():
+    with pytest.raises(InvalidInputError):
+        matrix_rank([[0.5, 1], [1, 2]])
+
+
 # ---------------------------------------------------------------------------
 # rank_report
 # ---------------------------------------------------------------------------
