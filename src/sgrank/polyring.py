@@ -9,10 +9,15 @@ Monomials are exponent tuples, one entry per variable.  A polynomial is a map
 from monomial to nonzero coefficient together with its :class:`PolyRing`
 context (variable count, field, monomial order).  The zero polynomial has an
 empty term map.
+
+:func:`add_terms` is the one sparse sum outside the Groebner engine: ring
+construction, polynomial ``+`` and ``*``, and the tensor sums in
+:mod:`sgrank.tensor` all add (key, coefficient) pairs through it.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 
@@ -189,6 +194,26 @@ QQ = RationalField()
 DEFAULT_PRIME = 2**31 - 1
 
 
+def add_terms(out: dict, items, field) -> dict:
+    """Add (key, coefficient) pairs into ``out``, dropping keys that sum to zero.
+
+    Field elements are falsy exactly at zero (``Fraction`` values and the
+    residues of a :class:`PrimeField`), so the zero test is a truth test.
+    Returns ``out``.
+    """
+    add = field.add
+    get = out.get
+    for key, c in items:
+        prev = get(key)
+        if prev is not None:
+            c = add(prev, c)
+        if c:
+            out[key] = c
+        elif prev is not None:
+            del out[key]
+    return out
+
+
 def parse_field(selector: str):
     """Parse a field selector: ``QQ`` or ``Fp:<prime>``."""
     if selector == "QQ":
@@ -314,28 +339,16 @@ class PolyRing:
 
     def from_dict(self, terms: dict) -> "Polynomial":
         """Build a polynomial from {exponent tuple: coefficient-like}."""
-        field = self.field
-        clean = {}
-        for mono, coeff in terms.items():
-            mono = tuple(mono)
+        for mono in terms:
             if len(mono) != self.nvars:
                 raise DimensionMismatchError(
-                    f"monomial {mono} has {len(mono)} exponents, ring has {self.nvars} variables"
+                    f"monomial {tuple(mono)} has {len(mono)} exponents, ring has {self.nvars} variables"
                 )
             if any(e < 0 for e in mono):
-                raise InvalidInputError(f"negative exponent in monomial {mono}")
-            c = field.convert(coeff)
-            if c != field.zero:
-                prev = clean.get(mono)
-                if prev is None:
-                    clean[mono] = c
-                else:
-                    s = field.add(prev, c)
-                    if s == field.zero:
-                        del clean[mono]
-                    else:
-                        clean[mono] = s
-        return Polynomial(self, clean)
+                raise InvalidInputError(f"negative exponent in monomial {tuple(mono)}")
+        field = self.field
+        items = ((tuple(mono), field.convert(coeff)) for mono, coeff in terms.items())
+        return Polynomial(self, add_terms({}, items, field))
 
     def with_field(self, field) -> "PolyRing":
         return PolyRing(self.nvars, field, self.order)
@@ -416,20 +429,8 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_compatible(other)
-        field = self.ring.field
-        zero = field.zero
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            prev = out.get(m)
-            if prev is None:
-                out[m] = c
-            else:
-                s = field.add(prev, c)
-                if s == zero:
-                    del out[m]
-                else:
-                    out[m] = s
-        return Polynomial(self.ring, out)
+        terms = add_terms(dict(self.terms), other.terms.items(), self.ring.field)
+        return Polynomial(self.ring, terms)
 
     def __neg__(self):
         neg = self.ring.field.neg
@@ -444,22 +445,13 @@ class Polynomial:
         if isinstance(other, Polynomial):
             self._check_compatible(other)
             field = self.ring.field
-            zero = field.zero
-            out = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    m = tuple(x + y for x, y in zip(m1, m2))
-                    c = field.mul(c1, c2)
-                    prev = out.get(m)
-                    if prev is None:
-                        out[m] = c
-                    else:
-                        s = field.add(prev, c)
-                        if s == zero:
-                            del out[m]
-                        else:
-                            out[m] = s
-            return Polynomial(self.ring, out)
+            mul = field.mul
+            products = (
+                (tuple(map(operator.add, m1, m2)), mul(c1, c2))
+                for m1, c1 in self.terms.items()
+                for m2, c2 in other.terms.items()
+            )
+            return Polynomial(self.ring, add_terms({}, products, field))
         # scalar
         field = self.ring.field
         c = field.convert(other)
@@ -505,11 +497,10 @@ class Polynomial:
             if e == 0:
                 continue
             nc = field.mul(c, field.convert(e))
-            if nc == field.zero:
-                continue
-            nm = m[:i] + (e - 1,) + m[i + 1:]
-            out[nm] = field.add(out[nm], nc) if nm in out else nc
-        return Polynomial(self.ring, {m: c for m, c in out.items() if c != field.zero})
+            if nc:
+                # m -> m - e_i is injective, so no two terms meet
+                out[m[:i] + (e - 1,) + m[i + 1:]] = nc
+        return Polynomial(self.ring, out)
 
     def evaluate(self, point):
         """Exact evaluation at a point (sequence of coercible scalars)."""
@@ -536,20 +527,11 @@ class Polynomial:
         """
         ring = self.ring
         n = ring.nvars
-        field = ring.field
         rows = [list(r) for r in matrix]
         if len(rows) != n or any(len(r) != n for r in rows):
             raise DimensionMismatchError(f"matrix must be {n}x{n}")
-        images = []
-        for i in range(n):
-            coeffs = {}
-            for j in range(n):
-                c = field.convert(rows[j][i])
-                if c != field.zero:
-                    m = [0] * n
-                    m[j] = 1
-                    coeffs[tuple(m)] = c
-            images.append(Polynomial(ring, coeffs))
+        gens = ring.gens()
+        images = [sum((g * row[i] for g, row in zip(gens, rows)), ring.zero()) for i in range(n)]
         pow_cache = [{0: ring.one()} for _ in range(n)]
         result = ring.zero()
         for m, c in self.terms.items():
@@ -573,13 +555,7 @@ class Polynomial:
         """Map coefficients into another field (rationals into residues, etc.)."""
         if field == self.ring.field:
             return self
-        ring = self.ring.with_field(field)
-        out = {}
-        for m, c in self.terms.items():
-            v = field.convert(c)
-            if v != field.zero:
-                out[m] = v
-        return Polynomial(ring, out)
+        return self.ring.with_field(field).from_dict(self.terms)
 
     def convert_order(self, order: MonomialOrder) -> "Polynomial":
         if order == self.ring.order:
@@ -705,10 +681,7 @@ def parse_polynomial(text: str, nvars=None, field=QQ, order=GREVLEX, ring=None) 
         if not (kind == "op" and value in "+-"):
             raise ParseError(f"expected '+' or '-', got {value!r}", pos)
 
-    out = {}
-    for mono, coeff in terms:
-        out[mono] = out.get(mono, Fraction(0)) + coeff
-    return ring.from_dict(out)
+    return ring.from_dict(add_terms({}, terms, QQ))
 
 
 def _format_monomial(m: Monomial) -> str:

@@ -39,19 +39,23 @@ def _as_polynomial(obj, field=None, order=None) -> Polynomial:
 
 
 def singular_ideal(form: Polynomial) -> Ideal:
-    """The ideal of all first partial derivatives of a homogeneous form."""
+    """The ideal of all first partial derivatives of a homogeneous form.
+
+    Over a prime field the characteristic must exceed the form's degree.
+    """
     if form.is_zero():
         raise InvalidInputError("the zero form has no singular ideal")
     if not form.is_homogeneous():
         raise InvalidInputError("singular ideal needs a homogeneous form")
-    if form.total_degree() < 2:
+    degree = form.total_degree()
+    if degree < 2:
         raise InvalidInputError("singular ideal needs degree at least 2")
-    partials = [form.partial_derivative(i) for i in range(form.ring.nvars)]
-    nonzero = [g for g in partials if not g.is_zero()]
-    if not nonzero:
-        # cannot happen in characteristic 0 or for p > degree; guard anyway
-        raise InvalidInputError("all partial derivatives vanish identically")
-    return Ideal(nonzero)
+    p = form.ring.field.characteristic
+    if 0 < p <= degree:
+        # above the degree no exponent vanishes mod p, so every nonzero
+        # form keeps a nonzero partial
+        raise InvalidInputError(f"the characteristic {p} must exceed the degree {degree}")
+    return Ideal([form.partial_derivative(i) for i in range(form.ring.nvars)])
 
 
 def sgr(obj, *, field=None, order=None, poll=None) -> int:
@@ -77,23 +81,14 @@ def _multilinear_generators(t: GeneralTensor, order=GREVLEX):
     m = t.dim
     nvars = (d - 1) * m
     ring = PolyRing(nvars, t.field, order)
-    field = t.field
     gens = [dict() for _ in range(m)]
     for idx, val in t.entries.items():
+        # each group has its own variables, so distinct entries in one
+        # bucket give distinct monomials
         mono = [0] * nvars
         for g in range(d - 1):
-            mono[g * m + idx[g]] += 1
-        key = tuple(mono)
-        bucket = gens[idx[-1]]
-        prev = bucket.get(key)
-        if prev is None:
-            bucket[key] = val
-        else:
-            s = field.add(prev, val)
-            if s == field.zero:
-                del bucket[key]
-            else:
-                bucket[key] = s
+            mono[g * m + idx[g]] = 1
+        gens[idx[-1]][tuple(mono)] = val
     return ring, [Polynomial(ring, g) for g in gens if g]
 
 

@@ -65,15 +65,7 @@ def linear_form(ring: PolyRing, coeffs) -> Polynomial:
     coeffs = list(coeffs)
     if len(coeffs) != ring.nvars:
         raise InvalidInputError(f"need {ring.nvars} coefficients for a linear form")
-    terms = {}
-    field = ring.field
-    for i, c in enumerate(coeffs):
-        v = field.convert(c)
-        if v != field.zero:
-            m = [0] * ring.nvars
-            m[i] = 1
-            terms[tuple(m)] = v
-    return Polynomial(ring, terms)
+    return sum((g * c for g, c in zip(ring.gens(), coeffs)), ring.zero())
 
 
 def _random_coeffs(rng, count):

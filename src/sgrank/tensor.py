@@ -3,7 +3,10 @@
 Symmetric tensors store one value per sorted multi-index; the associated
 polynomial sums over all index tuples, so the coefficient of a monomial is
 the sorted entry times its multinomial multiplicity.  General tensors store
-arbitrary multi-indices.  Both are immutable and exact.
+arbitrary multi-indices.  Both are immutable and exact, and share one private
+base class, ``_Tensor``, for construction, equality, field change and JSON;
+each keeps only its canonical index form and its own operations.  Tensor
+sums go through :func:`sgrank.polyring.add_terms`.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import math
 from collections import Counter
 
 from .errors import DimensionMismatchError, InvalidInputError, ParseError
-from .polyring import GREVLEX, PolyRing, Polynomial, QQ
+from .polyring import GREVLEX, PolyRing, Polynomial, QQ, add_terms
 
 
 def multiindex_multiplicity(idx) -> int:
@@ -26,16 +29,12 @@ def multiindex_multiplicity(idx) -> int:
     return out
 
 
-def _validate_entries(order, dim, entries):
-    for idx in entries:
-        if len(idx) != order:
-            raise DimensionMismatchError(f"index {idx} does not have {order} entries")
-        if any(not 0 <= i < dim for i in idx):
-            raise InvalidInputError(f"index {idx} out of range for local dimension {dim}")
+class _Tensor:
+    """Construction, equality, field change and JSON of both tensor kinds.
 
-
-class SymmetricTensor:
-    """Order-d symmetric tensor over an exact field, sorted-key storage."""
+    A subclass sets ``_key`` (input multi-index to storage key) and
+    ``_symmetric`` (the JSON flag).
+    """
 
     __slots__ = ("order", "dim", "entries", "field")
 
@@ -47,35 +46,76 @@ class SymmetricTensor:
         self.order = order
         self.dim = dim
         self.field = field
-        if _clean:
-            self.entries = entries
-            return
-        clean = {}
-        for idx, val in entries.items():
-            key = tuple(sorted(idx))
-            v = field.convert(val)
-            if key in clean and clean[key] != v:
-                raise InvalidInputError(f"conflicting values for symmetric index {key}")
-            if v != field.zero:
-                clean[key] = v
-        _validate_entries(order, dim, clean)
-        self.entries = clean
+        if not _clean:
+            # Zeros are recorded too and dropped afterwards, so two indices
+            # with one key conflict in either dict order.
+            clean = {}
+            for idx, val in entries.items():
+                key = self._key(idx)
+                v = field.convert(val)
+                if clean.setdefault(key, v) != v:
+                    raise InvalidInputError(f"conflicting values for index {key}")
+            entries = {key: v for key, v in clean.items() if v}
+            for idx in entries:
+                if len(idx) != order:
+                    raise DimensionMismatchError(f"index {idx} does not have {order} entries")
+                if any(not 0 <= i < dim for i in idx):
+                    raise InvalidInputError(f"index {idx} out of range for local dimension {dim}")
+        self.entries = entries
 
     def is_zero(self) -> bool:
         return not self.entries
 
     def __eq__(self, other):
         return (
-            isinstance(other, SymmetricTensor)
+            type(other) is type(self)
             and (self.order, self.dim, self.field) == (other.order, other.dim, other.field)
             and self.entries == other.entries
         )
 
+    def __repr__(self):
+        return f"{type(self).__name__}(order={self.order}, dim={self.dim}, nnz={len(self.entries)})"
+
+    def _check_slice(self, axis: int, k: int):
+        if not 0 <= axis < self.order:
+            raise InvalidInputError(f"axis {axis} out of range for order {self.order}")
+        if not 0 <= k < self.dim:
+            raise InvalidInputError(f"slice index {k} out of range")
+        if self.order == 1:
+            raise InvalidInputError("cannot slice an order-1 tensor")
+
+    def with_field(self, field):
+        if field == self.field:
+            return self
+        return type(self)(self.order, self.dim, self.entries, field)
+
+    def to_json_dict(self):
+        fmt = self.field.format
+        return {
+            "order": self.order,
+            "dim": self.dim,
+            "symmetric": self._symmetric,
+            "entries": [
+                {"idx": list(idx), "val": fmt(self.entries[idx])} for idx in sorted(self.entries)
+            ],
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict())
+
+
+class SymmetricTensor(_Tensor):
+    """Order-d symmetric tensor over an exact field, sorted-key storage."""
+
+    __slots__ = ()
+    _symmetric = True
+
+    @staticmethod
+    def _key(idx):
+        return tuple(sorted(idx))
+
     def __hash__(self):
         return hash((self.order, self.dim, self.field, frozenset(self.entries.items())))
-
-    def __repr__(self):
-        return f"SymmetricTensor(order={self.order}, dim={self.dim}, nnz={len(self.entries)})"
 
     # -- conversions ----------------------------------------------------------
 
@@ -92,7 +132,7 @@ class SymmetricTensor:
                 mono[i] += 1
             mult = multiindex_multiplicity(idx)
             c = field.mul(val, field.convert(mult))
-            if c != field.zero:
+            if c:
                 terms[tuple(mono)] = c
         return Polynomial(ring, terms)
 
@@ -133,12 +173,7 @@ class SymmetricTensor:
 
     def slice(self, axis: int, k: int) -> "SymmetricTensor":
         """Order d-1 slice at index k; for symmetric tensors all axes agree."""
-        if not 0 <= axis < self.order:
-            raise InvalidInputError(f"axis {axis} out of range for order {self.order}")
-        if not 0 <= k < self.dim:
-            raise InvalidInputError(f"slice index {k} out of range")
-        if self.order == 1:
-            raise InvalidInputError("cannot slice an order-1 tensor")
+        self._check_slice(axis, k)
         out = {}
         for idx, val in self.entries.items():
             if k not in idx:
@@ -168,31 +203,21 @@ class SymmetricTensor:
         """The action sum_idx t_idx (A e_{i1}) x ... x (A e_{id})."""
         m = self.dim
         field = self.field
+        mul = field.mul
         rows = [[field.convert(v) for v in row] for row in matrix]
         if len(rows) != m or any(len(r) != m for r in rows):
             raise DimensionMismatchError(f"matrix must be {m}x{m}")
+        # column i as its nonzero (j, A[j][i]), so zero entries are never multiplied
+        cols = [[(j, a) for j, a in enumerate(col) if a] for col in zip(*rows)]
         dense = self.to_general().entries
         # contract one axis at a time
         for axis in range(self.order):
-            nxt = {}
-            for idx, val in dense.items():
-                i = idx[axis]
-                for j in range(m):
-                    a = rows[j][i]
-                    if a == field.zero:
-                        continue
-                    nidx = idx[:axis] + (j,) + idx[axis + 1:]
-                    c = field.mul(a, val)
-                    prev = nxt.get(nidx)
-                    if prev is None:
-                        nxt[nidx] = c
-                    else:
-                        s = field.add(prev, c)
-                        if s == field.zero:
-                            del nxt[nidx]
-                        else:
-                            nxt[nidx] = s
-            dense = nxt
+            images = (
+                (idx[:axis] + (j,) + idx[axis + 1:], mul(a, val))
+                for idx, val in dense.items()
+                for j, a in cols[idx[axis]]
+            )
+            dense = add_terms({}, images, field)
         out = {idx: val for idx, val in dense.items() if tuple(sorted(idx)) == idx}
         return SymmetricTensor(self.order, m, out, field, _clean=True)
 
@@ -212,78 +237,22 @@ class SymmetricTensor:
             return NotImplemented
         if (self.order, self.dim, self.field) != (other.order, other.dim, other.field):
             raise DimensionMismatchError("tensor sum needs matching shape and field")
-        field = self.field
-        out = dict(self.entries)
-        for idx, val in other.entries.items():
-            prev = out.get(idx)
-            if prev is None:
-                out[idx] = val
-            else:
-                s = field.add(prev, val)
-                if s == field.zero:
-                    del out[idx]
-                else:
-                    out[idx] = s
-        return SymmetricTensor(self.order, self.dim, out, field, _clean=True)
-
-    def with_field(self, field) -> "SymmetricTensor":
-        if field == self.field:
-            return self
-        return SymmetricTensor(self.order, self.dim, dict(self.entries), field)
-
-    # -- JSON -------------------------------------------------------------------
-
-    def to_json_dict(self):
-        return _tensor_json_dict(self, symmetric=True)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
+        out = add_terms(dict(self.entries), other.entries.items(), self.field)
+        return SymmetricTensor(self.order, self.dim, out, self.field, _clean=True)
 
 
-class GeneralTensor:
+class GeneralTensor(_Tensor):
     """Order-d tensor with explicit (not necessarily symmetric) entries."""
 
-    __slots__ = ("order", "dim", "entries", "field")
+    __slots__ = ()
+    _symmetric = False
 
-    def __init__(self, order: int, dim: int, entries: dict, field=QQ, _clean=False):
-        if order < 1:
-            raise InvalidInputError("tensor order must be at least 1")
-        if dim < 1:
-            raise InvalidInputError("local dimension must be at least 1")
-        self.order = order
-        self.dim = dim
-        self.field = field
-        if _clean:
-            self.entries = entries
-            return
-        clean = {}
-        for idx, val in entries.items():
-            v = field.convert(val)
-            if v != field.zero:
-                clean[tuple(idx)] = v
-        _validate_entries(order, dim, clean)
-        self.entries = clean
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GeneralTensor)
-            and (self.order, self.dim, self.field) == (other.order, other.dim, other.field)
-            and self.entries == other.entries
-        )
-
-    def __repr__(self):
-        return f"GeneralTensor(order={self.order}, dim={self.dim}, nnz={len(self.entries)})"
+    @staticmethod
+    def _key(idx):
+        return tuple(idx)
 
     def slice(self, axis: int, k: int) -> "GeneralTensor":
-        if not 0 <= axis < self.order:
-            raise InvalidInputError(f"axis {axis} out of range for order {self.order}")
-        if not 0 <= k < self.dim:
-            raise InvalidInputError(f"slice index {k} out of range")
-        if self.order == 1:
-            raise InvalidInputError("cannot slice an order-1 tensor")
+        self._check_slice(axis, k)
         out = {}
         for idx, val in self.entries.items():
             if idx[axis] != k:
@@ -312,41 +281,24 @@ class GeneralTensor:
         out = {idx: v for idx, v in self.entries.items() if tuple(sorted(idx)) == idx}
         return SymmetricTensor(self.order, self.dim, out, self.field, _clean=True)
 
-    def with_field(self, field) -> "GeneralTensor":
-        if field == self.field:
-            return self
-        return GeneralTensor(self.order, self.dim, dict(self.entries), field)
-
-    def to_json_dict(self):
-        return _tensor_json_dict(self, symmetric=False)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
 
 # ---------------------------------------------------------------------------
 # Tensor JSON interchange
 # ---------------------------------------------------------------------------
 
-def _tensor_json_dict(t, symmetric: bool):
-    entries = []
-    for idx in sorted(t.entries):
-        val = t.entries[idx]
-        entries.append({"idx": list(idx), "val": t.field.format(val)})
-    return {
-        "order": t.order,
-        "dim": t.dim,
-        "symmetric": symmetric,
-        "entries": entries,
-    }
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def tensor_from_json(text: str, field=QQ):
     """Load a tensor from its JSON interchange form.
 
     Returns a :class:`SymmetricTensor` or :class:`GeneralTensor` depending on
-    the ``symmetric`` flag.  Symmetric input must list sorted indices only;
-    duplicate indices are rejected.
+    the ``symmetric`` flag.  ``order``, ``dim`` and each index entry must be
+    JSON integers, ``symmetric`` a boolean and each value a string or an
+    integer; anything else raises ParseError.  Symmetric input must list
+    sorted indices only; duplicate indices are rejected.
     """
     try:
         doc = json.loads(text)
@@ -355,21 +307,26 @@ def tensor_from_json(text: str, field=QQ):
     if not isinstance(doc, dict):
         raise ParseError("tensor JSON must be an object")
     try:
-        order = int(doc["order"])
-        dim = int(doc["dim"])
-        symmetric = bool(doc["symmetric"])
-        raw_entries = doc["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"tensor JSON missing or malformed field: {exc}") from exc
+        order, dim, symmetric, raw_entries = (
+            doc[key] for key in ("order", "dim", "symmetric", "entries")
+        )
+    except KeyError as exc:
+        raise ParseError(f"tensor JSON missing field {exc}") from exc
+    if not (_is_int(order) and _is_int(dim)):
+        raise ParseError(f"tensor JSON order and dim must be integers, got {order!r}, {dim!r}")
+    if not isinstance(symmetric, bool):
+        raise ParseError(f"tensor JSON symmetric must be true or false, got {symmetric!r}")
     if not isinstance(raw_entries, list):
         raise ParseError("tensor JSON entries must be a list")
     entries = {}
     for item in raw_entries:
         try:
-            idx = tuple(int(i) for i in item["idx"])
-            val = item["val"]
-        except (KeyError, TypeError, ValueError) as exc:
+            idx, val = item["idx"], item["val"]
+        except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed tensor entry {item!r}") from exc
+        if not (isinstance(idx, list) and all(map(_is_int, idx))):
+            raise ParseError(f"tensor entry index must be a list of integers, got {idx!r}")
+        idx = tuple(idx)
         if len(idx) != order:
             raise ParseError(f"index {list(idx)} does not have {order} entries")
         if any(not 0 <= i < dim for i in idx):
@@ -378,9 +335,9 @@ def tensor_from_json(text: str, field=QQ):
             raise ParseError(f"symmetric tensor entries must use sorted indices: {list(idx)}")
         if idx in entries:
             raise ParseError(f"duplicate index {list(idx)}")
-        if not isinstance(val, (str, int)):
+        if not (isinstance(val, str) or _is_int(val)):
             raise ParseError(f"entry value must be a string or integer, got {val!r}")
-        entries[idx] = field.convert(val if isinstance(val, int) else str(val))
+        entries[idx] = val
     cls = SymmetricTensor if symmetric else GeneralTensor
     return cls(order, dim, entries, field)
 
@@ -535,19 +492,16 @@ def sym_matrix_mult(m: int, field=QQ, order=GREVLEX) -> Polynomial:
     if m < 1:
         raise InvalidInputError("matrix size must be positive")
     ring = PolyRing(m * m, field, order)
-    terms = {}
-    one = field.one
-    fadd = field.add
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                mono = [0] * (m * m)
-                mono[i * m + j] += 1
-                mono[j * m + k] += 1
-                mono[k * m + i] += 1
-                key = tuple(mono)
-                terms[key] = fadd(terms.get(key, field.zero), one)
-    return Polynomial(ring, {k: v for k, v in terms.items() if v != field.zero})
+
+    def term(i, j, k):
+        mono = [0] * (m * m)
+        mono[i * m + j] += 1
+        mono[j * m + k] += 1
+        mono[k * m + i] += 1
+        return tuple(mono), field.one
+
+    terms = (term(i, j, k) for i, j, k in itertools.product(range(m), repeat=3))
+    return Polynomial(ring, add_terms({}, terms, field))
 
 
 def irreducible_sgr2_cubic(n: int, variant: int = 1, field=QQ, order=GREVLEX) -> Polynomial:

@@ -69,6 +69,22 @@ def test_sgr_missing_tensor_file(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("field, code", [("Fp:2", 3), ("Fp:3", 3), ("Fp:5", 0)])
+def test_sgr_small_prime_is_precondition_error(capsys, field, code):
+    got, out, _ = run(capsys, "sgr", "--poly", "x0^3 + x1^3 + x2^3", "--field", field)
+    assert got == code
+    assert ("sgr: 3" in out) == (code == 0)
+
+
+def test_sgr_malformed_tensor_json_is_parse_error(tmp_path, capsys):
+    doc = json.loads(big_cw(2, 3).to_json())
+    doc["order"] = 3.9
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "sgr", "--tensor", str(path))
+    assert code == 2 and out == ""
+
+
 def test_gr_poly(capsys):
     code, out, _ = run(capsys, "gr", "--poly", "3*x0^2*x1", "--json")
     doc = json.loads(out)

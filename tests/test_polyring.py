@@ -12,6 +12,7 @@ from sgrank.polyring import (
     PolyRing,
     PrimeField,
     QQ,
+    add_terms,
     format_polynomial,
     is_prime,
     parse_field,
@@ -100,6 +101,33 @@ def test_add_drops_cancelled_terms():
     g = parse_polynomial("-x1", ring=ring)
     assert f + g == parse_polynomial("x0^2", ring=ring)
     assert (f + g).terms.keys() == {(2, 0)}
+
+
+def test_add_terms_drops_zero_sums():
+    items = [((1, 0), Fraction(-2)), ((0, 1), Fraction(0)), ((0, 2), Fraction(1)),
+             ((0, 2), Fraction(3))]
+    assert add_terms({(1, 0): Fraction(2)}, items, QQ) == {(0, 2): 4}
+    assert add_terms({}, [("a", 3), ("a", 4), ("b", 5)], PrimeField(7)) == {"b": 5}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "F7"])
+def test_arithmetic_never_stores_zero(field):
+    rng = random.Random(77)
+    ring = PolyRing(3, field)
+    x0, x1, _ = ring.gens()
+    # the cross term cancels: 7 over F7, 1 - 1 over QQ
+    c = 6 if field.characteristic else -1
+    assert ((x0 + x1) * (x0 + x1 * c)).terms.keys() == {(2, 0, 0), (0, 2, 0)}
+    for _ in range(300):
+        f, g = random_poly(rng, ring), random_poly(rng, ring)
+        for h in (f + g, f - g, f * g, (f + g) * (f - g)):
+            assert all(h.terms.values())
+        ref = {}
+        for m1, c1 in f.terms.items():
+            for m2, c2 in g.terms.items():
+                m = tuple(a + b for a, b in zip(m1, m2))
+                ref[m] = field.add(ref.get(m, field.zero), field.mul(c1, c2))
+        assert (f * g).terms == {m: v for m, v in ref.items() if v != field.zero}
 
 
 def test_mul_examples():

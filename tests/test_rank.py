@@ -82,6 +82,17 @@ def test_singular_ideal_preconditions():
         singular_ideal(parse_polynomial("x0 + x1", nvars=2))  # degree 1
 
 
+def test_singular_ideal_needs_characteristic_above_degree():
+    text = "x0^3 + x1^3 + x2^3"
+    for p in (2, 3):
+        form = parse_polynomial(text, field=PrimeField(p))
+        with pytest.raises(InvalidInputError):
+            singular_ideal(form)
+        with pytest.raises(InvalidInputError):
+            sgr(form)
+    assert sgr(parse_polynomial(text, field=PrimeField(5))) == 3
+
+
 # ---------------------------------------------------------------------------
 # sgr
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from sgrank.errors import DimensionMismatchError, InvalidInputError, ParseError
-from sgrank.polyring import PolyRing, PrimeField, parse_polynomial
+from sgrank.polyring import QQ, PolyRing, PrimeField, parse_polynomial
 from sgrank.tensor import (
     GeneralTensor,
     Hypergraph,
@@ -243,6 +243,43 @@ def test_apply_matrix_composes():
         assert t.apply_matrix(b).apply_matrix(a) == t.apply_matrix(ab)
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "F7"])
+def test_tensor_sums_never_store_zero(field):
+    rng = random.Random(78)
+    for _ in range(60):
+        m = rng.randint(2, 3)
+        s = random_symmetric(rng, 3, m).with_field(field)
+        t = random_symmetric(rng, 3, m).with_field(field)
+        a = [[rng.choice((-1, 0, 1)) for _ in range(m)] for _ in range(m)]
+        ones = [[1] * m for _ in range(m)]  # singular
+        for u in (s + t, s + s.scale(-1), s.apply_matrix(a), (s + t).apply_matrix(ones)):
+            assert all(u.entries.values())
+        image = s.apply_matrix(a)
+        f = s.to_polynomial().substitute_linear(a)
+        assert image.is_zero() == f.is_zero()
+        if not image.is_zero():
+            assert image.to_polynomial() == f
+
+
+def test_symmetric_and_general_tensors_never_equal():
+    entries = {(0, 0): 1, (0, 1): 2, (1, 0): 2}
+    s = SymmetricTensor(2, 2, entries)
+    g = GeneralTensor(2, 2, entries)
+    assert s.to_general() == g and g.to_symmetric() == s
+    assert s != g and g != s
+    assert hash(s) == hash(SymmetricTensor(2, 2, {(0, 1): 2, (0, 0): 1}))
+    with pytest.raises(TypeError):
+        hash(g)
+
+
+def test_symmetric_conflict_detected_in_either_dict_order():
+    for entries in ({(0, 1): 0, (1, 0): 5}, {(1, 0): 5, (0, 1): 0}):
+        with pytest.raises(InvalidInputError):
+            SymmetricTensor(2, 2, entries)
+    assert SymmetricTensor(2, 2, {(0, 1): 2, (1, 0): 2}).entries == {(0, 1): 2}
+    assert SymmetricTensor(2, 2, {(0, 1): 0, (1, 0): 0}).is_zero()
+
+
 # ---------------------------------------------------------------------------
 # Constructors
 # ---------------------------------------------------------------------------
@@ -404,6 +441,27 @@ def test_json_rejects_garbage():
             {"order": 2, "dim": 2, "symmetric": True,
              "entries": [{"idx": [0, 5], "val": "1"}]}
         ))
+
+
+@pytest.mark.parametrize("change", [
+    {"order": 3.9},
+    {"dim": 2.5},
+    {"order": True},
+    {"dim": "2"},
+    {"symmetric": "no"},
+    {"symmetric": 1},
+    {"entries": [{"idx": [0, True, 1], "val": "1"}]},
+    {"entries": [{"idx": [0, 1.0, 1], "val": "1"}]},
+    {"entries": [{"idx": "011", "val": "1"}]},
+    {"entries": [{"idx": [0, 1, 1], "val": True}]},
+    {"entries": [{"idx": [0, 1, 1], "val": 1.5}]},
+], ids=lambda change: json.dumps(change))
+def test_json_rejects_malformed_types(change):
+    doc = {"order": 3, "dim": 2, "symmetric": True,
+           "entries": [{"idx": [0, 1, 1], "val": "1"}]}
+    with pytest.raises(ParseError):
+        tensor_from_json(json.dumps(dict(doc, **change)))
+    assert tensor_from_json(json.dumps(doc)) == SymmetricTensor(3, 2, {(0, 1, 1): 1})
 
 
 def test_json_accepts_rational_strings():
