@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 from .errors import (
     ComputationTimeout,
@@ -43,31 +42,16 @@ EXIT_PRECONDITION = 3
 EXIT_TIMEOUT = 4
 
 
-@dataclass
-class Config:
-    """Validated run configuration shared by the subcommands."""
+def _field_and_order(args):
+    """Reject a ``--timeout`` that is not > 0, then return the run's field and order.
 
-    field: object
-    timeout: float
-    seed: int
-    json_output: bool
-    verbose: int
-    order: object
-
-    @classmethod
-    def from_args(cls, args) -> "Config":
-        field = parse_field(getattr(args, "field", "QQ"))
-        timeout = float(getattr(args, "timeout", 300.0))
-        if not timeout > 0:  # NaN too
-            raise InvalidInputError("timeout must be positive")
-        return cls(
-            field=field,
-            timeout=timeout,
-            seed=int(getattr(args, "seed", 0) or 0),
-            json_output=bool(getattr(args, "json", False)),
-            verbose=int(getattr(args, "verbose", 0) or 0),
-            order=order_by_name(getattr(args, "order", "grevlex")),
-        )
+    The conversions stay out of argparse ``type=``: argparse does not catch
+    ParseError, so a bad ``--field`` would end in a traceback, not exit 2.
+    """
+    field = parse_field(args.field)
+    if not args.timeout > 0:  # NaN too
+        raise InvalidInputError("timeout must be positive")
+    return field, order_by_name(getattr(args, "order", "grevlex"))
 
 
 def _add_common(p):
@@ -91,10 +75,10 @@ def _add_input_flags(p):
     p.add_argument("--nvars", type=int, default=None, help="ambient variable count (default: inferred)")
 
 
-def _load_input(args, cfg: Config):
+def _load_input(args, order):
     """Input object from --poly or --tensor (over QQ; converted at compute time)."""
     if args.poly is not None:
-        return parse_polynomial(args.poly, nvars=args.nvars, field=QQ, order=cfg.order)
+        return parse_polynomial(args.poly, nvars=args.nvars, field=QQ, order=order)
     try:
         with open(args.tensor, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -103,8 +87,8 @@ def _load_input(args, cfg: Config):
     return tensor_from_json(text, field=QQ)
 
 
-def _emit_report(report: RankReport, cfg: Config, annotation=None):
-    if cfg.json_output:
+def _emit_report(report: RankReport, args, annotation=None):
+    if args.json:
         print(json.dumps(report.to_json_dict()))
         return
     if report.sgr is not None:
@@ -115,9 +99,9 @@ def _emit_report(report: RankReport, cfg: Config, annotation=None):
         print(f"gr: {report.gr}")
     print(f"field: {report.field}")
     print(f"time: {report.ms} ms")
-    if report.sgr_basis_size is not None and cfg.verbose:
+    if report.sgr_basis_size is not None and args.verbose:
         print(f"singular ideal basis size: {report.sgr_basis_size}")
-    if report.gr_basis_size is not None and cfg.verbose:
+    if report.gr_basis_size is not None and args.verbose:
         print(f"multilinear ideal basis size: {report.gr_basis_size}")
     chain = report.bound_chain()
     if chain:
@@ -130,36 +114,36 @@ def _emit_report(report: RankReport, cfg: Config, annotation=None):
 
 
 def cmd_sgr(args) -> int:
-    cfg = Config.from_args(args)
-    obj = _load_input(args, cfg)
+    field, order = _field_and_order(args)
+    obj = _load_input(args, order)
     if isinstance(obj, GeneralTensor):
         obj = obj.to_symmetric()
-    poll = deadline_poll(cfg.timeout)
-    report = rank_report(obj, compute_gr=False, field=cfg.field, order=cfg.order, poll=poll)
-    _emit_report(report, cfg)
+    poll = deadline_poll(args.timeout)
+    report = rank_report(obj, compute_gr=False, field=field, order=order, poll=poll)
+    _emit_report(report, args)
     return EXIT_OK
 
 
 def cmd_gr(args) -> int:
-    cfg = Config.from_args(args)
-    obj = _load_input(args, cfg)
-    poll = deadline_poll(cfg.timeout)
-    report = rank_report(obj, compute_gr=True, field=cfg.field, order=cfg.order, poll=poll)
-    _emit_report(report, cfg)
+    field, order = _field_and_order(args)
+    obj = _load_input(args, order)
+    poll = deadline_poll(args.timeout)
+    report = rank_report(obj, compute_gr=True, field=field, order=order, poll=poll)
+    _emit_report(report, args)
     return EXIT_OK
 
 
 def cmd_dim(args) -> int:
-    cfg = Config.from_args(args)
+    field, order = _field_and_order(args)
     t0 = time.perf_counter()
     polys = []
     nvars = args.nvars
     if nvars is None:
         nvars = 0
         for text in args.poly:
-            f = parse_polynomial(text, field=QQ, order=cfg.order)
+            f = parse_polynomial(text, field=QQ, order=order)
             nvars = max(nvars, f.ring.nvars)
-    ring = PolyRing(nvars, cfg.field, cfg.order)
+    ring = PolyRing(nvars, field, order)
     for text in args.poly:
         polys.append(parse_polynomial(text, ring=ring))
     if args.singular:
@@ -168,31 +152,31 @@ def cmd_dim(args) -> int:
         ideal = singular_ideal(polys[0])
     else:
         ideal = Ideal(polys)
-    poll = deadline_poll(cfg.timeout)
+    poll = deadline_poll(args.timeout)
     basis = buchberger(ideal, poll=poll)
     dim = ideal_dimension(basis, poll=poll)
     ms = round((time.perf_counter() - t0) * 1000.0, 3)
-    if cfg.json_output:
+    if args.json:
         print(json.dumps({
             "dim": dim,
             "ambient": nvars,
             "basis_size": len(basis),
-            "field": cfg.field.name,
+            "field": field.name,
             "ms": ms,
         }))
     else:
         print(f"affine dimension: {dim} (ambient {nvars})")
         print(f"basis size: {len(basis)}")
-        if cfg.verbose:
+        if args.verbose:
             for g in basis:
                 print(f"  {g}")
-        print(f"field: {cfg.field.name}")
+        print(f"field: {field.name}")
         print(f"time: {ms} ms")
     return EXIT_OK
 
 
 def cmd_hypergraph(args) -> int:
-    cfg = Config.from_args(args)
+    field, order = _field_and_order(args)
     try:
         with open(args.edges, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -200,11 +184,11 @@ def cmd_hypergraph(args) -> int:
         raise ParseError(f"cannot read edge file {args.edges!r}: {exc}") from exc
     hg = parse_hypergraph(text)
     tensor = hypergraph_tensor(hg)
-    poll = deadline_poll(cfg.timeout)
-    report = rank_report(tensor, compute_gr=args.gr, field=cfg.field, order=cfg.order, poll=poll)
+    poll = deadline_poll(args.timeout)
+    report = rank_report(tensor, compute_gr=args.gr, field=field, order=order, poll=poll)
     annotation = (f"symmetric subrank of the hypergraph tensor <= {report.sgr} "
                   f"(vertices={hg.n}, uniformity={hg.uniformity}, edges={len(hg.edges)})")
-    _emit_report(report, cfg, annotation=None if cfg.json_output else annotation)
+    _emit_report(report, args, annotation=None if args.json else annotation)
     return EXIT_OK
 
 
@@ -212,24 +196,24 @@ _SAMPLE_KINDS = ("tangential", "secant", "c_ir", "irreducible", "reducible")
 
 
 def cmd_sample(args) -> int:
-    cfg = Config.from_args(args)
+    field, _ = _field_and_order(args)
     kind = args.kind
     n = args.n
-    meta = {"kind": kind, "n": n, "seed": cfg.seed}
+    meta = {"kind": kind, "n": n, "seed": args.seed}
     if kind == "tangential":
-        poly = sample_tangential(n, seed=cfg.seed)
+        poly = sample_tangential(n, seed=args.seed)
         expected = 1
     elif kind == "secant":
         if args.r is None:
             raise InvalidInputError("secant sampling needs -r")
-        poly = sample_secant_tangential(args.r, n, seed=cfg.seed)
+        poly = sample_secant_tangential(args.r, n, seed=args.seed)
         expected = args.r
         meta["r"] = args.r
     elif kind in ("c_ir", "irreducible"):
-        poly = sample_irreducible_sgr2(n, seed=cfg.seed)
+        poly = sample_irreducible_sgr2(n, seed=args.seed)
         expected = 2
     elif kind == "reducible":
-        poly = sample_reducible(args.d1, args.d2, n, seed=cfg.seed)
+        poly = sample_reducible(args.d1, args.d2, n, seed=args.seed)
         expected = 2
         meta["d1"] = args.d1
         meta["d2"] = args.d2
@@ -239,8 +223,8 @@ def cmd_sample(args) -> int:
 
     checked_ok = True
     if args.check:
-        poll = deadline_poll(cfg.timeout)
-        value = compute_sgr(poly, field=cfg.field, poll=poll)
+        poll = deadline_poll(args.timeout)
+        value = compute_sgr(poly, field=field, poll=poll)
         meta["sgr"] = value
         meta["expected_sgr"] = expected
         checked_ok = value == expected
@@ -251,9 +235,9 @@ def cmd_sample(args) -> int:
         with open(args.out + ".json", "w", encoding="utf-8") as fh:
             json.dump(meta, fh, indent=2)
             fh.write("\n")
-        if not cfg.json_output:
+        if not args.json:
             print(f"wrote {args.out} and {args.out}.json")
-    if cfg.json_output:
+    if args.json:
         print(json.dumps(meta))
     elif not args.out:
         print(str(poly))

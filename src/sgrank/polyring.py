@@ -344,8 +344,10 @@ class PolyRing:
                 raise DimensionMismatchError(
                     f"monomial {tuple(mono)} has {len(mono)} exponents, ring has {self.nvars} variables"
                 )
-            if any(e < 0 for e in mono):
-                raise InvalidInputError(f"negative exponent in monomial {tuple(mono)}")
+            if any(type(e) is not int or e < 0 for e in mono):
+                raise InvalidInputError(
+                    f"exponent in monomial {tuple(mono)} is not a non-negative integer"
+                )
         field = self.field
         items = ((tuple(mono), field.convert(coeff)) for mono, coeff in terms.items())
         return Polynomial(self, add_terms({}, items, field))

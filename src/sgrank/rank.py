@@ -128,11 +128,11 @@ def matrix_rank(matrix, field=None) -> int:
     """
     field = QQ if field is None else field
     a = [[field.convert(v) for v in r] for r in matrix]
-    if not a or not a[0]:
-        return 0
-    ncols = len(a[0])
+    ncols = len(a[0]) if a else 0
     if any(len(r) != ncols for r in a):
         raise DimensionMismatchError("ragged matrix")
+    if not ncols:
+        return 0
     zero, mul, sub = field.zero, field.mul, field.sub
     rank = 0
     for col in range(ncols):

@@ -47,20 +47,20 @@ class _Tensor:
         self.dim = dim
         self.field = field
         if not _clean:
-            # Zeros are recorded too and dropped afterwards, so two indices
-            # with one key conflict in either dict order.
+            # Zeros are checked and recorded too and dropped afterwards, so a
+            # bad index is caught whatever its value, and two indices with
+            # one key conflict in either dict order.
             clean = {}
             for idx, val in entries.items():
                 key = self._key(idx)
+                if len(key) != order:
+                    raise DimensionMismatchError(f"index {key} does not have {order} entries")
+                if any(not 0 <= i < dim for i in key):
+                    raise InvalidInputError(f"index {key} out of range for local dimension {dim}")
                 v = field.convert(val)
                 if clean.setdefault(key, v) != v:
                     raise InvalidInputError(f"conflicting values for index {key}")
             entries = {key: v for key, v in clean.items() if v}
-            for idx in entries:
-                if len(idx) != order:
-                    raise DimensionMismatchError(f"index {idx} does not have {order} entries")
-                if any(not 0 <= i < dim for i in idx):
-                    raise InvalidInputError(f"index {idx} out of range for local dimension {dim}")
         self.entries = entries
 
     def is_zero(self) -> bool:

@@ -1,8 +1,9 @@
 """Named verification suites: golden values, rank laws, strata and engine checks.
 
 Each suite is a list of independent cases; a case is a picklable (name,
-function key, args) triple so batches can run across worker processes.  The
-same suites back the ``verify`` subcommand and the acceptance tests.
+module-level function, args) triple so batches can run across worker
+processes.  The same suites back the ``verify`` subcommand and the
+acceptance tests.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .errors import ComputationTimeout
 from .groebner import buchberger, deadline_poll, ideal_dimension
@@ -47,7 +49,9 @@ MATMUL_STRETCH_TIMEOUT = 300.0  # seconds; the m=4 run reports instead of failin
 @dataclass(frozen=True)
 class Case:
     name: str
-    func: str
+    # Module-level, never a lambda or closure: ``--jobs`` pickles each case,
+    # and a function pickles by its qualified name.
+    func: Callable
     args: tuple
 
 
@@ -60,10 +64,9 @@ class CaseResult:
 
 
 def run_case(case: Case) -> CaseResult:
-    fn = _CASE_FUNCS[case.func]
     t0 = time.perf_counter()
     try:
-        ok, detail = fn(*case.args)
+        ok, detail = case.func(*case.args)
     except Exception as exc:  # a crashing case is a failing case
         ok, detail = False, f"raised {type(exc).__name__}: {exc}"
     ms = (time.perf_counter() - t0) * 1000.0
@@ -138,51 +141,16 @@ def _random_matrix(rng: random.Random, m: int, force_singular: bool):
 # Case functions (module level, picklable)
 # ---------------------------------------------------------------------------
 
-def _case_identity(k, n, d):
-    s = sgr(identity_tensor(k, n, d))
-    return s == k, f"sgr={s}, expected {k}"
-
-
-def _case_big_cw(q, n):
-    s = sgr(big_cw(q, n))
-    return s == 2, f"sgr={s}, expected 2"
-
-
-def _case_small_cw(q, n):
-    s = sgr(small_cw(q, n))
-    return s == 2, f"sgr={s}, expected 2"
-
-
-def _case_max_compressibility(q, n):
-    s = sgr(max_compressibility(q, n))
-    return s == 2, f"sgr={s}, expected 2"
-
-
-def _case_cw_gr(kind, q, n):
-    t = {"big": big_cw, "small": small_cw, "maxc": max_compressibility}[kind](q, n)
-    g = gr(t)
-    return g == 3, f"gr={g}, expected 3"
-
-
-def _case_h3(n):
-    s = sgr(complete_homogeneous_cubic(n))
-    return s == n + 1, f"sgr={s}, expected {n + 1} (smooth)"
-
-
-def _case_normal_form(n, variant):
-    s = sgr(irreducible_sgr2_cubic(n, variant))
-    return s == 2, f"sgr={s}, expected 2"
+def _case_rank(rank, make, args, expected):
+    """Golden check: ``rank`` (sgr or gr) of ``make(*args)`` is ``expected``."""
+    v = rank(make(*args))
+    return v == expected, f"{rank.__name__}={v}, expected {expected}"
 
 
 def _case_w_state():
     t = w_state(1)
     s, g = sgr(t), gr(t)
     return (s, g) == (1, 2), f"sgr={s} (expected 1), gr={g} (expected 2)"
-
-
-def _case_matmul_small():
-    s = sgr(sym_matrix_mult(2))
-    return s == 2, f"sgr={s}, expected 2"
 
 
 def _case_matmul_odd():
@@ -269,11 +237,6 @@ def _case_scaling(seed):
     return sgr(t.scale(c)) == sgr(t), f"scale by {c}"
 
 
-def _case_tangential_sample(n, seed):
-    s = sgr(sample_tangential(n, seed=seed))
-    return s == 1, f"sgr={s}, expected 1"
-
-
 def _case_secant_batch(r, n, n_seeds, min_rate):
     equal = 0
     for seed in range(n_seeds):
@@ -284,16 +247,6 @@ def _case_secant_batch(r, n, n_seeds, min_rate):
     rate = equal / n_seeds
     ok = rate >= min_rate
     return ok, f"sgr=r on {equal}/{n_seeds} seeds (need >= {min_rate:.0%})"
-
-
-def _case_irreducible_sample(n, seed):
-    s = sgr(sample_irreducible_sgr2(n, seed=seed))
-    return s == 2, f"sgr={s}, expected 2"
-
-
-def _case_reducible_sample(d1, d2, n, seed):
-    s = sgr(sample_reducible(d1, d2, n, seed=seed))
-    return s == 2, f"sgr={s}, expected 2"
 
 
 def _case_membership_chain(kind, seed):
@@ -474,40 +427,6 @@ def _case_cross_gr(name):
     return g_g == g_l == g_p, f"gr={g_g} grevlex/QQ, {g_l} lex, {g_p} Fp"
 
 
-_CASE_FUNCS = {
-    "identity": _case_identity,
-    "big_cw": _case_big_cw,
-    "small_cw": _case_small_cw,
-    "max_compressibility": _case_max_compressibility,
-    "cw_gr": _case_cw_gr,
-    "h3": _case_h3,
-    "normal_form": _case_normal_form,
-    "w_state": _case_w_state,
-    "matmul_small": _case_matmul_small,
-    "matmul_odd": _case_matmul_odd,
-    "matmul_stretch": _case_matmul_stretch,
-    "matrix": _case_matrix,
-    "monotone": _case_monotone,
-    "additive": _case_additive,
-    "subadditive": _case_subadditive,
-    "sgr_leq_gr": _case_sgr_leq_gr,
-    "scaling": _case_scaling,
-    "tangential_sample": _case_tangential_sample,
-    "secant_batch": _case_secant_batch,
-    "irreducible_sample": _case_irreducible_sample,
-    "reducible_sample": _case_reducible_sample,
-    "membership_chain": _case_membership_chain,
-    "discriminant_random": _case_discriminant_random,
-    "discriminant_crafted": _case_discriminant_crafted,
-    "tangency_rank_one": _case_tangency_rank_one,
-    "tangency_smooth": _case_tangency_smooth,
-    "dim_bruteforce": _case_dim_bruteforce,
-    "cross_field": _case_cross_field,
-    "cross_order": _case_cross_order,
-    "cross_gr": _case_cross_gr,
-}
-
-
 # ---------------------------------------------------------------------------
 # Suite builders
 # ---------------------------------------------------------------------------
@@ -517,7 +436,8 @@ def suite_identity():
     for d in (3, 4):
         for m in range(1, 8):
             for k in range(1, m + 1):
-                cases.append(Case(f"identity k={k} n={m - 1} d={d}", "identity", (k, m - 1, d)))
+                cases.append(Case(f"identity k={k} n={m - 1} d={d}",
+                                  _case_rank, (sgr, identity_tensor, (k, m - 1, d), k)))
     return cases
 
 
@@ -525,26 +445,30 @@ def suite_golden_values():
     cases = []
     for q in range(1, 5):
         for n in range(q + 1, 6):
-            cases.append(Case(f"big_cw q={q} n={n}", "big_cw", (q, n)))
+            cases.append(Case(f"big_cw q={q} n={n}", _case_rank, (sgr, big_cw, (q, n), 2)))
     for q in range(2, 5):
         for n in range(q, 6):
-            cases.append(Case(f"small_cw q={q} n={n}", "small_cw", (q, n)))
-            cases.append(Case(f"max_compressibility q={q} n={n}", "max_compressibility", (q, n)))
-    for kind, q, n in (("big", 2, 3), ("small", 2, 2), ("maxc", 2, 2)):
-        cases.append(Case(f"gr {kind} CW q={q} n={n}", "cw_gr", (kind, q, n)))
+            cases.append(Case(f"small_cw q={q} n={n}", _case_rank, (sgr, small_cw, (q, n), 2)))
+            cases.append(Case(f"max_compressibility q={q} n={n}",
+                              _case_rank, (sgr, max_compressibility, (q, n), 2)))
+    for kind, make, q, n in (("big", big_cw, 2, 3), ("small", small_cw, 2, 2),
+                             ("maxc", max_compressibility, 2, 2)):
+        cases.append(Case(f"gr {kind} CW q={q} n={n}", _case_rank, (gr, make, (q, n), 3)))
     for n in range(2, 6):
-        cases.append(Case(f"complete homogeneous cubic n={n}", "h3", (n,)))
+        cases.append(Case(f"complete homogeneous cubic n={n}",
+                          _case_rank, (sgr, complete_homogeneous_cubic, (n,), n + 1)))
     for n, v in ((2, 1), (2, 2), (3, 1), (4, 1)):
-        cases.append(Case(f"irreducible normal form n={n} variant={v}", "normal_form", (n, v)))
-    cases.append(Case("w-state sgr/gr", "w_state", ()))
+        cases.append(Case(f"irreducible normal form n={n} variant={v}",
+                          _case_rank, (sgr, irreducible_sgr2_cubic, (n, v), 2)))
+    cases.append(Case("w-state sgr/gr", _case_w_state, ()))
     return cases
 
 
 def suite_matmul():
     return [
-        Case("trace cubic m=2", "matmul_small", ()),
-        Case("trace cubic m=3 (odd size, engine value)", "matmul_odd", ()),
-        Case("trace cubic m=4 over Fp (stretch)", "matmul_stretch", ()),
+        Case("trace cubic m=2", _case_rank, (sgr, sym_matrix_mult, (2,), 2)),
+        Case("trace cubic m=3 (odd size, engine value)", _case_matmul_odd, ()),
+        Case("trace cubic m=4 over Fp (stretch)", _case_matmul_stretch, ()),
     ]
 
 
@@ -552,22 +476,22 @@ def suite_matrix_case():
     cases = []
     for seed in range(100):
         m = 1 + seed % 6
-        cases.append(Case(f"matrix m={m} seed={seed}", "matrix", (m, seed)))
+        cases.append(Case(f"matrix m={m} seed={seed}", _case_matrix, (m, seed)))
     return cases
 
 
 def suite_rank_properties():
     cases = []
     for seed in range(50):
-        cases.append(Case(f"monotone seed={seed}", "monotone", (seed,)))
+        cases.append(Case(f"monotone seed={seed}", _case_monotone, (seed,)))
     for seed in range(30):
-        cases.append(Case(f"additive seed={seed}", "additive", (seed,)))
+        cases.append(Case(f"additive seed={seed}", _case_additive, (seed,)))
     for seed in range(30):
-        cases.append(Case(f"subadditive seed={seed}", "subadditive", (seed,)))
+        cases.append(Case(f"subadditive seed={seed}", _case_subadditive, (seed,)))
     for seed in range(30):
-        cases.append(Case(f"sgr<=gr seed={seed}", "sgr_leq_gr", (seed,)))
+        cases.append(Case(f"sgr<=gr seed={seed}", _case_sgr_leq_gr, (seed,)))
     for seed in range(10):
-        cases.append(Case(f"scaling seed={seed}", "scaling", (seed,)))
+        cases.append(Case(f"scaling seed={seed}", _case_scaling, (seed,)))
     return cases
 
 
@@ -575,59 +499,58 @@ def suite_strata():
     cases = []
     for seed in range(100):
         n = 1 + seed % 4
-        cases.append(Case(f"tangential n={n} seed={seed}", "tangential_sample", (n, seed)))
+        cases.append(Case(f"tangential n={n} seed={seed}",
+                          _case_rank, (sgr, sample_tangential, (n, seed), 1)))
     for n in range(1, 4):
         for r in range(1, n + 1):
             cases.append(
-                Case(f"secant batch r={r} n={n}", "secant_batch", (r, n, 100, 0.95))
+                Case(f"secant batch r={r} n={n}", _case_secant_batch, (r, n, 100, 0.95))
             )
     for seed in range(50):
-        cases.append(Case(f"irreducible n=3 seed={seed}", "irreducible_sample", (3, seed)))
+        cases.append(Case(f"irreducible n=3 seed={seed}",
+                          _case_rank, (sgr, sample_irreducible_sgr2, (3, seed), 2)))
     for seed in range(50):
-        cases.append(Case(f"reducible quadric*linear n=3 seed={seed}", "reducible_sample", (2, 1, 3, seed)))
+        cases.append(Case(f"reducible quadric*linear n=3 seed={seed}",
+                          _case_rank, (sgr, sample_reducible, (2, 1, 3, seed), 2)))
     for kind in ("tangential", "secant", "irreducible", "reducible"):
         for seed in (5, 6, 7):
             cases.append(Case(f"membership chain ({kind}, seed={seed})",
-                              "membership_chain", (kind, seed)))
+                              _case_membership_chain, (kind, seed)))
     return cases
 
 
 def suite_discriminant():
     cases = []
     for seed in range(200):
-        cases.append(Case(f"discriminant random seed={seed}", "discriminant_random", (seed,)))
+        cases.append(Case(f"discriminant random seed={seed}", _case_discriminant_random, (seed,)))
     for idx in range(len(_CRAFTED_BINARY_CUBICS)):
-        cases.append(Case(f"discriminant crafted #{idx}", "discriminant_crafted", (idx,)))
+        cases.append(Case(f"discriminant crafted #{idx}", _case_discriminant_crafted, (idx,)))
     return cases
 
 
 def suite_tangency():
     cases = []
     for seed in range(20):
-        cases.append(Case(f"rank-one cubic tangency seed={seed}", "tangency_rank_one", (seed,)))
+        cases.append(Case(f"rank-one cubic tangency seed={seed}", _case_tangency_rank_one, (seed,)))
     for seed in range(10):
-        cases.append(Case(f"smooth cubic non-tangency seed={seed}", "tangency_smooth", (seed,)))
+        cases.append(Case(f"smooth cubic non-tangency seed={seed}", _case_tangency_smooth, (seed,)))
     return cases
 
 
 def suite_engine():
     cases = []
     for seed in range(60):
-        cases.append(Case(f"dimension brute force seed={seed}", "dim_bruteforce", (seed,)))
+        cases.append(Case(f"dimension brute force seed={seed}", _case_dim_bruteforce, (seed,)))
     for name in sorted(_engine_forms()):
-        cases.append(Case(f"QQ vs Fp: {name}", "cross_field", (name,)))
-        cases.append(Case(f"grevlex vs lex: {name}", "cross_order", (name,)))
+        cases.append(Case(f"QQ vs Fp: {name}", _case_cross_field, (name,)))
+        cases.append(Case(f"grevlex vs lex: {name}", _case_cross_order, (name,)))
     for name in ("w_state", "big_cw[2,3]"):
-        cases.append(Case(f"gr cross-checks: {name}", "cross_gr", (name,)))
+        cases.append(Case(f"gr cross-checks: {name}", _case_cross_gr, (name,)))
     return cases
 
 
 def suite_all():
-    out = []
-    for name in ("identity", "golden-values", "matmul", "matrix-case",
-                 "rank-properties", "strata", "discriminant", "tangency", "engine"):
-        out.extend(suite_cases(name))
-    return out
+    return [case for build in SUITES.values() if build is not suite_all for case in build()]
 
 
 SUITES = {

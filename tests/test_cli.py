@@ -127,6 +127,9 @@ def test_timeout_must_be_positive(capsys, timeout):
     code, _, err = run(capsys, "sgr", "--poly", "x0^3+x1^3", "--timeout", timeout)
     assert code == 3
     assert "timeout must be positive" in err
+    code, _, err = run(capsys, "sample", "tangential", "-n", "2", "--check", "--timeout", timeout)
+    assert code == 3
+    assert "timeout must be positive" in err
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +286,15 @@ def test_verify_jobs_flag(capsys):
     code, out, _ = run(capsys, "verify", "matmul", "--jobs", "2")
     assert code == 0
     assert "0 failed" in out
+    # golden-values cases carry sgr, gr and tensor constructors as arguments,
+    # so they must pickle to reach the workers
+    rows = {}
+    for jobs in ("1", "2"):
+        code, out, _ = run(capsys, "verify", "golden-values", "--json", "--jobs", jobs)
+        assert code == 0
+        rows[jobs] = [{k: r[k] for k in ("case", "ok", "detail")}
+                      for r in map(json.loads, out.splitlines())]
+    assert rows["1"] == rows["2"]
 
 
 def test_closed_stdout_exits_1_without_traceback():

@@ -147,6 +147,12 @@ def test_mismatched_rings_raise():
         f * g
 
 
+@pytest.mark.parametrize("exp", [-1, 1.5, 2.0, "1", Fraction(1)])
+def test_from_dict_rejects_non_integer_exponents(exp):
+    with pytest.raises(InvalidInputError):
+        PolyRing(2).from_dict({(exp, 0): 1})
+
+
 # ---------------------------------------------------------------------------
 # Calculus
 # ---------------------------------------------------------------------------

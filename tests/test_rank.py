@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from sgrank import rank
-from sgrank.errors import ComputationTimeout, InvalidInputError
+from sgrank.errors import ComputationTimeout, DimensionMismatchError, InvalidInputError
 from sgrank.groebner import buchberger, ideal_membership
 from sgrank.polyring import LEX, PolyRing, PrimeField, parse_polynomial
 from sgrank.rank import (
@@ -288,6 +288,13 @@ def test_matrix_rank_mod_large_prime_matches_rational():
         assert matrix_rank(a, fp) == r == _rank_oracle(a)
         ranks.add(r)
     assert ranks >= {3, 4, 5, 6}
+
+
+def test_matrix_rank_checks_shape_before_empty_rows():
+    assert matrix_rank([]) == matrix_rank([[]]) == matrix_rank([[], []]) == 0
+    for rows in ([[], [1, 2]], [[1, 2], []]):
+        with pytest.raises(DimensionMismatchError):
+            matrix_rank(rows)
 
 
 def test_matrix_rank_rejects_inexact_entries():

@@ -280,6 +280,16 @@ def test_symmetric_conflict_detected_in_either_dict_order():
     assert SymmetricTensor(2, 2, {(0, 1): 0, (1, 0): 0}).is_zero()
 
 
+@pytest.mark.parametrize("cls", [SymmetricTensor, GeneralTensor])
+def test_zero_entries_get_their_index_checked(cls):
+    # a zero value is dropped, but only after its index is checked
+    for val in (0, 1):
+        with pytest.raises(DimensionMismatchError):
+            cls(2, 2, {(0, 1, 1): val})
+        with pytest.raises(InvalidInputError):
+            cls(2, 2, {(0, 5): val})
+
+
 # ---------------------------------------------------------------------------
 # Constructors
 # ---------------------------------------------------------------------------
