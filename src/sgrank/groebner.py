@@ -10,7 +10,9 @@ so far and, if nonzero, added by the update.  One tail pass then reduces
 every tail against one shared reducer list; the same pass after the pair
 loop yields the unique reduced basis.  Dimension of the zero set is read off
 the initial ideal as the largest set of variables that supports no leading
-monomial.
+monomial: n minus a smallest hitting set of the lead supports.  The supports
+are int bitmasks, and the exact branch and bound over them prunes with the
+packing bound, a greedy count of uncovered supports that share no variable.
 
 Internally each exponent vector is packed into one Python int, after Monagan
 & Pearce, "Polynomial division using dynamic arrays, heaps, and packed
@@ -541,50 +543,68 @@ def ideal_membership(f: Polynomial, basis) -> bool:
 # ---------------------------------------------------------------------------
 
 def _min_hitting_set_size(supports, nvars: int, tick=None) -> int:
-    """Smallest number of variables meeting every support set (exact B&B).
+    """Smallest number of variables meeting every support (exact B&B).
+
+    Each support is an int bitmask, bit i standing for x_i.  Duplicate and
+    non-minimal supports are dropped first: a set that meets a support meets
+    every superset of it.  The search branches on the variables of the first
+    uncovered support, smallest supports first, and passes each branch the
+    supports still uncovered.  A node is pruned once its size plus a lower
+    bound reaches the best hitting set so far.  The bound is the packing
+    bound for d-Hitting Set (Niedermeier, "Invitation to Fixed-Parameter
+    Algorithms", 2006): uncovered supports that pairwise share no variable
+    each need a variable of their own, so a greedy pass counts such a
+    family.
 
     ``tick``, when given, is called with no argument at every branching node
     and may raise to cancel the search.
     """
     minimal = []
-    for s in sorted(set(supports), key=len):
-        if not any(t <= s for t in minimal):
+    for s in sorted(set(supports), key=int.bit_count):
+        if not any(t & s == t for t in minimal):
             minimal.append(s)
-    best = [nvars]
+    best = nvars
 
-    def search(chosen: set):
-        for s in minimal:
-            if chosen.isdisjoint(s):
-                if len(chosen) + 1 >= best[0]:
-                    return
-                if tick is not None:
-                    tick()
-                for v in sorted(s):
-                    chosen.add(v)
-                    search(chosen)
-                    chosen.remove(v)
-                return
-        if len(chosen) < best[0]:
-            best[0] = len(chosen)
+    def search(uncovered, size):
+        nonlocal best
+        packed = bound = 0
+        for s in uncovered:
+            if not s & packed:
+                packed |= s
+                bound += 1
+        if size + bound >= best:
+            return
+        if not uncovered:
+            best = size
+            return
+        if tick is not None:
+            tick()
+        s = uncovered[0]
+        while s:
+            bit = s & -s
+            s ^= bit
+            search([t for t in uncovered if not t & bit], size + 1)
 
-    search(set())
-    return best[0]
+    search(minimal, 0)
+    return best
 
 
 def ideal_dimension(basis: GroebnerBasis, *, poll=None) -> int:
     """Affine dimension of the zero set of the ideal, from its initial ideal.
 
     Computed as the largest cardinality of a variable subset containing the
-    support of no leading monomial.  Returns -1 for the unit ideal (empty
-    variety).  ``poll``, when given, is the buchberger() callback; the search
-    calls it at every branching node with the size of the basis and no pairs,
-    and it may raise to cancel the search.
+    support of no leading monomial, that is n minus a smallest hitting set
+    of the lead supports (Kredel & Weispfenning, "Computing dimension and
+    independent sets for polynomial ideals", JSC 1988).  Returns -1 for the
+    unit ideal (empty variety).  ``poll``, when given, is the buchberger()
+    callback; the search calls it at every branching node with the size of
+    the basis and no pairs, and it may raise to cancel the search.
     """
     if basis.is_unit_ideal:
         return -1
     nvars = basis.ring.nvars
     supports = [
-        frozenset(i for i, e in enumerate(lm) if e)
+        sum(1 << i for i, e in enumerate(lm) if e)
         for lm in basis.leading_monomials()
     ]
     tick = None if poll is None else partial(poll, GBStats(len(basis), 0, 0))

@@ -346,16 +346,23 @@ def _random_monomial_ideal(rng: random.Random, nvars, ngens):
     return monos
 
 
-def _dimension_bruteforce(monos, nvars):
-    """Independent-set dimension by trying all variable subsets."""
-    supports = [frozenset(i for i, e in enumerate(m) if e) for m in monos]
+def _dimension_bruteforce(supports, nvars):
+    """Independent-set dimension by trying all variable subsets; each
+    support is an int bitmask, bit i standing for x_i."""
     best = -1
     for mask in range(1 << nvars):
-        subset = {i for i in range(nvars) if mask >> i & 1}
-        if any(sup <= subset for sup in supports):
-            continue
-        best = max(best, len(subset))
+        k = mask.bit_count()
+        if k > best and all(s & mask != s for s in supports):
+            best = k
     return best
+
+
+def _dimension_against_bruteforce(nvars, monos):
+    """(ideal_dimension, brute force) for the ideal of the given monomials."""
+    ring = PolyRing(nvars)
+    got = ideal_dimension(buchberger([ring.from_dict({m: 1}) for m in monos]))
+    supports = [sum(1 << i for i, e in enumerate(m) if e) for m in monos]
+    return got, _dimension_bruteforce(supports, nvars)
 
 
 def _case_dim_bruteforce(seed):
@@ -364,12 +371,20 @@ def _case_dim_bruteforce(seed):
     monos = _random_monomial_ideal(rng, nvars, rng.randint(1, 6))
     if not monos:
         return True, "degenerate draw (no generators)"
-    ring = PolyRing(nvars)
-    gens = [ring.from_dict({m: 1}) for m in monos]
-    basis = buchberger(gens)
-    got = ideal_dimension(basis)
-    want = _dimension_bruteforce(monos, nvars)
+    got, want = _dimension_against_bruteforce(nvars, monos)
     return got == want, f"nvars={nvars}, gens={monos}: dim={got}, brute force={want}"
+
+
+def _case_dim_bruteforce_wide(seed):
+    """7-16 variables and n to 3n generators, each on 1-4 variables."""
+    rng = random.Random(seed)
+    nvars = rng.randint(7, 16)
+    monos = []
+    for _ in range(rng.randint(nvars, 3 * nvars)):
+        support = rng.sample(range(nvars), rng.randint(1, 4))
+        monos.append(tuple(rng.randint(1, 2) if i in support else 0 for i in range(nvars)))
+    got, want = _dimension_against_bruteforce(nvars, monos)
+    return got == want, f"nvars={nvars}, {len(monos)} gens: dim={got}, brute force={want}"
 
 
 def _engine_forms():
@@ -541,6 +556,8 @@ def suite_engine():
     cases = []
     for seed in range(60):
         cases.append(Case(f"dimension brute force seed={seed}", _case_dim_bruteforce, (seed,)))
+    for seed in range(40):
+        cases.append(Case(f"wide dimension brute force seed={seed}", _case_dim_bruteforce_wide, (seed,)))
     for name in sorted(_engine_forms()):
         cases.append(Case(f"QQ vs Fp: {name}", _case_cross_field, (name,)))
         cases.append(Case(f"grevlex vs lex: {name}", _case_cross_order, (name,)))

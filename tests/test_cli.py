@@ -137,14 +137,14 @@ def test_timeout_must_be_positive(capsys, timeout):
 # ---------------------------------------------------------------------------
 
 def test_timeout_holds_in_dimension_search(capsys):
-    # The basis of a 41-variable cycle edge ideal takes milliseconds; its
+    # The basis of a 101-variable cycle edge ideal takes milliseconds; its
     # dimension search takes seconds, so the timeout lands inside it.
-    polys = [a for i in range(41) for a in ("--poly", f"x{i}*x{(i + 1) % 41}")]
+    polys = [a for i in range(101) for a in ("--poly", f"x{i}*x{(i + 1) % 101}")]
     t0 = time.monotonic()
     code, _, err = run(capsys, "dim", *polys, "--timeout", "0.3")
     elapsed = time.monotonic() - t0
     assert code == 4
-    assert "basis_size=41" in err
+    assert "basis_size=101" in err
     assert elapsed < 0.3 + 2.0
 
 

@@ -423,15 +423,14 @@ def test_dimension_case_split_example():
     assert ideal_dimension(gb) == 2
 
 
-def _dimension_bruteforce(monos, nvars):
-    """Independent oracle: try all 2^nvars variable subsets."""
-    supports = [frozenset(i for i, e in enumerate(m) if e) for m in monos]
+def _dimension_bruteforce(supports, nvars):
+    """Independent oracle: try all 2^nvars variable subsets.  Each support
+    is an int bitmask, bit i standing for x_i."""
     best = -1
     for mask in range(1 << nvars):
-        subset = {i for i in range(nvars) if mask >> i & 1}
-        if any(sup <= subset for sup in supports):
-            continue
-        best = max(best, len(subset))
+        k = mask.bit_count()
+        if k > best and all(s & mask != s for s in supports):
+            best = k
     return best
 
 
@@ -450,13 +449,66 @@ def test_dimension_against_bruteforce():
         if not monos:
             continue
         gb = buchberger([ring.from_dict({m: 1}) for m in monos])
-        assert ideal_dimension(gb) == _dimension_bruteforce(monos, nvars)
+        supports = [sum(1 << i for i, e in enumerate(m) if e) for m in monos]
+        assert ideal_dimension(gb) == _dimension_bruteforce(supports, nvars)
+
+
+def _random_supports(rng, nvars):
+    """Supports of 1-4 variables, with duplicates and supersets mixed in."""
+    supports = []
+    for _ in range(rng.randint(1, 2 * nvars)):
+        roll = rng.random()
+        if supports and roll < 0.15:
+            supports.append(rng.choice(supports))
+        elif supports and roll < 0.3:
+            supports.append(rng.choice(supports) | 1 << rng.randrange(nvars))
+        else:
+            width = rng.randint(1, min(4, nvars))
+            supports.append(sum(1 << v for v in rng.sample(range(nvars), width)))
+    return supports
+
+
+def test_dimension_against_bruteforce_up_to_16_variables():
+    rng = random.Random(509)
+    for _ in range(300):
+        nvars = rng.randint(1, 16)
+        supports = _random_supports(rng, nvars)
+        want = _dimension_bruteforce(supports, nvars)
+        # the search itself sees the duplicate and non-minimal supports
+        assert nvars - groebner._min_hitting_set_size(supports, nvars) == want
+        ring = PolyRing(nvars)
+        gens = [
+            ring.from_dict({tuple(rng.randint(1, 2) if s >> i & 1 else 0 for i in range(nvars)): 1})
+            for s in supports
+        ]
+        assert ideal_dimension(buchberger(gens)) == want
+
+
+def _edge_ideal_basis(nvars, width, perm):
+    """Basis of the ideal of windows x_i*...*x_{i+width-1} (indices mod
+    nvars), relabelled by perm; width 2 is the cycle edge ideal."""
+    r = PolyRing(nvars)
+    gens = [
+        P("*".join(f"x{perm[(i + s) % nvars]}" for s in range(width)), ring=r)
+        for i in range(nvars)
+    ]
+    return buchberger(gens)
 
 
 def _cycle_basis(nvars):
     """Basis of the cycle edge ideal (x0*x1, x1*x2, ..., x_{n-1}*x0)."""
-    r = PolyRing(nvars)
-    return buchberger([P(f"x{i}*x{(i + 1) % nvars}", ring=r) for i in range(nvars)])
+    return _edge_ideal_basis(nvars, 2, range(nvars))
+
+
+def test_dimension_of_relabelled_edge_ideals():
+    # An independent set of the 33-cycle has at most 16 vertices; the 33
+    # windows of width 3 need 11 vertices to hit them.
+    rng = random.Random(33)
+    for width, dim in ((2, 16), (3, 22)):
+        for _ in range(4):
+            perm = list(range(33))
+            rng.shuffle(perm)
+            assert ideal_dimension(_edge_ideal_basis(33, width, perm)) == dim
 
 
 def test_poll_cancels_dimension_search():
