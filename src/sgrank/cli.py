@@ -3,8 +3,9 @@
 Subcommands: ``sgr``, ``gr``, ``dim``, ``hypergraph``, ``sample``, ``verify``.
 Exit codes: 0 success, 1 failed check, failed suite or stdout closed early by
 its reader, 2 unparseable input, 3 precondition violation (zero tensor,
-degree < 2, bad parameters), 4 timeout (with partial diagnostics, never a
-wrong number).
+degree < 2, bad parameters such as ``verify --jobs`` below 1, an unwritable
+``sample --out`` path), 4 timeout (with partial diagnostics, never a wrong
+number).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import (
     SgrankError,
 )
 from .groebner import Ideal, buchberger, deadline_poll, ideal_dimension
-from .polyring import PolyRing, QQ, order_by_name, parse_field, parse_polynomial
+from .polyring import PolyRing, order_by_name, parse_field, parse_polynomial
 from .rank import RankReport, rank_report, singular_ideal
 from .strata import (
     sample_irreducible_sgr2,
@@ -75,16 +76,16 @@ def _add_input_flags(p):
     p.add_argument("--nvars", type=int, default=None, help="ambient variable count (default: inferred)")
 
 
-def _load_input(args, order):
+def _load_input(args):
     """Input object from --poly or --tensor (over QQ; converted at compute time)."""
     if args.poly is not None:
-        return parse_polynomial(args.poly, nvars=args.nvars, field=QQ, order=order)
+        return parse_polynomial(args.poly, nvars=args.nvars)
     try:
         with open(args.tensor, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read tensor file {args.tensor!r}: {exc}") from exc
-    return tensor_from_json(text, field=QQ)
+    return tensor_from_json(text)
 
 
 def _emit_report(report: RankReport, args, annotation=None):
@@ -115,7 +116,7 @@ def _emit_report(report: RankReport, args, annotation=None):
 
 def cmd_sgr(args) -> int:
     field, order = _field_and_order(args)
-    obj = _load_input(args, order)
+    obj = _load_input(args)
     if isinstance(obj, GeneralTensor):
         obj = obj.to_symmetric()
     poll = deadline_poll(args.timeout)
@@ -126,7 +127,7 @@ def cmd_sgr(args) -> int:
 
 def cmd_gr(args) -> int:
     field, order = _field_and_order(args)
-    obj = _load_input(args, order)
+    obj = _load_input(args)
     poll = deadline_poll(args.timeout)
     report = rank_report(obj, compute_gr=True, field=field, order=order, poll=poll)
     _emit_report(report, args)
@@ -141,7 +142,7 @@ def cmd_dim(args) -> int:
     if nvars is None:
         nvars = 0
         for text in args.poly:
-            f = parse_polynomial(text, field=QQ, order=order)
+            f = parse_polynomial(text)
             nvars = max(nvars, f.ring.nvars)
     ring = PolyRing(nvars, field, order)
     for text in args.poly:
@@ -192,6 +193,14 @@ def cmd_hypergraph(args) -> int:
     return EXIT_OK
 
 
+def _write(path, text):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write {path!r}: {exc.strerror}") from exc
+
+
 _SAMPLE_KINDS = ("tangential", "secant", "c_ir", "irreducible", "reducible")
 
 
@@ -230,11 +239,8 @@ def cmd_sample(args) -> int:
         checked_ok = value == expected
 
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(str(poly) + "\n")
-        with open(args.out + ".json", "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, indent=2)
-            fh.write("\n")
+        _write(args.out, str(poly) + "\n")
+        _write(args.out + ".json", json.dumps(meta, indent=2) + "\n")
         if not args.json:
             print(f"wrote {args.out} and {args.out}.json")
     if args.json:

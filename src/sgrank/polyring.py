@@ -108,9 +108,6 @@ class RationalField:
     def pow(self, a, e):
         return a ** e
 
-    def format(self, a) -> str:
-        return str(a)
-
     def __eq__(self, other):
         return isinstance(other, RationalField)
 
@@ -173,9 +170,6 @@ class PrimeField:
 
     def pow(self, a, e):
         return pow(a, e, self.p)
-
-    def format(self, a) -> str:
-        return str(a)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -712,11 +706,11 @@ def format_polynomial(f: Polynomial) -> str:
             mag = c
         mono = _format_monomial(m)
         if not mono:
-            body = field.format(mag)
+            body = str(mag)
         elif mag == field.one:
             body = mono
         else:
-            body = f"{field.format(mag)}*{mono}"
+            body = f"{mag}*{mono}"
         if idx == 0:
             chunks.append(body if sign == "+" else f"-{body}")
         else:

@@ -26,16 +26,12 @@ def _as_polynomial(obj, field=None, order=None) -> Polynomial:
     if isinstance(obj, SymmetricTensor):
         if field is not None:
             obj = obj.with_field(field)
-        poly = obj.to_polynomial(order or GREVLEX)
+        poly = obj.to_polynomial()
     elif isinstance(obj, Polynomial):
-        poly = obj
-        if field is not None:
-            poly = poly.convert_field(field)
-        if order is not None:
-            poly = poly.convert_order(order)
+        poly = obj if field is None else obj.convert_field(field)
     else:
         raise InvalidInputError(f"expected a polynomial or symmetric tensor, got {type(obj)!r}")
-    return poly
+    return poly if order is None else poly.convert_order(order)
 
 
 def singular_ideal(form: Polynomial) -> Ideal:

@@ -4,7 +4,9 @@ Membership in the stratum of forms with symmetric geometric rank at most r is
 decided by the rank engine itself, never by factorization.  The samplers draw
 small uniform integer coefficients (range -5..5) with rejection where a shape
 constraint requires it; every sampler is a deterministic function of its
-parameters and seed.
+parameters and seed.  Samples and the binary cubic discriminant are over QQ;
+``membership_S`` takes ``field=`` like ``sgr``, and ``convert_field`` moves a
+sample to another field.  A line and the form it meets must share a field.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import enum
 import random
 
-from .errors import InvalidInputError
+from .errors import DimensionMismatchError, InvalidInputError
 from .polyring import PolyRing, Polynomial, QQ
 from .rank import matrix_rank, sgr
 
@@ -125,7 +127,7 @@ def membership_S(form, r: int, *, field=None, poll=None) -> bool:
     return sgr(form, field=field, poll=poll) <= r
 
 
-def sample_tangential(n: int, seed: int = 0, d: int = 3, field=QQ) -> Polynomial:
+def sample_tangential(n: int, seed: int = 0, d: int = 3) -> Polynomial:
     """A random L^2*M with L linear and M of degree d-2; always rank one.
 
     For cubics, L and M are resampled until non-proportional, so the sample
@@ -136,7 +138,7 @@ def sample_tangential(n: int, seed: int = 0, d: int = 3, field=QQ) -> Polynomial
     if d < 3:
         raise InvalidInputError("sample_tangential needs degree >= 3")
     rng = random.Random(seed)
-    ring = PolyRing(n + 1, field)
+    ring = PolyRing(n + 1)
     while True:
         L = random_linear_form(rng, ring)
         M = random_form(rng, ring, d - 2)
@@ -145,12 +147,12 @@ def sample_tangential(n: int, seed: int = 0, d: int = 3, field=QQ) -> Polynomial
         return L * L * M
 
 
-def sample_secant_tangential(r: int, n: int, seed: int = 0, field=QQ) -> Polynomial:
+def sample_secant_tangential(r: int, n: int, seed: int = 0) -> Polynomial:
     """A random sum of r terms L_i^2*M_i; rank at most r, generically r."""
     if not 1 <= r <= n + 1:
         raise InvalidInputError(f"need 1 <= r <= n+1, got r={r}, n={n}")
     rng = random.Random(seed)
-    ring = PolyRing(n + 1, field)
+    ring = PolyRing(n + 1)
     while True:
         total = ring.zero()
         for _ in range(r):
@@ -161,7 +163,7 @@ def sample_secant_tangential(r: int, n: int, seed: int = 0, field=QQ) -> Polynom
             return total
 
 
-def sample_irreducible_sgr2(n: int, seed: int = 0, field=QQ) -> Polynomial:
+def sample_irreducible_sgr2(n: int, seed: int = 0) -> Polynomial:
     """A random L1^2*M1 + L2^2*M2 + L1*L2*M3; rank at most 2, generically 2.
 
     L1, L2 are resampled until independent, M1 and M2 until nonzero, and the
@@ -170,7 +172,7 @@ def sample_irreducible_sgr2(n: int, seed: int = 0, field=QQ) -> Polynomial:
     if n < 2:
         raise InvalidInputError("sample_irreducible_sgr2 needs n >= 2")
     rng = random.Random(seed)
-    ring = PolyRing(n + 1, field)
+    ring = PolyRing(n + 1)
     while True:
         L1 = random_linear_form(rng, ring)
         L2 = random_linear_form(rng, ring)
@@ -180,12 +182,12 @@ def sample_irreducible_sgr2(n: int, seed: int = 0, field=QQ) -> Polynomial:
         M2 = random_linear_form(rng, ring)
         M3 = linear_form(ring, _random_coeffs(rng, ring.nvars))
         rows = [_coeff_row(M1), _coeff_row(M2), _coeff_row(M3)]
-        if matrix_rank(rows, field) < 2:
+        if matrix_rank(rows) < 2:
             continue
         return L1 * L1 * M1 + L2 * L2 * M2 + L1 * L2 * M3
 
 
-def sample_reducible(d1: int, d2: int, n: int, seed: int = 0, field=QQ) -> Polynomial:
+def sample_reducible(d1: int, d2: int, n: int, seed: int = 0) -> Polynomial:
     """A random product of forms of degrees d1 and d2.
 
     When the factors share no common factor the rank is generically 2.
@@ -195,7 +197,7 @@ def sample_reducible(d1: int, d2: int, n: int, seed: int = 0, field=QQ) -> Polyn
     if n < 1:
         raise InvalidInputError("sample_reducible needs n >= 1")
     rng = random.Random(seed)
-    ring = PolyRing(n + 1, field)
+    ring = PolyRing(n + 1)
     G = random_form(rng, ring, d1)
     H = random_form(rng, ring, d2)
     return G * H
@@ -205,27 +207,15 @@ def sample_reducible(d1: int, d2: int, n: int, seed: int = 0, field=QQ) -> Polyn
 # Binary cubic discriminant
 # ---------------------------------------------------------------------------
 
-def binary_cubic_discriminant(a1, a2, a3, a4, field=QQ):
-    """Discriminant of a1*x^3 + a2*x^2*y + a3*x*y^2 + a4*y^3.
+def binary_cubic_discriminant(a1, a2, a3, a4):
+    """Discriminant of a1*x^3 + a2*x^2*y + a3*x*y^2 + a4*y^3, over QQ.
 
     Vanishes exactly on the binary cubics with a repeated root, which are the
     forms of symmetric geometric rank at most one.
     """
-    f = field
-    a1, a2, a3, a4 = (f.convert(a) for a in (a1, a2, a3, a4))
-
-    def prod(*xs):
-        out = f.one
-        for x in xs:
-            out = f.mul(out, x)
-        return out
-
-    total = prod(a2, a2, a3, a3)
-    total = f.sub(total, f.mul(f.convert(4), prod(a1, a3, a3, a3)))
-    total = f.sub(total, f.mul(f.convert(4), prod(a2, a2, a2, a4)))
-    total = f.add(total, f.mul(f.convert(18), prod(a1, a2, a3, a4)))
-    total = f.sub(total, f.mul(f.convert(27), prod(a1, a1, a4, a4)))
-    return total
+    a1, a2, a3, a4 = (QQ.convert(a) for a in (a1, a2, a3, a4))
+    return (a2 * a2 * a3 * a3 - 4 * a1 * a3 ** 3 - 4 * a2 ** 3 * a4
+            + 18 * a1 * a2 * a3 * a4 - 27 * a1 * a1 * a4 * a4)
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +228,8 @@ def restrict_to_line(form: Polynomial, line: ProjectiveLine):
     if line.ambient + 1 != ring.nvars:
         raise InvalidInputError("line and form live in different ambient spaces")
     field = ring.field
+    if line.field != field:
+        raise DimensionMismatchError(f"line over {line.field.name}, form over {field.name}")
     d = form.total_degree()
     coeffs = [field.zero] * (d + 1)
     for mono, c in form.terms.items():

@@ -7,6 +7,11 @@ arbitrary multi-indices.  Both are immutable and exact, and share one private
 base class, ``_Tensor``, for construction, equality, field change and JSON;
 each keeps only its canonical index form and its own operations.  Tensor
 sums go through :func:`sgrank.polyring.add_terms`.
+
+The named constructors build over QQ, and forms come out in grevlex.  Another
+field or order is chosen once, at the rank entry points (``sgr``, ``gr``,
+``rank_report``), or by ``with_field``/``convert_field`` and
+``convert_order``.
 """
 
 from __future__ import annotations
@@ -15,9 +20,10 @@ import itertools
 import json
 import math
 from collections import Counter
+from fractions import Fraction
 
 from .errors import DimensionMismatchError, InvalidInputError, ParseError
-from .polyring import GREVLEX, PolyRing, Polynomial, QQ, add_terms
+from .polyring import PolyRing, Polynomial, QQ, add_terms
 
 
 def multiindex_multiplicity(idx) -> int:
@@ -90,13 +96,12 @@ class _Tensor:
         return type(self)(self.order, self.dim, self.entries, field)
 
     def to_json_dict(self):
-        fmt = self.field.format
         return {
             "order": self.order,
             "dim": self.dim,
             "symmetric": self._symmetric,
             "entries": [
-                {"idx": list(idx), "val": fmt(self.entries[idx])} for idx in sorted(self.entries)
+                {"idx": list(idx), "val": str(self.entries[idx])} for idx in sorted(self.entries)
             ],
         }
 
@@ -119,11 +124,11 @@ class SymmetricTensor(_Tensor):
 
     # -- conversions ----------------------------------------------------------
 
-    def to_polynomial(self, order=GREVLEX) -> Polynomial:
-        """The homogeneous form summing entries over all index tuples."""
+    def to_polynomial(self) -> Polynomial:
+        """The homogeneous form, in grevlex, summing entries over all index tuples."""
         if self.is_zero():
             raise InvalidInputError("the zero tensor has no associated polynomial")
-        ring = PolyRing(self.dim, self.field, order)
+        ring = PolyRing(self.dim, self.field)
         field = self.field
         terms = {}
         for idx, val in self.entries.items():
@@ -404,86 +409,76 @@ def parse_hypergraph(text: str) -> Hypergraph:
     return Hypergraph(n, d, edges)
 
 
-def hypergraph_tensor(H: Hypergraph, field=QQ) -> SymmetricTensor:
+def hypergraph_tensor(H: Hypergraph) -> SymmetricTensor:
     """0/1 indicator tensor: entry 1 exactly when the index set is an edge."""
-    entries = {}
-    one = field.one
-    for edge in H.edges:
-        idx = tuple(sorted(v - 1 for v in edge))
-        entries[idx] = one
-    return SymmetricTensor(H.uniformity, H.n, entries, field, _clean=True)
+    entries = {tuple(sorted(v - 1 for v in edge)): QQ.one for edge in H.edges}
+    return SymmetricTensor(H.uniformity, H.n, entries, _clean=True)
 
 
 # ---------------------------------------------------------------------------
 # Named constructors
 # ---------------------------------------------------------------------------
 
-def identity_tensor(k: int, n: int, d: int = 3, field=QQ) -> SymmetricTensor:
+def identity_tensor(k: int, n: int, d: int = 3) -> SymmetricTensor:
     """Diagonal tensor with k unit summands e_i^(x d) inside C^(n+1)."""
     if d < 2:
         raise InvalidInputError("identity tensor needs order at least 2")
     if not 1 <= k <= n + 1:
         raise InvalidInputError(f"need 1 <= k <= n+1, got k={k}, n={n}")
-    entries = {(i,) * d: field.one for i in range(k)}
-    return SymmetricTensor(d, n + 1, entries, field, _clean=True)
+    entries = {(i,) * d: QQ.one for i in range(k)}
+    return SymmetricTensor(d, n + 1, entries, _clean=True)
 
 
-def w_state(n: int = 1, field=QQ) -> SymmetricTensor:
+def w_state(n: int = 1) -> SymmetricTensor:
     """The symmetrized |001> state in C^(n+1); its form is 3*x0^2*x1."""
     if n < 1:
         raise InvalidInputError("w_state needs n >= 1")
-    return SymmetricTensor(3, n + 1, {(0, 0, 1): field.one}, field, _clean=True)
+    return SymmetricTensor(3, n + 1, {(0, 0, 1): QQ.one}, _clean=True)
 
 
-def big_cw(q: int, n: int, field=QQ) -> SymmetricTensor:
+def big_cw(q: int, n: int) -> SymmetricTensor:
     """Big Coppersmith-Winograd tensor; form x0*(x1^2+...+xq^2+x0*x_{q+1})."""
     if q < 1:
         raise InvalidInputError("big_cw needs q >= 1")
     if q + 1 > n:
         raise InvalidInputError(f"big_cw needs q+1 <= n, got q={q}, n={n}")
-    entries = {(0, i, i): field.one for i in range(1, q + 1)}
-    entries[(0, 0, q + 1)] = field.one
-    return SymmetricTensor(3, n + 1, entries, field, _clean=True)
+    entries = {(0, i, i): QQ.one for i in range(1, q + 1)}
+    entries[(0, 0, q + 1)] = QQ.one
+    return SymmetricTensor(3, n + 1, entries, _clean=True)
 
 
-def small_cw(q: int, n: int, field=QQ) -> SymmetricTensor:
+def small_cw(q: int, n: int) -> SymmetricTensor:
     """Small Coppersmith-Winograd tensor; form x0*(x1^2+...+xq^2)."""
     if q < 1:
         raise InvalidInputError("small_cw needs q >= 1")
     if q > n:
         raise InvalidInputError(f"small_cw needs q <= n, got q={q}, n={n}")
-    entries = {(0, i, i): field.one for i in range(1, q + 1)}
-    return SymmetricTensor(3, n + 1, entries, field, _clean=True)
+    entries = {(0, i, i): QQ.one for i in range(1, q + 1)}
+    return SymmetricTensor(3, n + 1, entries, _clean=True)
 
 
-def max_compressibility(q: int, n: int, field=QQ) -> SymmetricTensor:
+def max_compressibility(q: int, n: int) -> SymmetricTensor:
     """Maximal compressibility tensor; form x0*(x0^2+x1^2+...+xq^2)."""
     if q < 1:
         raise InvalidInputError("max_compressibility needs q >= 1")
     if q > n:
         raise InvalidInputError(f"max_compressibility needs q <= n, got q={q}, n={n}")
-    entries = {(0, 0, 0): field.one}
-    for i in range(1, q + 1):
-        entries[(0, i, i)] = field.one
-    return SymmetricTensor(3, n + 1, entries, field, _clean=True)
+    entries = {(0, i, i): QQ.one for i in range(q + 1)}
+    return SymmetricTensor(3, n + 1, entries, _clean=True)
 
 
-def complete_homogeneous_cubic(n: int, field=QQ) -> SymmetricTensor:
+def complete_homogeneous_cubic(n: int) -> SymmetricTensor:
     """Tensor of the complete homogeneous cubic sum of all degree-3 monomials."""
     if n < 1:
         raise InvalidInputError("complete_homogeneous_cubic needs n >= 1")
-    entries = {}
-    one = field.one
-    for i in range(n + 1):
-        for j in range(i, n + 1):
-            for k in range(j, n + 1):
-                idx = (i, j, k)
-                mult = field.convert(multiindex_multiplicity(idx))
-                entries[idx] = field.div(one, mult)
-    return SymmetricTensor(3, n + 1, entries, field, _clean=True)
+    entries = {
+        idx: Fraction(1, multiindex_multiplicity(idx))
+        for idx in itertools.combinations_with_replacement(range(n + 1), 3)
+    }
+    return SymmetricTensor(3, n + 1, entries, _clean=True)
 
 
-def sym_matrix_mult(m: int, field=QQ, order=GREVLEX) -> Polynomial:
+def sym_matrix_mult(m: int) -> Polynomial:
     """The cubic trace form tr(X^3) in the m*m matrix entries.
 
     Variable x_{i*m+j} is the (i, j) entry of X.  Its singular ideal is
@@ -491,20 +486,19 @@ def sym_matrix_mult(m: int, field=QQ, order=GREVLEX) -> Polynomial:
     """
     if m < 1:
         raise InvalidInputError("matrix size must be positive")
-    ring = PolyRing(m * m, field, order)
 
     def term(i, j, k):
         mono = [0] * (m * m)
         mono[i * m + j] += 1
         mono[j * m + k] += 1
         mono[k * m + i] += 1
-        return tuple(mono), field.one
+        return tuple(mono), QQ.one
 
     terms = (term(i, j, k) for i, j, k in itertools.product(range(m), repeat=3))
-    return Polynomial(ring, add_terms({}, terms, field))
+    return Polynomial(PolyRing(m * m), add_terms({}, terms, QQ))
 
 
-def irreducible_sgr2_cubic(n: int, variant: int = 1, field=QQ, order=GREVLEX) -> Polynomial:
+def irreducible_sgr2_cubic(n: int, variant: int = 1) -> Polynomial:
     """Normal forms of irreducible cubics whose singular locus has codimension 2.
 
     Known for n in {2, 3, 4}; n = 2 has two variants.
@@ -523,4 +517,4 @@ def irreducible_sgr2_cubic(n: int, variant: int = 1, field=QQ, order=GREVLEX) ->
         raise InvalidInputError(
             f"no normal form for n={n}, variant={variant} (n in 2..4, variant 2 only at n=2)"
         ) from None
-    return parse_polynomial(text, nvars=n + 1, field=field, order=order)
+    return parse_polynomial(text, nvars=n + 1)

@@ -8,13 +8,14 @@ acceptance tests.
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .errors import ComputationTimeout
+from .errors import ComputationTimeout, InvalidInputError
 from .groebner import buchberger, deadline_poll, ideal_dimension
 from .polyring import DEFAULT_PRIME, LEX, PolyRing, Polynomial, PrimeField
 from .rank import gr, matrix_rank, sgr
@@ -74,13 +75,19 @@ def run_case(case: Case) -> CaseResult:
 
 
 def run_suite(name: str, jobs: int = 1):
-    """Run a named suite, returning its CaseResults in case order."""
+    """Run a named suite, returning its CaseResults in case order.
+
+    The pool never has more workers than cases or CPUs.
+    """
+    if jobs < 1:
+        raise InvalidInputError(f"jobs must be at least 1, got {jobs}")
     cases = suite_cases(name)
-    if jobs <= 1:
+    workers = min(jobs, len(cases), os.cpu_count() or 1)
+    if workers <= 1:
         return [run_case(c) for c in cases]
     import concurrent.futures as cf
 
-    with cf.ProcessPoolExecutor(max_workers=jobs) as pool:
+    with cf.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run_case, cases, chunksize=4))
 
 

@@ -252,6 +252,18 @@ def test_sample_sidecar(tmp_path, capsys):
     parse_polynomial(poly_text)
 
 
+def test_sample_unwritable_out(tmp_path, capsys):
+    missing = tmp_path / "missing" / "x"
+    code, _, err = run(capsys, "sample", "tangential", "-n", "2", "--out", str(missing))
+    assert code == 3
+    assert err.startswith("error: cannot write") and "Traceback" not in err
+    # the sidecar write fails on its own too
+    (tmp_path / "y.json").mkdir()
+    code, _, err = run(capsys, "sample", "tangential", "-n", "2", "--out", str(tmp_path / "y"))
+    assert code == 3
+    assert "y.json" in err
+
+
 def test_sample_bad_parameters(capsys):
     code, _, _ = run(capsys, "sample", "secant", "-r", "9", "-n", "2")
     assert code == 3
@@ -295,6 +307,46 @@ def test_verify_jobs_flag(capsys):
         rows[jobs] = [{k: r[k] for k in ("case", "ok", "detail")}
                       for r in map(json.loads, out.splitlines())]
     assert rows["1"] == rows["2"]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_jobs_must_be_positive(capsys, jobs):
+    code, out, err = run(capsys, "verify", "identity", "--jobs", jobs)
+    assert code == 3
+    assert "jobs must be at least 1" in err
+    assert out == ""
+
+
+def test_verify_pool_is_capped(monkeypatch):
+    # a recording pool stands in for the process pool, so a huge --jobs
+    # never forks real workers
+    import concurrent.futures
+
+    from sgrank import verify
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    cases = verify.suite_cases("identity")[:3]
+    monkeypatch.setitem(verify.SUITES, "three", lambda: cases)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    for cpus in (2, 64, None):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert all(r.ok for r in verify.run_suite("three", jobs=10**6))
+    # 2 CPUs, then 3 cases; an unknown CPU count runs serially
+    assert sizes == [2, 3]
 
 
 def test_closed_stdout_exits_1_without_traceback():

@@ -286,7 +286,7 @@ def test_poll_cancels_final_interreduction():
 
 
 @pytest.mark.parametrize("form, counts", [
-    (lambda: sym_matrix_mult(3, FP), (95, 57, 25)),
+    (lambda: sym_matrix_mult(3).convert_field(FP), (95, 57, 25)),
     (lambda: complete_homogeneous_cubic(5).to_polynomial(), (177, 60, 43)),
     (lambda: big_cw(2, 3).to_polynomial(), (4, 3, 4)),
 ], ids=["sym_matrix_mult-3-Fp", "h3-5-QQ", "big_cw-2-3-QQ"])

@@ -22,8 +22,10 @@ from sgrank.tensor import (
     GeneralTensor,
     SymmetricTensor,
     big_cw,
+    complete_homogeneous_cubic,
     identity_tensor,
     small_cw,
+    sym_matrix_mult,
     w_state,
 )
 
@@ -152,9 +154,14 @@ def test_sgr_permutation_invariance():
 
 
 def test_sgr_field_override():
+    # constructors build over QQ; the rank entry points choose the field
     t = big_cw(2, 3)
     assert sgr(t, field=FP) == sgr(t) == 2
     assert sgr(t, order=LEX) == 2
+    assert gr(t, field=FP) == 3
+    assert sgr(sym_matrix_mult(3), field=FP) == sgr(sym_matrix_mult(3)) == 5
+    with pytest.raises(InvalidInputError):
+        sgr(complete_homogeneous_cubic(2), field=PrimeField(3))
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from sgrank.errors import InvalidInputError
-from sgrank.polyring import PolyRing, parse_polynomial
+from sgrank.errors import DimensionMismatchError, InvalidInputError
+from sgrank.polyring import PolyRing, PrimeField, parse_polynomial
 from sgrank.rank import matrix_rank, sgr
 from sgrank.strata import (
     ProjectiveLine,
@@ -270,6 +270,19 @@ def test_smooth_cubics_miss_some_line():
             found = True
             break
     assert found
+
+
+def test_line_and_form_must_share_a_field():
+    fp = PrimeField(7)
+    cubic = "x0^3 + x1^3 + x2^3"
+    with pytest.raises(DimensionMismatchError):
+        line_tangency(parse_polynomial(cubic, field=fp), ProjectiveLine([1, 0, 0], [0, 1, 1]))
+    # (1, 9, 0) is (1, 2, 0) mod 7: a silent reduction would restrict to another line
+    fp_line = ProjectiveLine([1, 9, 0], [0, 0, 1], field=fp)
+    with pytest.raises(DimensionMismatchError):
+        restrict_to_line(parse_polynomial(cubic), fp_line)
+    with pytest.raises(DimensionMismatchError):
+        line_tangency(parse_polynomial(cubic), fp_line)
 
 
 def test_tangency_rejects_bad_input():
