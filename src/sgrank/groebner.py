@@ -38,10 +38,17 @@ reduction; an lcm checks its recomputed degree.  An overflow aborts the run,
 which restarts from the input at twice the width.
 
 Packed polynomials are {int: coefficient} dicts and all basis elements are
-kept monic, so a reduction step is a fused multiply-subtract.  One reduction
-loop serves both fields: it runs on raw ints over a prime field, reducing
-each coefficient mod p once, when its monomial is extracted, and on
-Fractions over the rationals.
+kept monic, so a reduction step is a fused multiply-subtract.  The reduction
+loops keep plain ints, in the heap-division style of Monagan & Pearce
+("Sparse polynomial division using a heap", JSC 2011).  Over a prime field
+each coefficient is reduced mod p once, when its monomial is extracted.
+Over the rationals each reducer tail is stored once as int numerators over
+one common denominator, and a working coefficient is an unnormalized
+(num, den) pair: one gcd when it is extracted, one more per reduction step
+for all the step's terms.  Equal denominators subtract without a multiply;
+unlike ones meet over their lcm, which a gcd cuts back once it is more than
+64 bits wider than the step's own.  Fractions stay at the edges: basis
+elements, S-polynomials and remainders hold them.
 """
 
 from __future__ import annotations
@@ -49,8 +56,10 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import partial
 from itertools import chain
+from math import gcd, lcm
 
 from .errors import ComputationTimeout, DimensionMismatchError, InvalidInputError
 from .polyring import (
@@ -258,11 +267,18 @@ def _monic(terms: dict, pk: _Packing, field):
     return lm, {m: c * inv for m, c in terms.items()}
 
 
-def _make_reducers(monics, pk: _Packing):
-    """(leading monomial, tail) pairs from (lead, monic terms), small leads first."""
-    entries = [(lm, [(m, c) for m, c in terms.items() if m != lm]) for lm, terms in monics]
-    entries.sort(key=lambda e: pk.key(e[0]))
-    return entries
+def _reducer(lm: int, terms: dict, field):
+    """The (leading monomial, tail) entry of the monic packed terms with lead lm.
+
+    Over a prime field the tail is a list of (monomial, coefficient).  Over
+    the rationals it is (D, [(monomial, numerator)]): every coefficient is
+    put over the lcm D of the tail's denominators, so it is an int numerator.
+    """
+    tail = [(m, c) for m, c in terms.items() if m != lm]
+    if isinstance(field, PrimeField):
+        return lm, tail
+    den = lcm(*(c.denominator for _, c in tail))
+    return lm, (den, [(m, c.numerator * (den // c.denominator)) for m, c in tail])
 
 
 def _reduce_full(fdict: dict, reducers, pk: _Packing, field) -> dict:
@@ -270,13 +286,22 @@ def _reduce_full(fdict: dict, reducers, pk: _Packing, field) -> dict:
 
     Repeatedly extracts the largest remaining monomial; either eliminates it
     with the first reducer whose lead divides it or moves it to the remainder.
-    A lazy-deletion heap of negated order keys keeps extraction cheap.  Over a
-    prime field the working coefficients are raw ints, reduced mod p once,
-    when popped; an entry that cancels mod p is dropped then.
+    A lazy-deletion heap of negated order keys keeps extraction cheap.  The
+    working coefficients are plain ints in both fields.  Over a prime field
+    they are reduced mod p once, when popped; an entry that cancels mod p is
+    dropped then.  Over the rationals (_reduce_rational) a work entry is an
+    unnormalized int pair (num, den), den > 0: it gets one gcd when popped
+    and is dropped if num is 0.  A step by a reducer whose tail is numerators
+    over D cancels gcd(num, D) once, which puts every new term over the same
+    denominator E.  An entry already over E subtracts without a multiply;
+    any other is put over lcm(den, E) and, once that is more than 64 bits
+    wider than E, cut back by a gcd.  The remainder leaves as Fractions.
     """
     if not fdict or not reducers:
         return dict(fdict)
-    p = field.p if isinstance(field, PrimeField) else None
+    if not isinstance(field, PrimeField):
+        return _reduce_rational(fdict, reducers, pk)
+    p = field.p
     mask = pk.mask
     guard = pk.guard
     work = dict(fdict)
@@ -290,10 +315,9 @@ def _reduce_full(fdict: dict, reducers, pk: _Packing, field) -> dict:
         c = work.pop(m, None)
         if c is None:
             continue
-        if p is not None:
-            c %= p
-            if not c:
-                continue
+        c %= p
+        if not c:
+            continue
         for lm, tail in reducers:
             shift = m - lm
             if shift & guard:
@@ -320,6 +344,67 @@ def _reduce_full(fdict: dict, reducers, pk: _Packing, field) -> dict:
     return rem
 
 
+def _reduce_rational(fdict: dict, reducers, pk: _Packing) -> dict:
+    """The rational loop of _reduce_full, on (num, den) int pairs; reducer
+    tails are (D, numerators) as _reducer builds them."""
+    mask = pk.mask
+    guard = pk.guard
+    work = {m: (c.numerator, c.denominator) for m, c in fdict.items()}
+    heap = [-(m ^ mask) for m in work]
+    heapq.heapify(heap)
+    push = heapq.heappush
+    pop = heapq.heappop
+    rem = {}
+    while heap:
+        m = -pop(heap) ^ mask
+        entry = work.pop(m, None)
+        if entry is None:
+            continue
+        num, den = entry
+        if not num:
+            continue
+        g = gcd(num, den)
+        if g != 1:
+            num //= g
+            den //= g
+        for lm, (dt, tail) in reducers:
+            shift = m - lm
+            if shift & guard:
+                continue  # lm does not divide m
+            g = gcd(num, dt)
+            a = num // g
+            e = den * (dt // g)
+            wide = e.bit_length() + 64
+            for mt, nt in tail:
+                mm = mt + shift
+                prev = work.get(mm)
+                if prev is None:
+                    # An overflowed product has a guard bit set, so it is
+                    # never a key of work and always lands here.
+                    if mm & guard:
+                        raise _Overflow
+                    work[mm] = (-a * nt, e)
+                    push(heap, -(mm ^ mask))
+                else:
+                    pn, pd = prev
+                    if pd == e:
+                        work[mm] = (pn - a * nt, e)
+                    else:
+                        g = gcd(pd, e)
+                        q = pd // g
+                        v = pn * (e // g) - a * nt * q
+                        d = q * e
+                        if d.bit_length() > wide:
+                            g = gcd(v, d)
+                            v //= g
+                            d //= g
+                        work[mm] = (v, d)
+            break
+        else:
+            rem[m] = Fraction(num, den)
+    return rem
+
+
 def normal_form(f: Polynomial, basis) -> Polynomial:
     """Remainder of f under multivariate division by the given polynomials.
 
@@ -335,9 +420,11 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
     divisors = [g for g in polys if not g.is_zero()]
 
     def run(pk):
-        monics = [_monic(pk.pack_terms(g.terms), pk, field) for g in divisors]
-        rem = _reduce_full(pk.pack_terms(f.terms), _make_reducers(monics, pk), pk, field)
-        return pk.unpack_terms(rem)
+        reducers = sorted(
+            (_reducer(*_monic(pk.pack_terms(g.terms), pk, field), field) for g in divisors),
+            key=lambda e: pk.key(e[0]),
+        )
+        return pk.unpack_terms(_reduce_full(pk.pack_terms(f.terms), reducers, pk, field))
 
     degree = max(g.total_degree() for g in (f, *divisors))
     return Polynomial(ring, _packed_run(ring, degree, run))
@@ -423,15 +510,16 @@ def _buchberger(ideal: Ideal, pk: _Packing, poll, poll_every) -> GroebnerBasis:
 
     polys: list[dict] = []   # monic packed candidates; reduce_tails rewrites tails
     plms: list[int] = []     # packed lead of each
+    entries: list = []       # _reducer entry of each, rebuilt with its tail
     active: list[int] = []   # indices of the current basis, ascending
     pairs: dict = {}         # live pairs (i, j), i < j -> packed lcm of their leads
     queue: list = []         # heap of (deg lcm, order key of lcm, i, j)
-    reducers = None          # reducer list of the current basis; None when stale
+    reducers = None          # entries of the current basis, small leads first; None when stale
 
     def current_reducers():
         nonlocal reducers
         if reducers is None:
-            reducers = _make_reducers([(plms[i], polys[i]) for i in active], pk)
+            reducers = sorted((entries[i] for i in active), key=lambda e: pkey(e[0]))
         return reducers
 
     def update(ih):
@@ -478,6 +566,7 @@ def _buchberger(ideal: Ideal, pk: _Packing, poll, poll_every) -> GroebnerBasis:
     def add_poly(plm: int, monic: dict) -> int:
         polys.append(monic)
         plms.append(plm)
+        entries.append(_reducer(plm, monic, field))
         return len(polys) - 1
 
     def reduce_tails(every: int, done: int):
@@ -497,6 +586,7 @@ def _buchberger(ideal: Ideal, pk: _Packing, poll, poll_every) -> GroebnerBasis:
             terms = polys[idx]
             tail = _reduce_full({m: c for m, c in terms.items() if m != lm}, rs, pk, field)
             polys[idx] = {lm: terms[lm], **tail}
+            entries[idx] = _reducer(lm, polys[idx], field)
         reducers = None
         return order
 
@@ -610,28 +700,3 @@ def ideal_dimension(basis: GroebnerBasis, *, poll=None) -> int:
     tick = None if poll is None else partial(poll, GBStats(len(basis), 0, 0))
     return nvars - _min_hitting_set_size(supports, nvars, tick)
 
-
-def is_reduced_groebner_basis(basis) -> bool:
-    """Check the defining properties: S-polynomials reduce to zero, elements
-    are monic, and no term is divisible by another element's lead."""
-    polys = list(basis)
-    if not polys:
-        return False
-    ring = polys[0].ring
-    field = ring.field
-    for g in polys:
-        if g.is_zero() or g.leading_coefficient() != field.one:
-            return False
-    leads = [g.leading_monomial() for g in polys]
-    for i, g in enumerate(polys):
-        for m in g.terms:
-            for j, lm in enumerate(leads):
-                if i == j:
-                    continue
-                if all(a <= b for a, b in zip(lm, m)):
-                    return False
-    for i in range(len(polys)):
-        for j in range(i + 1, len(polys)):
-            if not normal_form(s_polynomial(polys[i], polys[j]), polys).is_zero():
-                return False
-    return True

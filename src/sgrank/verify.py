@@ -18,7 +18,7 @@ from typing import Callable
 from .errors import ComputationTimeout, InvalidInputError
 from .groebner import buchberger, deadline_poll, ideal_dimension
 from .polyring import DEFAULT_PRIME, LEX, PolyRing, Polynomial, PrimeField
-from .rank import gr, matrix_rank, sgr
+from .rank import gr, matrix_rank, sgr, sgr_details
 from .strata import (
     ProjectiveLine,
     Tangency,
@@ -413,6 +413,9 @@ def _engine_forms():
         "matmul[3]": sym_matrix_mult(3),
         "matmul[4]": sym_matrix_mult(4),
         "random_cubic[n=3]": _random_symmetric_cubic(rng, 3).to_polynomial(),
+        # Dense: its reduced basis has coefficients of about 250 bits.  Its
+        # own generator leaves the draws of the other forms as they were.
+        "random_cubic[n=4]": _random_symmetric_cubic(random.Random(4), 4).to_polynomial(),
         "random_matrix[m=5]": SymmetricTensor(
             2, 5,
             {(i, j): v for i in range(5) for j in range(i, 5) if (v := rng.randint(-5, 5))},
@@ -428,10 +431,18 @@ def _engine_forms():
 
 
 def _case_cross_field(name):
+    """SGR and the reduced basis agree over QQ and Fp: the rational basis,
+    mapped mod p, is the modular one.  This checks the int-pair reduction
+    loop over QQ against the one over Fp."""
     f = _engine_forms()[name]
-    s_q = sgr(f)
-    s_p = sgr(f, field=PrimeField(DEFAULT_PRIME))
-    return s_q == s_p, f"sgr={s_q} over QQ, {s_p} over Fp:{DEFAULT_PRIME}"
+    fp = PrimeField(DEFAULT_PRIME)
+    s_q, _, basis_q = sgr_details(f)
+    s_p, _, basis_p = sgr_details(f, field=fp)
+    same = [g.convert_field(fp) for g in basis_q] == list(basis_p)
+    return s_q == s_p and same, (
+        f"sgr={s_q} over QQ, {s_p} over Fp:{DEFAULT_PRIME}; "
+        f"bases {'agree' if same else 'differ'} ({len(basis_q)} and {len(basis_p)} elements)"
+    )
 
 
 def _case_cross_order(name):

@@ -1,6 +1,8 @@
 """Groebner engine tests: bases, reduction, membership and dimension."""
 
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -14,7 +16,6 @@ from sgrank.groebner import (
     buchberger,
     ideal_dimension,
     ideal_membership,
-    is_reduced_groebner_basis,
     normal_form,
     s_polynomial,
 )
@@ -27,6 +28,32 @@ FP = PrimeField(2**31 - 1)
 
 def P(text, nvars=None, **kw):
     return parse_polynomial(text, nvars=nvars, **kw)
+
+
+def is_reduced_groebner_basis(basis) -> bool:
+    """Check the defining properties: S-polynomials reduce to zero, elements
+    are monic, and no term is divisible by another element's lead."""
+    polys = list(basis)
+    if not polys:
+        return False
+    ring = polys[0].ring
+    field = ring.field
+    for g in polys:
+        if g.is_zero() or g.leading_coefficient() != field.one:
+            return False
+    leads = [g.leading_monomial() for g in polys]
+    for i, g in enumerate(polys):
+        for m in g.terms:
+            for j, lm in enumerate(leads):
+                if i == j:
+                    continue
+                if all(a <= b for a, b in zip(lm, m)):
+                    return False
+    for i in range(len(polys)):
+        for j in range(i + 1, len(polys)):
+            if not normal_form(s_polynomial(polys[i], polys[j]), polys).is_zero():
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +110,73 @@ def test_normal_form_mod_p_matches_rational():
         assert all(1 <= c < 7 for c in rem.terms.values())
         cases += 1
     assert cases > 250
+
+
+def _textbook_remainder(f, divisors):
+    """Multivariate division on Fraction dicts (Cox, Little & O'Shea, 2.3),
+    trying the divisors smallest lead first, as normal_form does."""
+    key = f.ring.order.key
+    gs = sorted((g for g in divisors if not g.is_zero()), key=lambda g: key(g.leading_monomial()))
+    p = dict(f.terms)
+    rem = {}
+    while p:
+        lt = max(p, key=key)
+        for g in gs:
+            lg = g.leading_monomial()
+            if all(a >= b for a, b in zip(lt, lg)):
+                q = p[lt] / g.leading_coefficient()
+                shift = [a - b for a, b in zip(lt, lg)]
+                for m, c in g.terms.items():
+                    mm = tuple(a + b for a, b in zip(m, shift))
+                    v = p.get(mm, 0) - q * c
+                    if v:
+                        p[mm] = v
+                    else:
+                        p.pop(mm, None)
+                break
+        else:
+            rem[lt] = p.pop(lt)
+    return rem
+
+
+def _random_rational_poly(rng, ring, nterms, max_deg, bound=12):
+    terms = {}
+    for _ in range(nterms):
+        mono = [0] * ring.nvars
+        for _ in range(rng.randint(0, max_deg)):
+            mono[rng.randrange(ring.nvars)] += 1
+        terms[tuple(mono)] = Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+    return ring.from_dict(terms)
+
+
+def _dense_rational_poly(rng, ring, deg, bound):
+    terms = {}
+    for m in itertools.product(range(deg + 1), repeat=ring.nvars):
+        if sum(m) <= deg:
+            terms[m] = Fraction(rng.randint(-bound, bound) or 1, rng.randint(1, bound))
+    return ring.from_dict(terms)
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX])
+def test_rational_normal_form_matches_textbook_division(order):
+    rng = random.Random(11)
+    ring = PolyRing(3, order=order)
+    for _ in range(150):
+        f = _random_rational_poly(rng, ring, rng.randint(0, 6), 3)
+        gs = [_random_rational_poly(rng, ring, rng.randint(1, 5), 3) for _ in range(rng.randint(1, 3))]
+        rem = normal_form(f, gs)
+        assert rem.terms == _textbook_remainder(f, gs)
+        assert all(type(c) is Fraction for c in rem.terms.values())
+    # Dense inputs with 20-bit coefficients: f passes through dozens of
+    # reduction steps, and the working entries grow past several hundred
+    # bits over unlike denominators.
+    for deg in (5, 6, 7):
+        f = _dense_rational_poly(rng, ring, deg, 10**6)
+        gs = [_dense_rational_poly(rng, ring, 2, 10**6) for _ in range(2)]
+        rem = normal_form(f, gs)
+        assert rem.terms == _textbook_remainder(f, gs)
+        assert all(type(c) is Fraction for c in rem.terms.values())
+        assert max(c.denominator.bit_length() for c in rem.terms.values()) > 300
 
 
 def _random_poly(rng, ring, max_terms=4, max_deg=3):
