@@ -6,13 +6,13 @@ heap-ordered pair queue, and the Gebauer-Moeller update, which computes the
 lcm of the new lead with each basis lead once and applies the coprimality and
 chain criteria with it.  The generators enter through the same step as a
 reduced S-polynomial: smallest lead first, each is reduced against the basis
-so far and, if nonzero, added by the update.  One tail pass then reduces
-every tail against one shared reducer list; the same pass after the pair
-loop yields the unique reduced basis.  Dimension of the zero set is read off
-the initial ideal as the largest set of variables that supports no leading
-monomial: n minus a smallest hitting set of the lead supports.  The supports
-are int bitmasks, and the exact branch and bound over them prunes with the
-packing bound, a greedy count of uncovered supports that share no variable.
+so far and, if nonzero, added by the update.  The update rewrites every tail
+with a term that the new lead divides, so the basis stays reduced after each
+step.  Dimension of the zero set is read off the initial ideal as the
+largest set of variables that supports no leading monomial: n minus a
+smallest hitting set of the lead supports.  The supports are int bitmasks,
+and the exact branch and bound over them prunes with the packing bound, a
+greedy count of uncovered supports that share no variable.
 
 Internally each exponent vector is packed into one Python int, after Monagan
 & Pearce, "Polynomial division using dynamic arrays, heaps, and packed
@@ -281,7 +281,7 @@ def _reducer(lm: int, terms: dict, field):
     return lm, (den, [(m, c.numerator * (den // c.denominator)) for m, c in tail])
 
 
-def _reduce_full(fdict: dict, reducers, pk: _Packing, field) -> dict:
+def _reduce_full(fdict: dict, reducers, pk: _Packing, field, tick=None) -> dict:
     """Full normal form of the packed fdict modulo the (monic) reducers.
 
     Repeatedly extracts the largest remaining monomial; either eliminates it
@@ -296,11 +296,12 @@ def _reduce_full(fdict: dict, reducers, pk: _Packing, field) -> dict:
     denominator E.  An entry already over E subtracts without a multiply;
     any other is put over lcm(den, E) and, once that is more than 64 bits
     wider than E, cut back by a gcd.  The remainder leaves as Fractions.
+    ``tick``, when given, is called every 1,024 pops and may raise to cancel.
     """
     if not fdict or not reducers:
         return dict(fdict)
     if not isinstance(field, PrimeField):
-        return _reduce_rational(fdict, reducers, pk)
+        return _reduce_rational(fdict, reducers, pk, tick)
     p = field.p
     mask = pk.mask
     guard = pk.guard
@@ -310,8 +311,11 @@ def _reduce_full(fdict: dict, reducers, pk: _Packing, field) -> dict:
     push = heapq.heappush
     pop = heapq.heappop
     rem = {}
+    pops = 0
     while heap:
         m = -pop(heap) ^ mask
+        if tick is not None and not (pops := pops + 1) & 1023:  # every 1,024 pops
+            tick()
         c = work.pop(m, None)
         if c is None:
             continue
@@ -344,7 +348,7 @@ def _reduce_full(fdict: dict, reducers, pk: _Packing, field) -> dict:
     return rem
 
 
-def _reduce_rational(fdict: dict, reducers, pk: _Packing) -> dict:
+def _reduce_rational(fdict: dict, reducers, pk: _Packing, tick) -> dict:
     """The rational loop of _reduce_full, on (num, den) int pairs; reducer
     tails are (D, numerators) as _reducer builds them."""
     mask = pk.mask
@@ -355,8 +359,11 @@ def _reduce_rational(fdict: dict, reducers, pk: _Packing) -> dict:
     push = heapq.heappush
     pop = heapq.heappop
     rem = {}
+    pops = 0
     while heap:
         m = -pop(heap) ^ mask
+        if tick is not None and not (pops := pops + 1) & 1023:  # every 1,024 pops
+            tick()
         entry = work.pop(m, None)
         if entry is None:
             continue
@@ -486,11 +493,11 @@ def buchberger(generators, *, poll=None, poll_every=8) -> GroebnerBasis:
 
     ``generators`` is an :class:`Ideal` or an iterable of polynomials in one
     ring.  ``poll``, when given, is called with a :class:`GBStats` every
-    ``poll_every`` reductions in the seed step (each generator, then each
-    tail of the seeded basis, with no pair done yet) and every ``poll_every``
-    processed pairs, and once per basis element during the final tail pass;
-    it may raise to cancel the run (the command line uses this for
-    timeouts).  Output is deterministic for fixed input and order.
+    ``poll_every`` generators in the seed step and every ``poll_every``
+    processed pairs, once per tail that an update rewrites, and every 1,024
+    steps inside any one reduction; it may raise to cancel the run (the
+    command line uses this for timeouts).  Output is deterministic for fixed
+    input and order.
     """
     if isinstance(generators, Ideal):
         ideal = generators
@@ -508,13 +515,15 @@ def _buchberger(ideal: Ideal, pk: _Packing, poll, poll_every) -> GroebnerBasis:
     lcm = pk.lcm
     degree = pk.degree
 
-    polys: list[dict] = []   # monic packed candidates; reduce_tails rewrites tails
+    polys: list[dict] = []   # monic packed candidates; update() rewrites tails
     plms: list[int] = []     # packed lead of each
     entries: list = []       # _reducer entry of each, rebuilt with its tail
     active: list[int] = []   # indices of the current basis, ascending
     pairs: dict = {}         # live pairs (i, j), i < j -> packed lcm of their leads
     queue: list = []         # heap of (deg lcm, order key of lcm, i, j)
     reducers = None          # entries of the current basis, small leads first; None when stale
+
+    tick = None if poll is None else lambda: poll(GBStats(len(active), pairs_done, len(pairs)))
 
     def current_reducers():
         nonlocal reducers
@@ -523,10 +532,10 @@ def _buchberger(ideal: Ideal, pk: _Packing, poll, poll_every) -> GroebnerBasis:
         return reducers
 
     def update(ih):
-        """Gebauer-Moeller update of basis and pair set with new element ih."""
+        """Gebauer-Moeller update with new element ih; keeps every tail reduced."""
         nonlocal reducers
         mh = plms[ih]
-        # lcm(mh, lm_g) once per basis element; phases 1-3 share it.
+        # lcm(mh, lm_g) once per basis element; the phases below share it.
         lcm_h = {ig: lcm(mh, plms[ig]) for ig in active}
         # Phase 1: filter candidate pairs (ih, g) with the chain criterion.
         # Coprime pairs stay in D, where they still cover later candidates.
@@ -549,46 +558,36 @@ def _buchberger(ideal: Ideal, pk: _Packing, poll, poll_every) -> GroebnerBasis:
         ]
         for ij in dead:
             del pairs[ij]
-        # Phase 3: queue the new pairs, minus those with coprime leads
+        # Phase 3: retire basis elements whose lead became divisible.
+        survivors = [ig for ig in active if (plms[ig] - mh) & guard]
+        active[:] = survivors + [ih]  # ih is the newest, so the largest index
+        reducers = None
+        # Phase 4: rewrite each tail with a term that mh divides (no survivor's
+        # lead is one).  The lead stays, and with it every pair criterion.
+        for ig in survivors:
+            terms = polys[ig]
+            if len(terms) == 1 or all((m - mh) & guard for m in terms):
+                continue
+            lm = plms[ig]
+            tail = {m: c for m, c in terms.items() if m != lm}
+            polys[ig] = {lm: terms[lm], **_reduce_full(tail, current_reducers(), pk, field, tick)}
+            entries[ig] = _reducer(lm, polys[ig], field)
+            reducers = None
+            if tick is not None:
+                tick()
+        # Phase 5: queue the new pairs, minus those with coprime leads
         # (Buchberger's first criterion).
         for ig in D:
             lcm_hg = lcm_h[ig]
             if lcm_hg != mh + plms[ig]:
                 pairs[(ig, ih)] = lcm_hg
                 heapq.heappush(queue, (degree(lcm_hg), pkey(lcm_hg), ig, ih))
-        # Phase 4: retire basis elements whose lead became divisible.
-        survivors = [ig for ig in active if (plms[ig] - mh) & guard]
-        survivors.append(ih)
-        survivors.sort()
-        active[:] = survivors
-        reducers = None
 
     def add_poly(plm: int, monic: dict) -> int:
         polys.append(monic)
         plms.append(plm)
         entries.append(_reducer(plm, monic, field))
         return len(polys) - 1
-
-    def reduce_tails(every: int, done: int):
-        """Reduce each basis tail against the current reducers and write lead
-        + reduced tail back into polys.  A tail term lies below its own lead,
-        so only the other leads can divide it.  Counting on from ``done``,
-        polls once every ``every`` elements.  Returns the basis indices, largest
-        lead first."""
-        nonlocal reducers
-        rs = current_reducers()
-        order = sorted(active, key=lambda k: pkey(plms[k]), reverse=True)
-        for idx in order:
-            done += 1
-            if poll is not None and done % every == 0:
-                poll(GBStats(len(active), pairs_done, 0))
-            lm = plms[idx]
-            terms = polys[idx]
-            tail = _reduce_full({m: c for m, c in terms.items() if m != lm}, rs, pk, field)
-            polys[idx] = {lm: terms[lm], **tail}
-            entries[idx] = _reducer(lm, polys[idx], field)
-        reducers = None
-        return order
 
     # Seed the basis as the pair loop grows it: each generator, smallest lead
     # first, is reduced against the basis so far and added if nonzero.
@@ -598,12 +597,11 @@ def _buchberger(ideal: Ideal, pk: _Packing, poll, poll_every) -> GroebnerBasis:
     )
     pairs_done = 0
     for k, (_, terms) in enumerate(seed, 1):
-        h = _reduce_full(terms, current_reducers(), pk, field)
+        h = _reduce_full(terms, current_reducers(), pk, field, tick)
         if poll is not None and k % poll_every == 0:
             poll(GBStats(len(seed), 0, 0))
         if h:
             update(add_poly(*_monic(h, pk, field)))
-    reduce_tails(poll_every, len(seed))
 
     while pairs:
         _, _, i, j = heapq.heappop(queue)
@@ -611,15 +609,14 @@ def _buchberger(ideal: Ideal, pk: _Packing, poll, poll_every) -> GroebnerBasis:
         if lcm_ij is None:
             continue  # pruned by a later update
         s = _spoly_dict(polys[i], plms[i], polys[j], plms[j], lcm_ij, pk, field)
-        h = _reduce_full(s, current_reducers(), pk, field)
+        h = _reduce_full(s, current_reducers(), pk, field, tick)
         pairs_done += 1
-        if poll is not None and pairs_done % poll_every == 0:
-            poll(GBStats(len(active), pairs_done, len(pairs)))
+        if tick is not None and pairs_done % poll_every == 0:
+            tick()
         if h:
             update(add_poly(*_monic(h, pk, field)))
 
-    # Interreduce the minimal basis into the reduced one.
-    final = reduce_tails(1, 0)
+    final = sorted(active, key=lambda k: pkey(plms[k]), reverse=True)
     return GroebnerBasis(ring, [Polynomial(ring, pk.unpack_terms(polys[i])) for i in final])
 
 

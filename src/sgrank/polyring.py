@@ -589,7 +589,7 @@ def _tokenize(text: str):
     return tokens
 
 
-def parse_polynomial(text: str, nvars=None, field=QQ, order=GREVLEX, ring=None) -> Polynomial:
+def parse_polynomial(text: str, nvars=None, field=QQ, ring=None) -> Polynomial:
     """Parse the textual polynomial grammar.
 
     Terms are joined by ``+``/``-``; a term is ``[coeff][*]var(^exp)(*var(^exp))*``
@@ -604,7 +604,6 @@ def parse_polynomial(text: str, nvars=None, field=QQ, order=GREVLEX, ring=None) 
     if ring is not None:
         nvars = ring.nvars
         field = ring.field
-        order = ring.order
     if nvars is None:
         maxidx = -1
         for kind, value, _ in tokens:
@@ -612,7 +611,7 @@ def parse_polynomial(text: str, nvars=None, field=QQ, order=GREVLEX, ring=None) 
                 maxidx = max(maxidx, int(value[1:]))
         nvars = maxidx + 1 if maxidx >= 0 else 1
     if ring is None:
-        ring = PolyRing(nvars, field, order)
+        ring = PolyRing(nvars, field)
 
     terms = []
     i = 0

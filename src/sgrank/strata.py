@@ -48,13 +48,13 @@ class ProjectiveLine:
         return len(self.p) - 1
 
     @classmethod
-    def random(cls, rng: random.Random, n: int, field=QQ) -> "ProjectiveLine":
+    def random(cls, rng: random.Random, n: int) -> "ProjectiveLine":
         lo, hi = _COEFF_RANGE
         while True:
             p = [rng.randint(lo, hi) for _ in range(n + 1)]
             q = [rng.randint(lo, hi) for _ in range(n + 1)]
             try:
-                return cls(p, q, field)
+                return cls(p, q)
             except InvalidInputError:
                 continue
 

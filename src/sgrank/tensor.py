@@ -142,15 +142,13 @@ class SymmetricTensor(_Tensor):
         return Polynomial(ring, terms)
 
     @classmethod
-    def from_polynomial(cls, poly: Polynomial, degree=None) -> "SymmetricTensor":
+    def from_polynomial(cls, poly: Polynomial) -> "SymmetricTensor":
         """Inverse of to_polynomial: entry = coefficient over its multiplicity."""
         if poly.is_zero():
             raise InvalidInputError("cannot build a tensor from the zero polynomial")
         if not poly.is_homogeneous():
             raise InvalidInputError("tensor conversion needs a homogeneous polynomial")
         d = poly.total_degree()
-        if degree is not None and degree != d:
-            raise InvalidInputError(f"polynomial has degree {d}, expected {degree}")
         if d < 1:
             raise InvalidInputError("constant polynomials do not define a tensor")
         field = poly.ring.field

@@ -8,6 +8,7 @@ acceptance tests.
 
 from __future__ import annotations
 
+import functools
 import os
 import random
 import time
@@ -394,8 +395,10 @@ def _case_dim_bruteforce_wide(seed):
     return got == want, f"nvars={nvars}, {len(monos)} gens: dim={got}, brute force={want}"
 
 
+@functools.cache
 def _engine_forms():
-    """Representative forms from every family the golden suites exercise."""
+    """Representative forms from every family the golden suites exercise,
+    built once per process."""
     rng = random.Random(2024)
     forms = {
         "identity[3,3,3]": identity_tensor(3, 3, 3).to_polynomial(),
@@ -416,6 +419,8 @@ def _engine_forms():
         # Dense: its reduced basis has coefficients of about 250 bits.  Its
         # own generator leaves the draws of the other forms as they were.
         "random_cubic[n=4]": _random_symmetric_cubic(random.Random(4), 4).to_polynomial(),
+        # Denser still: 6 variables, basis coefficients up to 681 bits.
+        "random_cubic[n=5]": _random_symmetric_cubic(random.Random(5), 5).to_polynomial(),
         "random_matrix[m=5]": SymmetricTensor(
             2, 5,
             {(i, j): v for i in range(5) for j in range(i, 5) if (v := rng.randint(-5, 5))},

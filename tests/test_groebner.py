@@ -22,6 +22,7 @@ from sgrank.groebner import (
 from sgrank.polyring import GREVLEX, LEX, PolyRing, PrimeField, QQ, parse_polynomial
 from sgrank.rank import matrix_rank, singular_ideal
 from sgrank.tensor import big_cw, complete_homogeneous_cubic, sym_matrix_mult
+from sgrank.verify import _random_symmetric_cubic
 
 FP = PrimeField(2**31 - 1)
 
@@ -331,7 +332,7 @@ def test_poll_cancellation():
 
     def poll(stats):
         if stats.pairs_done == 0:
-            return  # seed interreduction; cancel from the pair loop
+            return  # seed step; cancel from the pair loop
         raise ComputationTimeout("stop", basis_size=stats.basis_size,
                                  pairs_done=stats.pairs_done, pairs_left=stats.pairs_left)
 
@@ -358,15 +359,23 @@ def test_poll_fires_during_seed_interreduction():
     assert len(seen) == 1 and seen[0].pairs_done == 0 and seen[0].basis_size == 3
 
 
-def test_poll_cancels_final_interreduction():
-    # poll_every exceeds the pair count, so only the once-per-element poll of
-    # the final interreduction can fire
+def test_poll_fires_during_tail_rewrite():
+    # poll_every exceeds every count, so only the once-per-tail poll of the
+    # update can fire: the second seed reduces to lead x1^2, which divides a
+    # tail term of the first
     r = PolyRing(3)
-    gens = [
-        P("x0^2 + x1^2 + x2^2", ring=r),
-        P("x0*x1 + x1*x2", ring=r),
-        P("x0*x2 + x1^2", ring=r),
-    ]
+    gens = [P("x0^2 + x1^2 + x2^2", ring=r), P("x1*x2 + x0^2", ring=r)]
+    seen = []
+    gb = buchberger(gens, poll=seen.append, poll_every=10**6)
+    assert seen == [GBStats(2, 0, 0)]
+    assert list(gb) == [P("x0^2 + x1*x2", ring=r), P("x1^2 - x1*x2 + x2^2", ring=r)]
+    assert list(buchberger(gens)) == list(gb)
+
+
+def test_poll_fires_inside_one_long_reduction():
+    # x0^5000 takes 5000 steps to reduce by x0 - x1, with no pair and no
+    # rewrite to poll between them
+    r = PolyRing(2)
     seen = []
 
     def poll(stats):
@@ -375,15 +384,17 @@ def test_poll_cancels_final_interreduction():
                                  pairs_done=stats.pairs_done, pairs_left=stats.pairs_left)
 
     with pytest.raises(ComputationTimeout):
-        buchberger(gens, poll=poll, poll_every=10**6)
-    assert len(seen) == 1 and seen[0].pairs_left == 0 and seen[0].pairs_done >= 1
+        buchberger([P("x0 - x1", ring=r), P("x0^5000", ring=r)], poll=poll, poll_every=10**6)
+    assert seen == [GBStats(1, 0, 0)]
 
 
 @pytest.mark.parametrize("form, counts", [
     (lambda: sym_matrix_mult(3).convert_field(FP), (95, 57, 25)),
     (lambda: complete_homogeneous_cubic(5).to_polynomial(), (177, 60, 43)),
     (lambda: big_cw(2, 3).to_polynomial(), (4, 3, 4)),
-], ids=["sym_matrix_mult-3-Fp", "h3-5-QQ", "big_cw-2-3-QQ"])
+    # dense, 6 variables, basis coefficients up to 681 bits
+    (lambda: _random_symmetric_cubic(random.Random(5), 5).to_polynomial(), (156, 80, 39)),
+], ids=["sym_matrix_mult-3-Fp", "h3-5-QQ", "big_cw-2-3-QQ", "random-cubic-5-QQ"])
 def test_engine_counts_pinned(form, counts):
     # (pairs reduced, peak queued pairs, basis size) guard the pair-selection
     # order and the criteria against engine changes
