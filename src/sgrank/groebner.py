@@ -37,18 +37,19 @@ grow: when packing, in the S-pair multiplier and on every new term of a
 reduction; an lcm checks its recomputed degree.  An overflow aborts the run,
 which restarts from the input at twice the width.
 
-Packed polynomials are {int: coefficient} dicts and all basis elements are
-kept monic, so a reduction step is a fused multiply-subtract.  The reduction
-loops keep plain ints, in the heap-division style of Monagan & Pearce
-("Sparse polynomial division using a heap", JSC 2011).  Over a prime field
-each coefficient is reduced mod p once, when its monomial is extracted.
-Over the rationals each reducer tail is stored once as int numerators over
-one common denominator, and a working coefficient is an unnormalized
-(num, den) pair: one gcd when it is extracted, one more per reduction step
-for all the step's terms.  Equal denominators subtract without a multiply;
-unlike ones meet over their lcm, which a gcd cuts back once it is more than
-64 bits wider than the step's own.  Fractions stay at the edges: basis
-elements, S-polynomials and remainders hold them.
+Each basis element is one reducer entry (lead, D, tail), monic, so a
+reduction step is a fused multiply-subtract.  Over a prime field D is 1 and
+the tail holds residues; over the rationals it holds int numerators over the
+common denominator D.  S-polynomials and remainders are {int: coefficient}
+dicts in the working coefficients of the reduction loops, after the heap
+division of Monagan & Pearce ("Sparse polynomial division using a heap", JSC
+2011): over a prime field ints, reduced mod p once, when their monomial is
+extracted; over the rationals unnormalized (num, den) int pairs, with one gcd
+when extracted and one more per reduction step for all the step's terms.
+Equal denominators subtract without a multiply; unlike ones meet over their
+lcm, which a gcd cuts back once it is more than 64 bits wider than the
+step's own.  Fractions enter and leave only through pack_terms and
+unpack_terms; _entry also uses them to make a new element monic.
 """
 
 from __future__ import annotations
@@ -230,13 +231,20 @@ class _Packing:
         fmask = self.fmask
         return tuple(p >> s & fmask for s in self.shifts)
 
-    def pack_terms(self, terms: dict) -> dict:
+    def pack_terms(self, terms: dict, field) -> dict:
+        """Packed working terms of a polynomial's terms: residues over a prime
+        field, (numerator, denominator) int pairs over the rationals."""
         pack = self.pack
-        return {pack(m): c for m, c in terms.items()}
+        if isinstance(field, PrimeField):
+            return {pack(m): c for m, c in terms.items()}
+        return {pack(m): (c.numerator, c.denominator) for m, c in terms.items()}
 
-    def unpack_terms(self, terms: dict) -> dict:
+    def unpack_terms(self, terms: dict, field) -> dict:
+        """Polynomial terms of packed working terms (the inverse of pack_terms)."""
         unpack = self.unpack
-        return {unpack(m): c for m, c in terms.items()}
+        if isinstance(field, PrimeField):
+            return {unpack(m): c for m, c in terms.items()}
+        return {unpack(m): Fraction(n, d) for m, (n, d) in terms.items()}
 
 
 def _packed_run(ring: PolyRing, degree: int, run):
@@ -254,58 +262,54 @@ def _packed_run(ring: PolyRing, degree: int, run):
 # Reduction (multivariate division)
 # ---------------------------------------------------------------------------
 
-def _monic(terms: dict, pk: _Packing, field):
-    """(leading monomial, monic copy) of a nonzero packed term dict."""
+def _entry(terms: dict, pk: _Packing, field):
+    """The monic reducer entry (lead, D, tail) of nonzero packed working terms.
+    The tail lists the (monomial, coefficient) terms below the lead: residues
+    and D = 1 over a prime field, int numerators over D, the lcm of their
+    denominators, over the rationals."""
     lm = max(terms, key=pk.key)
-    lc = terms[lm]
-    if lc == field.one:
-        return lm, dict(terms)
-    inv = field.inv(lc)
     if isinstance(field, PrimeField):
         p = field.p
-        return lm, {m: c * inv % p for m, c in terms.items()}
-    return lm, {m: c * inv for m, c in terms.items()}
-
-
-def _reducer(lm: int, terms: dict, field):
-    """The (leading monomial, tail) entry of the monic packed terms with lead lm.
-
-    Over a prime field the tail is a list of (monomial, coefficient).  Over
-    the rationals it is (D, [(monomial, numerator)]): every coefficient is
-    put over the lcm D of the tail's denominators, so it is an int numerator.
-    """
-    tail = [(m, c) for m, c in terms.items() if m != lm]
-    if isinstance(field, PrimeField):
-        return lm, tail
+        inv = field.inv(terms[lm])
+        return lm, 1, [(m, c * inv % p) for m, c in terms.items() if m != lm]
+    ln, ld = terms[lm]
+    tail = [(m, Fraction(n * ld, d * ln)) for m, (n, d) in terms.items() if m != lm]
     den = lcm(*(c.denominator for _, c in tail))
-    return lm, (den, [(m, c.numerator * (den // c.denominator)) for m, c in tail])
+    return lm, den, [(m, c.numerator * (den // c.denominator)) for m, c in tail]
 
 
-def _reduce_full(fdict: dict, reducers, pk: _Packing, field, tick=None) -> dict:
-    """Full normal form of the packed fdict modulo the (monic) reducers.
+def _entry_terms(entry, field) -> dict:
+    """The packed working terms of a reducer entry, its monic lead included."""
+    lm, den, tail = entry
+    if isinstance(field, PrimeField):
+        return {lm: 1, **dict(tail)}
+    return {lm: (1, 1), **{m: (n, den) for m, n in tail}}
+
+
+def _reduce_full(terms: dict, reducers, pk: _Packing, field, tick=None) -> dict:
+    """Full normal form of the packed working terms modulo the reducer entries.
 
     Repeatedly extracts the largest remaining monomial; either eliminates it
     with the first reducer whose lead divides it or moves it to the remainder.
     A lazy-deletion heap of negated order keys keeps extraction cheap.  The
-    working coefficients are plain ints in both fields.  Over a prime field
-    they are reduced mod p once, when popped; an entry that cancels mod p is
-    dropped then.  Over the rationals (_reduce_rational) a work entry is an
-    unnormalized int pair (num, den), den > 0: it gets one gcd when popped
-    and is dropped if num is 0.  A step by a reducer whose tail is numerators
-    over D cancels gcd(num, D) once, which puts every new term over the same
-    denominator E.  An entry already over E subtracts without a multiply;
-    any other is put over lcm(den, E) and, once that is more than 64 bits
-    wider than E, cut back by a gcd.  The remainder leaves as Fractions.
-    ``tick``, when given, is called every 1,024 pops and may raise to cancel.
+    working coefficients are plain ints in both fields, and the remainder
+    leaves in them too.  Over a prime field they are residues, reduced mod p
+    once, when popped; an entry that cancels mod p is dropped then.  Over the
+    rationals (_reduce_rational) a work entry is an unnormalized int pair
+    (num, den), den > 0: it gets one gcd when popped and is dropped if num is
+    0.  A step by a reducer whose tail is numerators over D cancels
+    gcd(num, D) once, which puts every new term over the same denominator E.
+    An entry already over E subtracts without a multiply; any other is put
+    over lcm(den, E) and, once that is more than 64 bits wider than E, cut
+    back by a gcd.  ``tick``, when given, is called every 1,024 pops and may
+    raise to cancel.
     """
-    if not fdict or not reducers:
-        return dict(fdict)
     if not isinstance(field, PrimeField):
-        return _reduce_rational(fdict, reducers, pk, tick)
+        return _reduce_rational(terms, reducers, pk, tick)
     p = field.p
     mask = pk.mask
     guard = pk.guard
-    work = dict(fdict)
+    work = dict(terms)
     heap = [-(m ^ mask) for m in work]
     heapq.heapify(heap)
     push = heapq.heappush
@@ -322,7 +326,7 @@ def _reduce_full(fdict: dict, reducers, pk: _Packing, field, tick=None) -> dict:
         c %= p
         if not c:
             continue
-        for lm, tail in reducers:
+        for lm, _, tail in reducers:
             shift = m - lm
             if shift & guard:
                 continue  # lm does not divide m
@@ -348,12 +352,12 @@ def _reduce_full(fdict: dict, reducers, pk: _Packing, field, tick=None) -> dict:
     return rem
 
 
-def _reduce_rational(fdict: dict, reducers, pk: _Packing, tick) -> dict:
+def _reduce_rational(terms: dict, reducers, pk: _Packing, tick) -> dict:
     """The rational loop of _reduce_full, on (num, den) int pairs; reducer
-    tails are (D, numerators) as _reducer builds them."""
+    tails are numerators over D, as _entry builds them."""
     mask = pk.mask
     guard = pk.guard
-    work = {m: (c.numerator, c.denominator) for m, c in fdict.items()}
+    work = dict(terms)
     heap = [-(m ^ mask) for m in work]
     heapq.heapify(heap)
     push = heapq.heappush
@@ -374,7 +378,7 @@ def _reduce_rational(fdict: dict, reducers, pk: _Packing, tick) -> dict:
         if g != 1:
             num //= g
             den //= g
-        for lm, (dt, tail) in reducers:
+        for lm, dt, tail in reducers:
             shift = m - lm
             if shift & guard:
                 continue  # lm does not divide m
@@ -408,7 +412,7 @@ def _reduce_rational(fdict: dict, reducers, pk: _Packing, tick) -> dict:
                         work[mm] = (v, d)
             break
         else:
-            rem[m] = Fraction(num, den)
+            rem[m] = num, den
     return rem
 
 
@@ -428,10 +432,11 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
 
     def run(pk):
         reducers = sorted(
-            (_reducer(*_monic(pk.pack_terms(g.terms), pk, field), field) for g in divisors),
+            (_entry(pk.pack_terms(g.terms, field), pk, field) for g in divisors),
             key=lambda e: pk.key(e[0]),
         )
-        return pk.unpack_terms(_reduce_full(pk.pack_terms(f.terms), reducers, pk, field))
+        rem = _reduce_full(pk.pack_terms(f.terms, field), reducers, pk, field)
+        return pk.unpack_terms(rem, field)
 
     degree = max(g.total_degree() for g in (f, *divisors))
     return Polynomial(ring, _packed_run(ring, degree, run))
@@ -447,41 +452,42 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     field = ring.field
 
     def run(pk):
-        lmf, fm = _monic(pk.pack_terms(f.terms), pk, field)
-        lmg, gm = _monic(pk.pack_terms(g.terms), pk, field)
-        return pk.unpack_terms(_spoly_dict(fm, lmf, gm, lmg, pk.lcm(lmf, lmg), pk, field))
+        ef = _entry(pk.pack_terms(f.terms, field), pk, field)
+        eg = _entry(pk.pack_terms(g.terms, field), pk, field)
+        return pk.unpack_terms(_spoly(ef, eg, pk.lcm(ef[0], eg[0]), pk, field), field)
 
     return Polynomial(ring, _packed_run(ring, max(f.total_degree(), g.total_degree()), run))
 
 
-def _spoly_dict(fi: dict, lmi, fj: dict, lmj, lcm, pk: _Packing, field) -> dict:
-    """S-polynomial of the monic packed fi and fj, whose leads have the packed lcm."""
+def _spoly(ei, ej, lcm, pk: _Packing, field) -> dict:
+    """S-polynomial of the entries ei and ej, whose leads have the packed lcm,
+    as packed working terms.  The monic leads cancel, so it is the tail of ei
+    minus the tail of ej, each shifted up to the lcm."""
+    li, di, ti = ei
+    lj, dj, tj = ej
+    ui = lcm - li
+    uj = lcm - lj
+    si = [(m + ui, c) for m, c in ti]
+    sj = [(m + uj, c) for m, c in tj]
     guard = pk.guard
-    ui = lcm - lmi
-    uj = lcm - lmj
-    out = {}
-    for m, c in fi.items():
-        mm = m + ui
-        if mm & guard:
-            raise _Overflow
-        out[mm] = c
-    zero = field.zero
-    sub = field.sub
-    neg = field.neg
-    for m, c in fj.items():
-        mm = m + uj
-        if mm & guard:
-            raise _Overflow
-        prev = out.get(mm)
-        if prev is None:
-            out[mm] = neg(c)
-        else:
-            v = sub(prev, c)
-            if v == zero:
-                del out[mm]
-            else:
-                out[mm] = v
-    return out
+    if any(m & guard for m, _ in chain(si, sj)):
+        raise _Overflow
+    if isinstance(field, PrimeField):
+        p = field.p
+        out = dict(si)
+        for m, c in sj:
+            out[m] = (out.get(m, 0) - c) % p
+        return {m: c for m, c in out.items() if c}
+    # Over the rationals the tails are numerators over di and dj.
+    g = gcd(di, dj)
+    qi = di // g
+    qj = dj // g
+    den = qi * dj
+    out = {m: (n, di) for m, n in si}
+    for m, n in sj:
+        prev = out.get(m)
+        out[m] = (-n, dj) if prev is None else (prev[0] * qj - n * qi, den)
+    return {m: c for m, c in out.items() if c[0]}
 
 
 # ---------------------------------------------------------------------------
@@ -515,9 +521,7 @@ def _buchberger(ideal: Ideal, pk: _Packing, poll, poll_every) -> GroebnerBasis:
     lcm = pk.lcm
     degree = pk.degree
 
-    polys: list[dict] = []   # monic packed candidates; update() rewrites tails
-    plms: list[int] = []     # packed lead of each
-    entries: list = []       # _reducer entry of each, rebuilt with its tail
+    entries: list = []       # reducer entry of each candidate; update() rewrites tails
     active: list[int] = []   # indices of the current basis, ascending
     pairs: dict = {}         # live pairs (i, j), i < j -> packed lcm of their leads
     queue: list = []         # heap of (deg lcm, order key of lcm, i, j)
@@ -531,12 +535,14 @@ def _buchberger(ideal: Ideal, pk: _Packing, poll, poll_every) -> GroebnerBasis:
             reducers = sorted((entries[i] for i in active), key=lambda e: pkey(e[0]))
         return reducers
 
-    def update(ih):
-        """Gebauer-Moeller update with new element ih; keeps every tail reduced."""
+    def update(entry):
+        """Gebauer-Moeller update with a new entry; keeps every tail reduced."""
         nonlocal reducers
-        mh = plms[ih]
+        ih = len(entries)
+        entries.append(entry)
+        mh = entry[0]
         # lcm(mh, lm_g) once per basis element; the phases below share it.
-        lcm_h = {ig: lcm(mh, plms[ig]) for ig in active}
+        lcm_h = {ig: lcm(mh, entries[ig][0]) for ig in active}
         # Phase 1: filter candidate pairs (ih, g) with the chain criterion.
         # Coprime pairs stay in D, where they still cover later candidates.
         candidates = list(active)
@@ -544,7 +550,7 @@ def _buchberger(ideal: Ideal, pk: _Packing, poll, poll_every) -> GroebnerBasis:
         while candidates:
             ig = candidates.pop()
             lcm_hg = lcm_h[ig]
-            if lcm_hg == mh + plms[ig] or not any(
+            if lcm_hg == mh + entries[ig][0] or not any(
                 not (lcm_hg - lcm_h[ip]) & guard for ip in chain(candidates, D)
             ):
                 D.append(ig)
@@ -554,24 +560,25 @@ def _buchberger(ideal: Ideal, pk: _Packing, poll, poll_every) -> GroebnerBasis:
         dead = [
             ij for ij, l12 in pairs.items()
             if not (l12 - mh) & guard
-            and all((lcm_h.get(i) or lcm(mh, plms[i])) != l12 for i in ij)
+            and all((lcm_h.get(i) or lcm(mh, entries[i][0])) != l12 for i in ij)
         ]
         for ij in dead:
             del pairs[ij]
         # Phase 3: retire basis elements whose lead became divisible.
-        survivors = [ig for ig in active if (plms[ig] - mh) & guard]
+        survivors = [ig for ig in active if (entries[ig][0] - mh) & guard]
         active[:] = survivors + [ih]  # ih is the newest, so the largest index
         reducers = None
         # Phase 4: rewrite each tail with a term that mh divides (no survivor's
         # lead is one).  The lead stays, and with it every pair criterion.
         for ig in survivors:
-            terms = polys[ig]
-            if len(terms) == 1 or all((m - mh) & guard for m in terms):
+            lm, _, tail = entries[ig]
+            if all((m - mh) & guard for m, _ in tail):
                 continue
-            lm = plms[ig]
-            tail = {m: c for m, c in terms.items() if m != lm}
-            polys[ig] = {lm: terms[lm], **_reduce_full(tail, current_reducers(), pk, field, tick)}
-            entries[ig] = _reducer(lm, polys[ig], field)
+            terms = _entry_terms(entries[ig], field)
+            lc = terms.pop(lm)
+            terms = _reduce_full(terms, current_reducers(), pk, field, tick)
+            terms[lm] = lc
+            entries[ig] = _entry(terms, pk, field)
             reducers = None
             if tick is not None:
                 tick()
@@ -579,45 +586,41 @@ def _buchberger(ideal: Ideal, pk: _Packing, poll, poll_every) -> GroebnerBasis:
         # (Buchberger's first criterion).
         for ig in D:
             lcm_hg = lcm_h[ig]
-            if lcm_hg != mh + plms[ig]:
+            if lcm_hg != mh + entries[ig][0]:
                 pairs[(ig, ih)] = lcm_hg
                 heapq.heappush(queue, (degree(lcm_hg), pkey(lcm_hg), ig, ih))
-
-    def add_poly(plm: int, monic: dict) -> int:
-        polys.append(monic)
-        plms.append(plm)
-        entries.append(_reducer(plm, monic, field))
-        return len(polys) - 1
 
     # Seed the basis as the pair loop grows it: each generator, smallest lead
     # first, is reduced against the basis so far and added if nonzero.
     seed = sorted(
-        (_monic(pk.pack_terms(g.terms), pk, field) for g in ideal.generators),
-        key=lambda e: pkey(e[0]),
+        (pk.pack_terms(g.terms, field) for g in ideal.generators),
+        key=lambda terms: pkey(max(terms, key=pkey)),
     )
     pairs_done = 0
-    for k, (_, terms) in enumerate(seed, 1):
+    for k, terms in enumerate(seed, 1):
         h = _reduce_full(terms, current_reducers(), pk, field, tick)
         if poll is not None and k % poll_every == 0:
             poll(GBStats(len(seed), 0, 0))
         if h:
-            update(add_poly(*_monic(h, pk, field)))
+            update(_entry(h, pk, field))
 
     while pairs:
         _, _, i, j = heapq.heappop(queue)
         lcm_ij = pairs.pop((i, j), None)
         if lcm_ij is None:
             continue  # pruned by a later update
-        s = _spoly_dict(polys[i], plms[i], polys[j], plms[j], lcm_ij, pk, field)
+        s = _spoly(entries[i], entries[j], lcm_ij, pk, field)
         h = _reduce_full(s, current_reducers(), pk, field, tick)
         pairs_done += 1
         if tick is not None and pairs_done % poll_every == 0:
             tick()
         if h:
-            update(add_poly(*_monic(h, pk, field)))
+            update(_entry(h, pk, field))
 
-    final = sorted(active, key=lambda k: pkey(plms[k]), reverse=True)
-    return GroebnerBasis(ring, [Polynomial(ring, pk.unpack_terms(polys[i])) for i in final])
+    final = sorted(active, key=lambda k: pkey(entries[k][0]), reverse=True)
+    return GroebnerBasis(ring, [
+        Polynomial(ring, pk.unpack_terms(_entry_terms(entries[i], field), field)) for i in final
+    ])
 
 
 def ideal_membership(f: Polynomial, basis) -> bool:

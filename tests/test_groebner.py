@@ -1,5 +1,6 @@
 """Groebner engine tests: bases, reduction, membership and dimension."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -249,6 +250,48 @@ def test_spolynomial_matches_definition():
     assert s == P("x1^3", ring=r)
 
 
+def _textbook_spoly(f, g):
+    """lcm/LT(f) * f - lcm/LT(g) * g, in plain Polynomial arithmetic."""
+    ring = f.ring
+    lcm = tuple(map(max, f.leading_monomial(), g.leading_monomial()))
+
+    def lift(p):
+        u = tuple(a - b for a, b in zip(lcm, p.leading_monomial()))
+        return ring.from_dict({u: ring.field.inv(p.leading_coefficient())}) * p
+
+    return lift(f) - lift(g)
+
+
+@pytest.mark.parametrize("field, order", [(QQ, GREVLEX), (FP, GREVLEX), (QQ, LEX)],
+                         ids=["QQ", "Fp", "lex-QQ"])
+def test_spolynomial_matches_textbook_definition(field, order):
+    # Non-monic inputs with rational coefficients.  Most g are a multiple of
+    # f plus a few terms, so the shifted tails share monomials: some cancel
+    # outright, some only partly.
+    rng = random.Random(31)
+    ring = PolyRing(3, field, order)
+
+    def poly(count):
+        return ring.from_dict({
+            tuple(rng.randint(0, 2) for _ in range(3)): Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+            for _ in range(count)
+        })
+
+    shared = 0
+    for _ in range(300):
+        f = poly(rng.randint(1, 6))
+        g = poly(rng.randint(0, 3))
+        if rng.random() < 0.7:
+            g = g + poly(1) * f
+        if f.is_zero() or g.is_zero():
+            continue
+        s = s_polynomial(f, g)
+        assert s == _textbook_spoly(f, g)
+        assert all(c != field.zero for c in s.terms.values())
+        shared += len(s) < len(f) + len(g) - 2
+    assert shared > 100
+
+
 def test_unit_ideal():
     r = PolyRing(2)
     gb = buchberger([P("x0", ring=r), P("x0 + 1", ring=r)])
@@ -340,7 +383,7 @@ def test_poll_cancellation():
         buchberger(gens, poll=poll, poll_every=1)
 
 
-def test_poll_fires_during_seed_interreduction():
+def test_poll_fires_during_seed_step():
     r = PolyRing(3)
     gens = [
         P("x0^2 + x1^2 + x2^2", ring=r),
@@ -388,16 +431,20 @@ def test_poll_fires_inside_one_long_reduction():
     assert seen == [GBStats(1, 0, 0)]
 
 
-@pytest.mark.parametrize("form, counts", [
-    (lambda: sym_matrix_mult(3).convert_field(FP), (95, 57, 25)),
-    (lambda: complete_homogeneous_cubic(5).to_polynomial(), (177, 60, 43)),
-    (lambda: big_cw(2, 3).to_polynomial(), (4, 3, 4)),
+@pytest.mark.parametrize("form, counts, digest", [
+    (lambda: sym_matrix_mult(3).convert_field(FP), (95, 57, 25), "f4f728549ec93dde"),
+    (lambda: complete_homogeneous_cubic(5).to_polynomial(), (177, 60, 43), "f40090886b5e2a3b"),
+    (lambda: big_cw(2, 3).to_polynomial(), (4, 3, 4), "1b3297379b1ba7d1"),
     # dense, 6 variables, basis coefficients up to 681 bits
-    (lambda: _random_symmetric_cubic(random.Random(5), 5).to_polynomial(), (156, 80, 39)),
-], ids=["sym_matrix_mult-3-Fp", "h3-5-QQ", "big_cw-2-3-QQ", "random-cubic-5-QQ"])
-def test_engine_counts_pinned(form, counts):
+    (lambda: _random_symmetric_cubic(random.Random(5), 5).to_polynomial(), (156, 80, 39),
+     "cfc9b9d26e55a557"),
+    (lambda: sym_matrix_mult(3).convert_order(LEX), (95, 55, 25), "c83eccf283874507"),
+], ids=["sym_matrix_mult-3-Fp", "h3-5-QQ", "big_cw-2-3-QQ", "random-cubic-5-QQ",
+        "sym_matrix_mult-3-lex-QQ"])
+def test_engine_counts_pinned(form, counts, digest):
     # (pairs reduced, peak queued pairs, basis size) guard the pair-selection
-    # order and the criteria against engine changes
+    # order and the criteria against engine changes; the reduced basis is
+    # unique, so its digest guards every coefficient
     done = [0]
     peak = [0]
 
@@ -407,6 +454,7 @@ def test_engine_counts_pinned(form, counts):
 
     gb = buchberger(singular_ideal(form()), poll=poll, poll_every=1)
     assert (done[0], peak[0], len(gb)) == counts
+    assert hashlib.sha256("\n".join(map(str, gb)).encode()).hexdigest()[:16] == digest
 
 
 # ---------------------------------------------------------------------------
