@@ -516,16 +516,18 @@ class Polynomial:
         return total
 
     def substitute_linear(self, matrix) -> "Polynomial":
-        """Return F(A^T x) for a square matrix A over the same field.
+        """Return F(A^T y) for a k x n matrix A over the same field.
 
-        Row i of ``matrix`` is the image of e_i, matching the matrix action on
-        tensors: the substitution sends x_i to sum_j A[j][i] x_j.
+        Row j of ``matrix`` is the image of e_j, matching the matrix action on
+        tensors: the substitution sends x_i to sum_j A[j][i] y_j.  The result
+        lives in k variables over the same field and order, so two rows p, q
+        restrict F to the line through them as F(y0*p + y1*q).
         """
-        ring = self.ring
-        n = ring.nvars
+        n = self.ring.nvars
         rows = [list(r) for r in matrix]
-        if len(rows) != n or any(len(r) != n for r in rows):
-            raise DimensionMismatchError(f"matrix must be {n}x{n}")
+        if not rows or any(len(r) != n for r in rows):
+            raise DimensionMismatchError(f"matrix must have k >= 1 rows of {n} entries")
+        ring = PolyRing(len(rows), self.ring.field, self.ring.order)
         gens = ring.gens()
         images = [sum((g * row[i] for g, row in zip(gens, rows)), ring.zero()) for i in range(n)]
         pow_cache = [{0: ring.one()} for _ in range(n)]

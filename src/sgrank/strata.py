@@ -1,7 +1,9 @@
 """Samplers and membership tests for the rank stratification of cubic forms.
 
 Membership in the stratum of forms with symmetric geometric rank at most r is
-decided by the rank engine itself, never by factorization.  The samplers draw
+decided by the rank engine itself, never by factorization.  Line tangency uses
+the same Groebner engine on the form restricted to the line (through
+``Polynomial.substitute_linear``), in every characteristic.  The samplers draw
 small uniform integer coefficients (range -5..5) with rejection where a shape
 constraint requires it; every sampler is a deterministic function of its
 parameters and seed.  Samples and the binary cubic discriminant are over QQ;
@@ -15,6 +17,7 @@ import enum
 import random
 
 from .errors import DimensionMismatchError, InvalidInputError
+from .groebner import buchberger, ideal_dimension
 from .polyring import PolyRing, Polynomial, QQ
 from .rank import matrix_rank, sgr
 
@@ -222,79 +225,38 @@ def binary_cubic_discriminant(a1, a2, a3, a4):
 # Line tangency
 # ---------------------------------------------------------------------------
 
-def restrict_to_line(form: Polynomial, line: ProjectiveLine):
-    """Coefficients of F(s*p + t*q) as a binary form: index i holds s^i t^(d-i)."""
-    ring = form.ring
-    if line.ambient + 1 != ring.nvars:
+def _restriction(form: Polynomial, line: ProjectiveLine) -> Polynomial:
+    """F(s*p + t*q) as a binary form in s = x0 and t = x1."""
+    if line.ambient + 1 != form.ring.nvars:
         raise InvalidInputError("line and form live in different ambient spaces")
-    field = ring.field
-    if line.field != field:
-        raise DimensionMismatchError(f"line over {line.field.name}, form over {field.name}")
+    if line.field != form.ring.field:
+        raise DimensionMismatchError(f"line over {line.field.name}, form over {form.ring.field.name}")
+    return form.substitute_linear([line.p, line.q])
+
+
+def restrict_to_line(form: Polynomial, line: ProjectiveLine):
+    """Coefficients of F(s*p + t*q) as a binary form: index i holds s^i t^(d-i).
+
+    The restriction is ``form.substitute_linear([p, q])`` with s = x0, t = x1.
+    """
+    g = _restriction(form, line)
     d = form.total_degree()
-    coeffs = [field.zero] * (d + 1)
-    for mono, c in form.terms.items():
-        # expand prod_i (p_i s + q_i t)^{e_i} as a coefficient list in s
-        factor = [field.one]
-        for i, e in enumerate(mono):
-            for _ in range(e):
-                pi, qi = line.p[i], line.q[i]
-                new = [field.zero] * (len(factor) + 1)
-                for k, v in enumerate(factor):
-                    if v == field.zero:
-                        continue
-                    new[k] = field.add(new[k], field.mul(v, qi))
-                    new[k + 1] = field.add(new[k + 1], field.mul(v, pi))
-                factor = new
-        for k, v in enumerate(factor):
-            if v != field.zero:
-                coeffs[k] = field.add(coeffs[k], field.mul(c, v))
-    return coeffs
-
-
-def _gcd_degree(u, v, field):
-    """Degree of gcd of two univariate coefficient lists (lowest degree first)."""
-
-    def trim(w):
-        while w and w[-1] == field.zero:
-            w.pop()
-        return w
-
-    u = trim(list(u))
-    v = trim(list(v))
-    while v:
-        # u mod v
-        while len(u) >= len(v) and u:
-            f = field.div(u[-1], v[-1])
-            shift = len(u) - len(v)
-            for i, w in enumerate(v):
-                u[i + shift] = field.sub(u[i + shift], field.mul(f, w))
-            u = trim(u)
-        u, v = v, u
-    return len(u) - 1
+    return [g.coefficient((i, d - i)) for i in range(d + 1)]
 
 
 def line_tangency(form: Polynomial, line: ProjectiveLine) -> Tangency:
     """Whether the hypersurface meets the line with a repeated intersection.
 
-    Restricts the form to the line and decides exactly whether the resulting
-    binary form has a repeated root, which is a nontrivial common factor with
-    its derivative.  A line inside the hypersurface is its own outcome.
+    The restriction G to the line has a repeated root exactly when G, dG/ds
+    and dG/dt share a projective zero, that is when the Groebner engine finds
+    their ideal of affine dimension at least one.  Keeping G in the ideal
+    makes this hold in every characteristic, p dividing the degree included.
+    A line inside the hypersurface is its own outcome.
     """
     if form.is_zero() or not form.is_homogeneous() or form.total_degree() < 2:
         raise InvalidInputError("tangency needs a nonzero homogeneous form of degree >= 2")
-    field = form.ring.field
-    coeffs = restrict_to_line(form, line)
-    if all(c == field.zero for c in coeffs):
+    g = _restriction(form, line)
+    if g.is_zero():
         return Tangency.CONTAINED
-    d = len(coeffs) - 1
-    k = max(i for i, c in enumerate(coeffs) if c != field.zero)
-    if d - k >= 2:
-        # the point at infinity on the line is a root of multiplicity >= 2
-        return Tangency.TANGENT
-    if k <= 1:
-        return Tangency.NOT_TANGENT
-    u = coeffs[: k + 1]
-    du = [field.mul(field.convert(i), u[i]) for i in range(1, k + 1)]
-    if _gcd_degree(u, du, field) >= 1:
-        return Tangency.TANGENT
-    return Tangency.NOT_TANGENT
+    basis = buchberger([g, g.partial_derivative(0), g.partial_derivative(1)])
+    return Tangency.TANGENT if ideal_dimension(basis) >= 1 else Tangency.NOT_TANGENT

@@ -253,6 +253,16 @@ def test_substitute_agrees_with_evaluation():
         v = [rng.randint(-3, 3) for _ in range(3)]
         atv = [sum(a[j][i] * v[j] for j in range(3)) for i in range(3)]
         assert g.evaluate(v) == f.evaluate(atv)
+    # k x 3 matrices map into k variables: a line (k = 2) and a lift (k = 4)
+    for k in (2, 4):
+        for _ in range(30):
+            f = random_poly(rng, ring)
+            a = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(k)]
+            g = f.substitute_linear(a)
+            assert g.ring == PolyRing(k)
+            v = [rng.randint(-3, 3) for _ in range(k)]
+            atv = [sum(a[j][i] * v[j] for j in range(k)) for i in range(3)]
+            assert g.evaluate(v) == f.evaluate(atv)
 
 
 def test_substitute_is_an_action():
@@ -271,6 +281,10 @@ def test_substitute_shape_check():
     f = parse_polynomial("x0", nvars=2)
     with pytest.raises(DimensionMismatchError):
         f.substitute_linear([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(DimensionMismatchError):
+        f.substitute_linear([[1, 0], [0, 1, 0]])  # one row of the wrong length
+    with pytest.raises(DimensionMismatchError):
+        f.substitute_linear([])
 
 
 # ---------------------------------------------------------------------------

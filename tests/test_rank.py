@@ -28,22 +28,9 @@ from sgrank.tensor import (
     sym_matrix_mult,
     w_state,
 )
+from sgrank.verify import _random_symmetric_cubic as random_symmetric_cubic
 
 FP = PrimeField(2**31 - 1)
-
-
-def random_symmetric_cubic(rng, n):
-    m = n + 1
-    while True:
-        entries = {}
-        for i in range(m):
-            for j in range(i, m):
-                for k in range(j, m):
-                    v = rng.randint(-5, 5)
-                    if v:
-                        entries[(i, j, k)] = v
-        if entries:
-            return SymmetricTensor(3, m, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +149,20 @@ def test_sgr_field_override():
     assert sgr(sym_matrix_mult(3), field=FP) == sgr(sym_matrix_mult(3)) == 5
     with pytest.raises(InvalidInputError):
         sgr(complete_homogeneous_cubic(2), field=PrimeField(3))
+
+
+def test_small_primes_never_raise_the_rank():
+    # reducing mod p can only lower the rank of each degree's Macaulay
+    # matrix, so over Fp (p above the degree) SGR and GR never exceed QQ's
+    strict = 0
+    for s in range(40):
+        t = random_symmetric_cubic(random.Random(s), 1 + s % 3)
+        rational = (sgr(t), gr(t))
+        for p in (5, 7, 11, 13):
+            modular = (sgr(t, field=PrimeField(p)), gr(t, field=PrimeField(p)))
+            assert modular[0] <= rational[0] and modular[1] <= rational[1]
+            strict += (modular[0] < rational[0]) + (modular[1] < rational[1])
+    assert strict > 0  # the bound is one-sided, not an equality
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from sgrank.strata import (
     sample_tangential,
 )
 from sgrank.tensor import complete_homogeneous_cubic, small_cw
+from sgrank.verify import _random_symmetric_cubic
 
 
 # ---------------------------------------------------------------------------
@@ -291,3 +292,37 @@ def test_tangency_rejects_bad_input():
     with pytest.raises(InvalidInputError):
         line_tangency(parse_polynomial("x0 + x1", nvars=3),
                       ProjectiveLine([1, 0, 0], [0, 1, 0]))
+
+
+def test_tangency_agrees_with_cubic_discriminant():
+    # engine-free oracle: a non-contained line is tangent to a cubic exactly
+    # when the restricted binary cubic has a repeated root
+    rng = random.Random(3)
+    counts = {Tangency.TANGENT: 0, Tangency.NOT_TANGENT: 0, Tangency.CONTAINED: 0}
+    for i in range(400):
+        if i % 2:
+            f = _random_symmetric_cubic(rng, 2).to_polynomial()
+        else:
+            f = sample_tangential(2, seed=i)
+        line = ProjectiveLine.random(rng, 2)
+        res = line_tangency(f, line)
+        counts[res] += 1
+        if res is not Tangency.CONTAINED:
+            disc = binary_cubic_discriminant(*reversed(restrict_to_line(f, line)))
+            assert (res is Tangency.TANGENT) == (disc == 0)
+    assert counts[Tangency.TANGENT] >= 100 and counts[Tangency.NOT_TANGENT] >= 100
+
+
+@pytest.mark.parametrize("p, form, expected", [
+    (2, "x0^2 + x1^2", Tangency.TANGENT),        # (x0 + x1)^2
+    (2, "x0*x1", Tangency.NOT_TANGENT),
+    (2, "x0^3 + x1^3", Tangency.NOT_TANGENT),    # (x0 + x1)(x0^2 + x0*x1 + x1^2)
+    (3, "x0^3 + x1^3", Tangency.TANGENT),        # (x0 + x1)^3
+    (3, "x0^2*x1 + x0*x1^2", Tangency.NOT_TANGENT),
+])
+def test_tangency_in_small_characteristic(p, form, expected):
+    # p at most the degree: the singular ideal is rejected here, so tangency
+    # must not go through sgr
+    fp = PrimeField(p)
+    line = ProjectiveLine([1, 0], [0, 1], field=fp)
+    assert line_tangency(parse_polynomial(form, field=fp), line) is expected
