@@ -4,12 +4,19 @@ The basis computation follows the classical improved Buchberger loop: normal
 pair selection (smallest lcm degree, ties broken by the monomial order) from a
 heap-ordered pair queue, and the Gebauer-Moeller update, which computes the
 lcm of the new lead with each basis lead once and applies the coprimality and
-chain criteria with it.  The generators enter through the same step as a
-reduced S-polynomial: smallest lead first, each is reduced against the basis
-so far and, if nonzero, added by the update.  The update rewrites every tail
-with a term that the new lead divides, so the basis stays reduced after each
-step.  Dimension of the zero set is read off the initial ideal as the
-largest set of variables that supports no leading monomial: n minus a
+chain criteria with it.  The chain criterion on the new pairs works on u, the
+lcm divided by the new lead: equal u are tested once, in ascending degree,
+and a degree-1 u covers every u that shares its variable with one AND.  The
+generators enter through the same step as a reduced S-polynomial: smallest
+lead first, each is reduced against the basis so far and, if nonzero, added
+by the update.  The update rewrites every tail with a term that the new lead
+divides, so the basis stays reduced after each step; a tail below the new
+lead has no such term and is not scanned.  A reduction step uses the basis
+element with the smallest-key lead that divides the monomial.  A memo
+remembers that choice per monomial, with the basis size at the time, and a
+later lookup tests only the leads added since; it is emptied each time the
+pair degree rises.  Dimension of the zero set is read off the initial ideal
+as the largest set of variables that supports no leading monomial: n minus a
 smallest hitting set of the lead supports.  The supports are int bitmasks,
 and the exact branch and bound over them prunes with the packing bound, a
 greedy count of uncovered supports that share no variable.
@@ -286,11 +293,12 @@ def _entry_terms(entry, field) -> dict:
     return {lm: (1, 1), **{m: (n, den) for m, n in tail}}
 
 
-def _reduce_full(terms: dict, reducers, pk: _Packing, field, tick=None) -> dict:
-    """Full normal form of the packed working terms modulo the reducer entries.
+def _reduce_full(terms: dict, find, pk: _Packing, field, tick=None) -> dict:
+    """Full normal form of the packed working terms modulo reducer entries.
 
     Repeatedly extracts the largest remaining monomial; either eliminates it
-    with the first reducer whose lead divides it or moves it to the remainder.
+    with the reducer entry ``find(m)`` returns for it or, when that is None,
+    moves it to the remainder.
     A lazy-deletion heap of negated order keys keeps extraction cheap.  The
     working coefficients are plain ints in both fields, and the remainder
     leaves in them too.  Over a prime field they are residues, reduced mod p
@@ -305,7 +313,7 @@ def _reduce_full(terms: dict, reducers, pk: _Packing, field, tick=None) -> dict:
     raise to cancel.
     """
     if not isinstance(field, PrimeField):
-        return _reduce_rational(terms, reducers, pk, tick)
+        return _reduce_rational(terms, find, pk, tick)
     p = field.p
     mask = pk.mask
     guard = pk.guard
@@ -326,33 +334,32 @@ def _reduce_full(terms: dict, reducers, pk: _Packing, field, tick=None) -> dict:
         c %= p
         if not c:
             continue
-        for lm, _, tail in reducers:
-            shift = m - lm
-            if shift & guard:
-                continue  # lm does not divide m
-            for mt, ct in tail:
-                mm = mt + shift
-                prev = work.get(mm)
-                if prev is None:
-                    # An overflowed product has a guard bit set, so it is
-                    # never a key of work and always lands here.
-                    if mm & guard:
-                        raise _Overflow
-                    work[mm] = -c * ct
-                    push(heap, -(mm ^ mask))
-                else:
-                    v = prev - c * ct
-                    if v:
-                        work[mm] = v
-                    else:
-                        del work[mm]
-            break
-        else:
+        reducer = find(m)
+        if reducer is None:
             rem[m] = c
+            continue
+        lm, _, tail = reducer
+        shift = m - lm
+        for mt, ct in tail:
+            mm = mt + shift
+            prev = work.get(mm)
+            if prev is None:
+                # An overflowed product has a guard bit set, so it is never
+                # a key of work and always lands here.
+                if mm & guard:
+                    raise _Overflow
+                work[mm] = -c * ct
+                push(heap, -(mm ^ mask))
+            else:
+                v = prev - c * ct
+                if v:
+                    work[mm] = v
+                else:
+                    del work[mm]
     return rem
 
 
-def _reduce_rational(terms: dict, reducers, pk: _Packing, tick) -> dict:
+def _reduce_rational(terms: dict, find, pk: _Packing, tick) -> dict:
     """The rational loop of _reduce_full, on (num, den) int pairs; reducer
     tails are numerators over D, as _entry builds them."""
     mask = pk.mask
@@ -378,41 +385,40 @@ def _reduce_rational(terms: dict, reducers, pk: _Packing, tick) -> dict:
         if g != 1:
             num //= g
             den //= g
-        for lm, dt, tail in reducers:
-            shift = m - lm
-            if shift & guard:
-                continue  # lm does not divide m
-            g = gcd(num, dt)
-            a = num // g
-            e = den * (dt // g)
-            wide = e.bit_length() + 64
-            for mt, nt in tail:
-                mm = mt + shift
-                prev = work.get(mm)
-                if prev is None:
-                    # An overflowed product has a guard bit set, so it is
-                    # never a key of work and always lands here.
-                    if mm & guard:
-                        raise _Overflow
-                    work[mm] = (-a * nt, e)
-                    push(heap, -(mm ^ mask))
-                else:
-                    pn, pd = prev
-                    if pd == e:
-                        work[mm] = (pn - a * nt, e)
-                    else:
-                        g = gcd(pd, e)
-                        q = pd // g
-                        v = pn * (e // g) - a * nt * q
-                        d = q * e
-                        if d.bit_length() > wide:
-                            g = gcd(v, d)
-                            v //= g
-                            d //= g
-                        work[mm] = (v, d)
-            break
-        else:
+        reducer = find(m)
+        if reducer is None:
             rem[m] = num, den
+            continue
+        lm, dt, tail = reducer
+        shift = m - lm
+        g = gcd(num, dt)
+        a = num // g
+        e = den * (dt // g)
+        wide = e.bit_length() + 64
+        for mt, nt in tail:
+            mm = mt + shift
+            prev = work.get(mm)
+            if prev is None:
+                # An overflowed product has a guard bit set, so it is never
+                # a key of work and always lands here.
+                if mm & guard:
+                    raise _Overflow
+                work[mm] = (-a * nt, e)
+                push(heap, -(mm ^ mask))
+            else:
+                pn, pd = prev
+                if pd == e:
+                    work[mm] = (pn - a * nt, e)
+                else:
+                    g = gcd(pd, e)
+                    q = pd // g
+                    v = pn * (e // g) - a * nt * q
+                    d = q * e
+                    if d.bit_length() > wide:
+                        g = gcd(v, d)
+                        v //= g
+                        d //= g
+                    work[mm] = (v, d)
     return rem
 
 
@@ -435,7 +441,12 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
             (_entry(pk.pack_terms(g.terms, field), pk, field) for g in divisors),
             key=lambda e: pk.key(e[0]),
         )
-        rem = _reduce_full(pk.pack_terms(f.terms, field), reducers, pk, field)
+        guard = pk.guard
+
+        def find(m):  # the first reducer whose lead divides m
+            return next((e for e in reducers if not (m - e[0]) & guard), None)
+
+        rem = _reduce_full(pk.pack_terms(f.terms, field), find, pk, field)
         return pk.unpack_terms(rem, field)
 
     degree = max(g.total_degree() for g in (f, *divisors))
@@ -513,6 +524,51 @@ def buchberger(generators, *, poll=None, poll_every=8) -> GroebnerBasis:
     return _packed_run(ideal.ring, degree, lambda pk: _buchberger(ideal, pk, poll, poll_every))
 
 
+def _chain_criterion(mh: int, lcm_h: dict, leads, pk: _Packing) -> list:
+    """Phase 1 of the update: the new pairs (g, h) that the chain criterion
+    keeps, as (g, lcm) in no particular order.
+
+    ``lcm_h`` maps the index of each basis element g, ascending, to
+    lcm(mh, lm_g), and ``leads[g]`` is lm_g.  A pair goes when the lcm of
+    another pair (g', h) properly divides its lcm, or equals it and g' has
+    the lower index or coprime leads; pairs with coprime leads go too.  The
+    test runs on u = lcm - mh: lcm_a divides lcm_b exactly when u_a divides
+    u_b, and lm_g is coprime to mh exactly when u == lm_g.  Equal u form one
+    group, visited once, in ascending degree.  A group passes unless a
+    proper divisor of its u is in the cover: a degree-1 u (one AND of the
+    support of u against the union of their supports) or an earlier u of
+    degree 2 or more.  A passing group queues its lowest index and joins the
+    cover; a group with a coprime member queues nothing and joins the cover
+    untested, since a dominated cover entry adds no drop.
+    """
+    groups = {}  # u -> lowest index with that u, -1 if one member is coprime
+    for ig, l in lcm_h.items():
+        u = l - mh
+        if u == leads[ig]:
+            groups[u] = -1
+        else:
+            groups.setdefault(u, ig)
+    guard = pk.guard
+    varguard = pk.varguard
+    fill = varguard - (varguard >> pk.width - 1)  # the value bits of every variable field
+    degree = pk.degree
+    linear = 0   # guard bits of the variables of the degree-1 u in the cover
+    cover = []   # the other u in the cover
+    out = []
+    for u in sorted(groups, key=degree):
+        ig = groups[u]
+        support = (u + fill) & varguard  # guard bit set in each nonzero field
+        if ig >= 0:
+            if support & linear or any(not (u - c) & guard for c in cover):
+                continue
+            out.append((ig, u + mh))
+        if degree(u) == 1:
+            linear |= support
+        else:
+            cover.append(u)
+    return out
+
+
 def _buchberger(ideal: Ideal, pk: _Packing, poll, poll_every) -> GroebnerBasis:
     ring = ideal.ring
     field = ring.field
@@ -522,73 +578,92 @@ def _buchberger(ideal: Ideal, pk: _Packing, poll, poll_every) -> GroebnerBasis:
     degree = pk.degree
 
     entries: list = []       # reducer entry of each candidate; update() rewrites tails
+    leads: list[int] = []    # packed lead of each entry
+    keys: list[int] = []     # order key of each lead
     active: list[int] = []   # indices of the current basis, ascending
+    by_key: list = []        # (lead, index) of the basis, small keys first
     pairs: dict = {}         # live pairs (i, j), i < j -> packed lcm of their leads
     queue: list = []         # heap of (deg lcm, order key of lcm, i, j)
-    reducers = None          # entries of the current basis, small leads first; None when stale
+    # First-divisor memo: a monomial maps to (i + 1) << 32 | n, where i is the
+    # index of its smallest-key divisor in the basis (-1 for none) and n was
+    # len(entries) then.  Only leads added since can beat i, and the smallest
+    # key among i and those is in the basis: whatever retires a lead is a
+    # newer lead that divides every multiple of it, with a smaller key.  The
+    # pair loop empties it whenever the pair degree rises.
+    memo: dict = {}
 
     tick = None if poll is None else lambda: poll(GBStats(len(active), pairs_done, len(pairs)))
 
-    def current_reducers():
-        nonlocal reducers
-        if reducers is None:
-            reducers = sorted((entries[i] for i in active), key=lambda e: pkey(e[0]))
-        return reducers
+    def find(m):
+        """The reducer entry of m: the basis element with the smallest-key
+        lead dividing m, or None."""
+        n = len(entries)
+        v = memo.get(m)
+        if v is None:
+            best = -1
+            for lm, k in by_key:
+                if not (m - lm) & guard:
+                    best = k
+                    break
+        else:
+            best = (v >> 32) - 1
+            seen = v & 0xFFFFFFFF
+            if seen == n:
+                return entries[best] if best >= 0 else None
+            for k in range(seen, n):
+                if not (m - leads[k]) & guard and (best < 0 or keys[k] < keys[best]):
+                    best = k
+        memo[m] = (best + 1) << 32 | n
+        return entries[best] if best >= 0 else None
 
     def update(entry):
         """Gebauer-Moeller update with a new entry; keeps every tail reduced."""
-        nonlocal reducers
+        nonlocal by_key
         ih = len(entries)
-        entries.append(entry)
         mh = entry[0]
+        kh = pkey(mh)
+        entries.append(entry)
+        leads.append(mh)
+        keys.append(kh)
         # lcm(mh, lm_g) once per basis element; the phases below share it.
-        lcm_h = {ig: lcm(mh, entries[ig][0]) for ig in active}
-        # Phase 1: filter candidate pairs (ih, g) with the chain criterion.
-        # Coprime pairs stay in D, where they still cover later candidates.
-        candidates = list(active)
-        D = []
-        while candidates:
-            ig = candidates.pop()
-            lcm_hg = lcm_h[ig]
-            if lcm_hg == mh + entries[ig][0] or not any(
-                not (lcm_hg - lcm_h[ip]) & guard for ip in chain(candidates, D)
-            ):
-                D.append(ig)
+        lcm_h = {ig: lcm(mh, leads[ig]) for ig in active}
+        # Phase 1: the new pairs that survive the chain criterion.
+        new_pairs = _chain_criterion(mh, lcm_h, leads, pk)
         # Phase 2: prune old pairs made redundant by mh (chain criterion).
         # Their heap entries are skipped when popped.  A pair may still name
         # a retired element, which has no entry in lcm_h.
         dead = [
             ij for ij, l12 in pairs.items()
             if not (l12 - mh) & guard
-            and all((lcm_h.get(i) or lcm(mh, entries[i][0])) != l12 for i in ij)
+            and all((lcm_h.get(i) or lcm(mh, leads[i])) != l12 for i in ij)
         ]
         for ij in dead:
             del pairs[ij]
         # Phase 3: retire basis elements whose lead became divisible.
-        survivors = [ig for ig in active if (entries[ig][0] - mh) & guard]
+        survivors = [ig for ig in active if (leads[ig] - mh) & guard]
         active[:] = survivors + [ih]  # ih is the newest, so the largest index
-        reducers = None
+        by_key = [(leads[k], k) for k in sorted(active, key=keys.__getitem__)]
         # Phase 4: rewrite each tail with a term that mh divides (no survivor's
-        # lead is one).  The lead stays, and with it every pair criterion.
+        # lead is one).  The lead stays, and with it every pair criterion.  A
+        # lead below mh is skipped: its tail lies below it, and no multiple
+        # of mh is below mh.
         for ig in survivors:
+            if keys[ig] < kh:
+                continue
             lm, _, tail = entries[ig]
             if all((m - mh) & guard for m, _ in tail):
                 continue
             terms = _entry_terms(entries[ig], field)
             lc = terms.pop(lm)
-            terms = _reduce_full(terms, current_reducers(), pk, field, tick)
+            terms = _reduce_full(terms, find, pk, field, tick)
             terms[lm] = lc
             entries[ig] = _entry(terms, pk, field)
-            reducers = None
             if tick is not None:
                 tick()
-        # Phase 5: queue the new pairs, minus those with coprime leads
-        # (Buchberger's first criterion).
-        for ig in D:
-            lcm_hg = lcm_h[ig]
-            if lcm_hg != mh + entries[ig][0]:
-                pairs[(ig, ih)] = lcm_hg
-                heapq.heappush(queue, (degree(lcm_hg), pkey(lcm_hg), ig, ih))
+        # Phase 5: queue the new pairs.
+        for ig, lcm_hg in new_pairs:
+            pairs[(ig, ih)] = lcm_hg
+            heapq.heappush(queue, (degree(lcm_hg), pkey(lcm_hg), ig, ih))
 
     # Seed the basis as the pair loop grows it: each generator, smallest lead
     # first, is reduced against the basis so far and added if nonzero.
@@ -598,26 +673,32 @@ def _buchberger(ideal: Ideal, pk: _Packing, poll, poll_every) -> GroebnerBasis:
     )
     pairs_done = 0
     for k, terms in enumerate(seed, 1):
-        h = _reduce_full(terms, current_reducers(), pk, field, tick)
+        h = _reduce_full(terms, find, pk, field, tick)
         if poll is not None and k % poll_every == 0:
             poll(GBStats(len(seed), 0, 0))
         if h:
             update(_entry(h, pk, field))
 
+    memo_degree = 0
     while pairs:
-        _, _, i, j = heapq.heappop(queue)
+        d, _, i, j = heapq.heappop(queue)
         lcm_ij = pairs.pop((i, j), None)
         if lcm_ij is None:
             continue  # pruned by a later update
+        if d > memo_degree:
+            # Pairs come in ascending lcm degree, so over a homogeneous ideal
+            # monomials of lower degree recur only in tail rewrites.
+            memo.clear()
+            memo_degree = d
         s = _spoly(entries[i], entries[j], lcm_ij, pk, field)
-        h = _reduce_full(s, current_reducers(), pk, field, tick)
+        h = _reduce_full(s, find, pk, field, tick)
         pairs_done += 1
         if tick is not None and pairs_done % poll_every == 0:
             tick()
         if h:
             update(_entry(h, pk, field))
 
-    final = sorted(active, key=lambda k: pkey(entries[k][0]), reverse=True)
+    final = sorted(active, key=keys.__getitem__, reverse=True)
     return GroebnerBasis(ring, [
         Polynomial(ring, pk.unpack_terms(_entry_terms(entries[i], field), field)) for i in final
     ])

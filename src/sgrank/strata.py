@@ -52,6 +52,9 @@ class ProjectiveLine:
 
     @classmethod
     def random(cls, rng: random.Random, n: int) -> "ProjectiveLine":
+        """A random line in projective n-space, n >= 1."""
+        if n < 1:
+            raise InvalidInputError("a line needs projective dimension n >= 1")
         lo, hi = _COEFF_RANGE
         while True:
             p = [rng.randint(lo, hi) for _ in range(n + 1)]
@@ -227,6 +230,8 @@ def binary_cubic_discriminant(a1, a2, a3, a4):
 
 def _restriction(form: Polynomial, line: ProjectiveLine) -> Polynomial:
     """F(s*p + t*q) as a binary form in s = x0 and t = x1."""
+    if not form.is_homogeneous():
+        raise InvalidInputError("line restriction needs a homogeneous form")
     if line.ambient + 1 != form.ring.nvars:
         raise InvalidInputError("line and form live in different ambient spaces")
     if line.field != form.ring.field:

@@ -89,5 +89,5 @@ def test_criterion_8_line_tangency():
 
 def test_criterion_9_engine_cross_checks():
     results, elapsed = _run_suite("engine")
-    _report(9, "engine cross-checks (brute-force dimension, QQ vs Fp, grevlex vs lex)",
-            results, elapsed, budget=120.0)
+    _report(9, "engine cross-checks (brute-force dimension, QQ vs Fp, grevlex vs lex, "
+               "textbook Buchberger)", results, elapsed, budget=120.0)

@@ -14,6 +14,7 @@ from sgrank.groebner import (
     Ideal,
     _Overflow,
     _Packing,
+    _chain_criterion,
     buchberger,
     ideal_dimension,
     ideal_membership,
@@ -439,8 +440,11 @@ def test_poll_fires_inside_one_long_reduction():
     (lambda: _random_symmetric_cubic(random.Random(5), 5).to_polynomial(), (156, 80, 39),
      "cfc9b9d26e55a557"),
     (lambda: sym_matrix_mult(3).convert_order(LEX), (95, 55, 25), "c83eccf283874507"),
+    # the engine inputs of the benchmark's trace-m4-fp and h3-n7-qq, unscaled
+    (lambda: sym_matrix_mult(4).convert_field(FP), (1318, 613, 161), "9277c25d91267b14"),
+    (lambda: complete_homogeneous_cubic(7).to_polynomial(), (765, 279, 122), "6c85d0108d62ddda"),
 ], ids=["sym_matrix_mult-3-Fp", "h3-5-QQ", "big_cw-2-3-QQ", "random-cubic-5-QQ",
-        "sym_matrix_mult-3-lex-QQ"])
+        "sym_matrix_mult-3-lex-QQ", "sym_matrix_mult-4-Fp", "h3-7-QQ"])
 def test_engine_counts_pinned(form, counts, digest):
     # (pairs reduced, peak queued pairs, basis size) guard the pair-selection
     # order and the criteria against engine changes; the reduced basis is
@@ -549,6 +553,79 @@ def test_lex_overflow_widens(monkeypatch):
     del widths[:]
     assert normal_form(P("x0^3", ring=r), [P("x0 - x1^100", ring=r)]) == P("x1^300", ring=r)
     assert widths == [8, 16]
+
+
+# ---------------------------------------------------------------------------
+# Chain criterion of the pair update
+# ---------------------------------------------------------------------------
+
+def _chain_reference(mh, lcm_h, leads, pk):
+    """The update's chain criterion before equal lcms were grouped: pop the
+    candidates from the highest index down and keep each whose leads are
+    coprime or whose lcm no pending or kept lcm divides; queue the kept
+    pairs whose leads are not coprime."""
+    candidates = list(lcm_h)
+    kept = []
+    while candidates:
+        ig = candidates.pop()
+        lcm_hg = lcm_h[ig]
+        if lcm_hg == mh + leads[ig] or not any(
+            not (lcm_hg - lcm_h[ip]) & pk.guard for ip in itertools.chain(candidates, kept)
+        ):
+            kept.append(ig)
+    return sorted((ig, lcm_h[ig]) for ig in kept if lcm_h[ig] != mh + leads[ig])
+
+
+def _random_leads(rng, mh, count):
+    """Exponent tuples around mh: some with the lcm of an earlier one, some
+    coprime to mh, some one step above a divisor of mh (u of degree 1), the
+    rest sparse."""
+    leads = []
+    while len(leads) < count:
+        kind = rng.random()
+        if kind < 0.25 and leads:
+            # equal lcm(mh, .): keep every exponent above mh, redraw the rest
+            base = rng.choice(leads)
+            m = tuple(b if b > e else rng.randint(0, e) for b, e in zip(base, mh))
+        elif kind < 0.4:
+            m = tuple(rng.randint(0, 2) if not e else 0 for e in mh)
+        elif kind < 0.6:
+            m = [rng.randint(0, e) for e in mh]
+            i = rng.randrange(len(mh))
+            m[i] = mh[i] + 1
+            m = tuple(m)
+        else:
+            m = tuple(rng.choice((0, 0, 1, 2)) for _ in mh)
+        if any(m):
+            leads.append(m)
+    return leads
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+def test_chain_criterion_matches_sequential_reference(order):
+    # the grouped test must queue exactly the pairs of the sequential one
+    rng = random.Random(41)
+    seen = {"equal": 0, "coprime": 0, "linear": 0, "dropped": 0}
+    for _ in range(400):
+        nvars = rng.randint(2, 7)
+        pk = _Packing(nvars, order, 8)
+        mh = tuple(rng.choice((0, 1, 1, 2)) for _ in range(nvars))
+        if not any(mh):
+            continue
+        leads = _random_leads(rng, mh, rng.randint(1, 30))
+        packed = [pk.pack(m) for m in leads]
+        pmh = pk.pack(mh)
+        # a basis need not use every index: leave gaps
+        indices = sorted(rng.sample(range(len(leads)), rng.randint(1, len(leads))))
+        lcm_h = {i: pk.lcm(pmh, packed[i]) for i in indices}
+        want = _chain_reference(pmh, lcm_h, packed, pk)
+        assert sorted(_chain_criterion(pmh, lcm_h, packed, pk)) == want
+        us = [lcm_h[i] - pmh for i in indices]
+        seen["equal"] += len(us) - len(set(us))
+        seen["coprime"] += sum(lcm_h[i] == pmh + packed[i] for i in indices)
+        seen["linear"] += sum(pk.degree(u) == 1 for u in us)
+        seen["dropped"] += len(indices) - len(want)
+    assert min(seen.values()) > 200, seen
 
 
 # ---------------------------------------------------------------------------

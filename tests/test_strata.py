@@ -197,6 +197,22 @@ def test_projective_line_validation():
         ProjectiveLine([0, 0, 0], [1, 0, 0])
 
 
+def test_random_line_needs_a_projective_line_or_more():
+    # one coordinate never spans a line, so n < 1 must raise, not retry forever
+    rng = random.Random(0)
+    for n in (0, -1):
+        with pytest.raises(InvalidInputError):
+            ProjectiveLine.random(rng, n)
+    assert ProjectiveLine.random(rng, 1).ambient == 1
+
+
+def test_restriction_rejects_non_homogeneous_forms():
+    line = ProjectiveLine([1, 0], [0, 1])
+    assert restrict_to_line(parse_polynomial("x0^2 + x1^2"), line) == [1, 0, 1]
+    with pytest.raises(InvalidInputError):
+        restrict_to_line(parse_polynomial("x0^2 + x1"), line)
+
+
 def test_restriction_matches_evaluation():
     rng = random.Random(53)
     ring = PolyRing(3)
