@@ -110,8 +110,9 @@ def _emit_report(report: RankReport, args, annotation=None):
     if annotation:
         print(annotation)
     if report.field.startswith("Fp:"):
-        print("note: modular dimensions agree with the rational ones except "
-              "for finitely many primes; rerun over QQ to certify")
+        print("note: for input with integer coefficients and p above the degree, "
+              f"SGR and GR over {report.field} are lower bounds on their QQ values; "
+              "rerun over QQ to certify")
 
 
 def cmd_sgr(args) -> int:

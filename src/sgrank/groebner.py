@@ -11,7 +11,10 @@ generators enter through the same step as a reduced S-polynomial: smallest
 lead first, each is reduced against the basis so far and, if nonzero, added
 by the update.  The update rewrites every tail with a term that the new lead
 divides, so the basis stays reduced after each step; a tail below the new
-lead has no such term and is not scanned.  A reduction step uses the basis
+lead has no such term and is not scanned.  When every generator is a single
+term, every S-polynomial is zero, and the seed step and the pair loop are
+skipped: the basis is the minimal generators, made monic, which one pass
+over the key-sorted generators keeps.  A reduction step uses the basis
 element with the smallest-key lead that divides the monomial.  A memo
 remembers that choice per monomial, with the basis size at the time, and a
 later lookup tests only the leads added since; it is emptied each time the
@@ -35,8 +38,10 @@ variable fields: ``((a | GUARD) - b) & GUARD`` marks the fields where a >= b.
 Its degree field is recomputed as the sum of the variable fields, read off
 one multiply by a ones-per-field constant.  Leads and lcms have coprime
 supports exactly when ``lcm(a, b) == a + b``.  Polynomials are packed once on
-entry and unpacked only on exit; the pair update works on packed leads and
-lcms too, so no tuple monomial remains inside the engine.
+entry; the pair update works on packed leads and lcms too, so no tuple
+monomial remains inside the engine.  On exit only the leads are unpacked:
+the GroebnerBasis keeps the final reducer entries and unpacks them into
+Polynomials on first use, and the dimension never asks for them.
 
 Overflow is never silent.  The width starts at the smallest that holds the
 input degree, and at least 8 bits.  Guard bits are checked wherever exponents
@@ -135,13 +140,46 @@ class Ideal:
 
 
 class GroebnerBasis:
-    """A reduced Groebner basis: monic, mutually irredundant, order-sorted."""
+    """A reduced Groebner basis: monic, mutually irredundant, order-sorted.
 
-    __slots__ = ("ring", "polys")
+    ``len``, :meth:`leading_monomials` and :attr:`is_unit_ideal` read the
+    leading monomials alone, which is all the rank functions need.  A basis
+    that buchberger() returns holds its elements as the engine's packed
+    reducer entries and builds the Polynomials on first use of ``polys``,
+    iteration, indexing or ``repr``; ``GroebnerBasis(ring, polys)`` wraps
+    polynomials that already exist.
+    """
+
+    __slots__ = ("ring", "_leads", "_polys", "_packed")
 
     def __init__(self, ring: PolyRing, polys):
         self.ring = ring
-        self.polys = tuple(polys)
+        self._polys = tuple(polys)
+        self._leads = tuple(g.leading_monomial() for g in self._polys)
+        self._packed = None
+
+    @classmethod
+    def _from_entries(cls, ring: PolyRing, pk: _Packing, entries) -> GroebnerBasis:
+        """The basis of the monic reducer entries, largest lead first; only
+        the leads are unpacked here."""
+        basis = cls.__new__(cls)
+        basis.ring = ring
+        basis._leads = tuple(pk.unpack(entry[0]) for entry in entries)
+        basis._polys = None
+        basis._packed = (pk, entries)
+        return basis
+
+    @property
+    def polys(self) -> tuple:
+        if self._polys is None:
+            pk, entries = self._packed
+            field = self.ring.field
+            self._polys = tuple(
+                Polynomial(self.ring, pk.unpack_terms(_entry_terms(entry, field), field))
+                for entry in entries
+            )
+            self._packed = None
+        return self._polys
 
     @property
     def order(self) -> MonomialOrder:
@@ -149,16 +187,17 @@ class GroebnerBasis:
 
     @property
     def is_unit_ideal(self) -> bool:
-        return len(self.polys) == 1 and self.polys[0].total_degree() == 0
+        # 1 is below every other monomial, so only a constant has lead 1
+        return len(self._leads) == 1 and not any(self._leads[0])
 
     def leading_monomials(self):
-        return [g.leading_monomial() for g in self.polys]
+        return list(self._leads)
 
     def __iter__(self):
         return iter(self.polys)
 
     def __len__(self):
-        return len(self.polys)
+        return len(self._leads)
 
     def __getitem__(self, i):
         return self.polys[i]
@@ -510,11 +549,13 @@ def buchberger(generators, *, poll=None, poll_every=8) -> GroebnerBasis:
 
     ``generators`` is an :class:`Ideal` or an iterable of polynomials in one
     ring.  ``poll``, when given, is called with a :class:`GBStats` every
-    ``poll_every`` generators in the seed step and every ``poll_every``
-    processed pairs, once per tail that an update rewrites, and every 1,024
-    steps inside any one reduction; it may raise to cancel the run (the
-    command line uses this for timeouts).  Output is deterministic for fixed
-    input and order.
+    ``poll_every`` generators in the seed step (or in the pass over the
+    generators of a monomial ideal) and every ``poll_every`` processed
+    pairs, once per tail that an update rewrites, and every 1,024 steps
+    inside any one reduction; it may raise to cancel the run (the command
+    line uses this for timeouts).  Output is deterministic for fixed input
+    and order.  The basis builds its Polynomials on first use; its size and
+    leading monomials are known without them.
     """
     if isinstance(generators, Ideal):
         ideal = generators
@@ -569,10 +610,38 @@ def _chain_criterion(mh: int, lcm_h: dict, leads, pk: _Packing) -> list:
     return out
 
 
+def _minimal_monomials(seed, pk: _Packing, poll, poll_every) -> list:
+    """The reduced basis of a monomial ideal as monic reducer entries,
+    largest lead first.
+
+    ``seed`` holds one single-term dict per generator, ascending in lead
+    key.  A monomial divides only monomials of larger or equal key, so each
+    one that no monomial kept so far divides is a minimal generator, and no
+    later one retires it.  This is the basis that the seed step and the pair
+    loop build, with every S-polynomial zero.  ``poll`` is called every
+    ``poll_every`` generators, as in the seed step.
+    """
+    guard = pk.guard
+    kept = []
+    for k, terms in enumerate(seed, 1):
+        [m] = terms
+        if all((m - c) & guard for c in kept):
+            kept.append(m)
+        if poll is not None and k % poll_every == 0:
+            poll(GBStats(len(seed), 0, 0))
+    return [(m, 1, ()) for m in reversed(kept)]
+
+
 def _buchberger(ideal: Ideal, pk: _Packing, poll, poll_every) -> GroebnerBasis:
     ring = ideal.ring
     field = ring.field
     pkey = pk.key
+    seed = sorted(
+        (pk.pack_terms(g.terms, field) for g in ideal.generators),
+        key=lambda terms: pkey(max(terms, key=pkey)),
+    )
+    if all(len(terms) == 1 for terms in seed):
+        return GroebnerBasis._from_entries(ring, pk, _minimal_monomials(seed, pk, poll, poll_every))
     guard = pk.guard
     lcm = pk.lcm
     degree = pk.degree
@@ -667,10 +736,6 @@ def _buchberger(ideal: Ideal, pk: _Packing, poll, poll_every) -> GroebnerBasis:
 
     # Seed the basis as the pair loop grows it: each generator, smallest lead
     # first, is reduced against the basis so far and added if nonzero.
-    seed = sorted(
-        (pk.pack_terms(g.terms, field) for g in ideal.generators),
-        key=lambda terms: pkey(max(terms, key=pkey)),
-    )
     pairs_done = 0
     for k, terms in enumerate(seed, 1):
         h = _reduce_full(terms, find, pk, field, tick)
@@ -699,9 +764,7 @@ def _buchberger(ideal: Ideal, pk: _Packing, poll, poll_every) -> GroebnerBasis:
             update(_entry(h, pk, field))
 
     final = sorted(active, key=keys.__getitem__, reverse=True)
-    return GroebnerBasis(ring, [
-        Polynomial(ring, pk.unpack_terms(_entry_terms(entries[i], field), field)) for i in final
-    ])
+    return GroebnerBasis._from_entries(ring, pk, [entries[i] for i in final])
 
 
 def ideal_membership(f: Polynomial, basis) -> bool:

@@ -19,7 +19,7 @@ from typing import Callable
 
 from .errors import InvalidInputError
 from .groebner import buchberger, ideal_dimension, normal_form, s_polynomial
-from .polyring import DEFAULT_PRIME, LEX, PolyRing, Polynomial, PrimeField
+from .polyring import DEFAULT_PRIME, GREVLEX, LEX, QQ, PolyRing, Polynomial, PrimeField
 from .rank import gr, matrix_rank, sgr, sgr_details, singular_ideal
 from .strata import (
     ProjectiveLine,
@@ -508,6 +508,58 @@ def _case_plain_engine(name, variant):
     )
 
 
+def _shortcut_disagreements(nvars, terms):
+    """Where buchberger and the textbook algorithm give different reduced
+    bases of the ideal of the given single terms, (exponent tuple,
+    coefficient) pairs: buchberger takes its monomial shortcut on them.
+    Also where the basis's lead readout differs from the leads of its
+    polynomials.  Checked over QQ and Fp, in grevlex and lex."""
+    fp = PrimeField(DEFAULT_PRIME)
+    bad = []
+    for name, field, order in (("QQ", QQ, GREVLEX), ("Fp", fp, GREVLEX),
+                               ("lex-QQ", QQ, LEX), ("lex-Fp", fp, LEX)):
+        ring = PolyRing(nvars, field, order)
+        gens = [ring.from_dict({m: c}) for m, c in terms]
+        basis = buchberger(gens)
+        leads = basis.leading_monomials()  # read before the polynomials exist
+        if (list(basis) != _textbook_buchberger(gens)
+                or leads != [g.leading_monomial() for g in basis]):
+            bad.append(name)
+    return bad
+
+
+def _case_monomial_shortcut(seed):
+    """A random monomial ideal with scaled coefficients, one duplicate and
+    one non-minimal generator and, for every fifth seed, a constant."""
+    rng = random.Random(seed)
+    nvars = rng.randint(2, 6)
+    monos = _random_monomial_ideal(rng, nvars, rng.randint(1, 6))
+    monos.append(rng.choice(monos))
+    multiple = list(rng.choice(monos))
+    multiple[rng.randrange(nvars)] += 1
+    monos.append(tuple(multiple))
+    if seed % 5 == 0:
+        monos.append((0,) * nvars)
+    rng.shuffle(monos)
+    terms = [(m, Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)))
+             for m in monos]
+    bad = _shortcut_disagreements(nvars, terms)
+    return not bad, f"nvars={nvars}, gens={monos}: " + (f"differs in {bad}" if bad else "agrees")
+
+
+def _case_edge_shortcut(nvars, width):
+    """The windows x_i*...*x_{i+width-1}, indices mod nvars; width 2 is the
+    cycle edge ideal."""
+    terms = []
+    for i in range(nvars):
+        m = [0] * nvars
+        for s in range(width):
+            m[(i + s) % nvars] += 1
+        terms.append((tuple(m), 1))
+    bad = _shortcut_disagreements(nvars, terms)
+    return not bad, f"differs in {bad}" if bad else "agrees"
+
+
 def _case_cross_gr(name):
     t = {"w_state": w_state(1), "big_cw[2,3]": big_cw(2, 3)}[name]
     g_g = gr(t)
@@ -642,6 +694,13 @@ def suite_engine():
                                   _case_plain_engine, (name, variant)))
     for name in ("w_state", "big_cw[2,3]"):
         cases.append(Case(f"gr cross-checks: {name}", _case_cross_gr, (name,)))
+    for seed in range(30):
+        cases.append(Case(f"monomial shortcut vs textbook seed={seed}",
+                          _case_monomial_shortcut, (seed,)))
+    for width, low in ((2, 3), (3, 4)):
+        for n in range(low, 13):
+            cases.append(Case(f"monomial shortcut vs textbook: width-{width} windows n={n}",
+                              _case_edge_shortcut, (n, width)))
     return cases
 
 

@@ -74,6 +74,7 @@ def test_sgr_small_prime_is_precondition_error(capsys, field, code):
     got, out, _ = run(capsys, "sgr", "--poly", "x0^3 + x1^3 + x2^3", "--field", field)
     assert got == code
     assert ("sgr: 3" in out) == (code == 0)
+    assert ("are lower bounds on their QQ values" in out) == (code == 0)
 
 
 def test_sgr_malformed_tensor_json_is_parse_error(tmp_path, capsys):

@@ -11,6 +11,7 @@ from sgrank import groebner
 from sgrank.errors import ComputationTimeout, InvalidInputError
 from sgrank.groebner import (
     GBStats,
+    GroebnerBasis,
     Ideal,
     _Overflow,
     _Packing,
@@ -196,10 +197,24 @@ def _random_poly(rng, ring, max_terms=4, max_deg=3):
 # buchberger
 # ---------------------------------------------------------------------------
 
-def test_monomial_ideal_is_its_own_basis():
-    r = PolyRing(2)
-    gb = buchberger([P("x0^2", ring=r), P("x0*x1", ring=r)])
-    assert {str(g) for g in gb} == {"x0^2", "x0*x1"}
+@pytest.mark.parametrize("gens, field, order, want, dim", [
+    (["x0*x1", "x0^2"], QQ, GREVLEX, ["x0^2", "x0*x1"], 1),
+    (["-3*x0*x1", "2/5*x0^2"], QQ, GREVLEX, ["x0^2", "x0*x1"], 1),
+    (["-3*x0*x1", "2/5*x0^2"], FP, GREVLEX, ["x0^2", "x0*x1"], 1),
+    (["x0^2", "x0*x1", "7*x0*x1", "x0^2"], QQ, GREVLEX, ["x0^2", "x0*x1"], 1),
+    (["x0^3*x1", "x0*x1", "x0^2", "x0^2*x1^4", "x0^5"], QQ, GREVLEX, ["x0^2", "x0*x1"], 1),
+    (["x0^2", "-4", "x1"], QQ, GREVLEX, ["1"], -1),
+    (["x0^2", "-4", "x1"], FP, LEX, ["1"], -1),
+    (["x1^3", "x0*x1", "x0*x1^5", "x0^2"], QQ, LEX, ["x0^2", "x0*x1", "x1^3"], 0),
+], ids=["plain", "scaled", "scaled-Fp", "duplicate", "non-minimal", "constant",
+        "constant-lex-Fp", "lex"])
+def test_monomial_ideal_is_its_own_basis(gens, field, order, want, dim):
+    # the minimal generators, monic, largest lead first
+    r = PolyRing(2, field, order)
+    gb = buchberger([P(g, ring=r) for g in gens])
+    assert list(gb) == [P(g, ring=r) for g in want]
+    assert gb.is_unit_ideal == (dim == -1)
+    assert ideal_dimension(gb) == dim
 
 
 def test_one_spair_reduction():
@@ -416,6 +431,34 @@ def test_poll_fires_during_tail_rewrite():
     assert list(buchberger(gens)) == list(gb)
 
 
+def test_poll_stops_a_monomial_ideal():
+    # 330 quartics and 1,716 sextics in 8 variables; every sextic is a
+    # multiple of a quartic, so the basis is the quartics
+    r = PolyRing(8)
+    gens = [
+        r.from_dict({tuple(map(c.count, range(8))): 1})
+        for d in (6, 4)
+        for c in itertools.combinations_with_replacement(range(8), d)
+    ]
+    assert len(gens) == 2046
+    seen = []
+
+    def poll(stats):
+        seen.append(stats)
+        if len(seen) == 3:
+            raise ComputationTimeout("stop", basis_size=stats.basis_size,
+                                     pairs_done=stats.pairs_done, pairs_left=stats.pairs_left)
+
+    with pytest.raises(ComputationTimeout):
+        buchberger(gens, poll=poll, poll_every=100)
+    assert seen == [GBStats(2046, 0, 0)] * 3
+    # a poll that does not raise is called every 100 generators
+    del seen[:]
+    gb = buchberger(gens, poll=seen.append, poll_every=100)
+    assert len(seen) == 20
+    assert len(gb) == 330 and {sum(m) for m in gb.leading_monomials()} == {4}
+
+
 def test_poll_fires_inside_one_long_reduction():
     # x0^5000 takes 5000 steps to reduce by x0 - x1, with no pair and no
     # rewrite to poll between them
@@ -457,6 +500,15 @@ def test_engine_counts_pinned(form, counts, digest):
         peak[0] = max(peak[0], stats.pairs_left)
 
     gb = buchberger(singular_ideal(form()), poll=poll, poll_every=1)
+    # the lead readout comes before the polynomials exist and matches them
+    size, leads, unit = len(gb), gb.leading_monomials(), gb.is_unit_ideal
+    assert gb._polys is None
+    polys = gb.polys
+    assert size == len(polys)
+    assert leads == [g.leading_monomial() for g in polys]
+    assert unit == (len(polys) == 1 and polys[0].total_degree() == 0)
+    wrapped = GroebnerBasis(gb.ring, polys)
+    assert (len(wrapped), wrapped.leading_monomials(), wrapped.is_unit_ideal) == (size, leads, unit)
     assert (done[0], peak[0], len(gb)) == counts
     assert hashlib.sha256("\n".join(map(str, gb)).encode()).hexdigest()[:16] == digest
 

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from sgrank import rank
+from sgrank import groebner, rank
+from sgrank.cli import main
 from sgrank.errors import ComputationTimeout, DimensionMismatchError, InvalidInputError
 from sgrank.groebner import buchberger, ideal_membership
 from sgrank.polyring import LEX, PolyRing, PrimeField, parse_polynomial
@@ -18,6 +19,7 @@ from sgrank.rank import (
     sgr_details,
     singular_ideal,
 )
+from sgrank.strata import ProjectiveLine, Tangency, line_tangency
 from sgrank.tensor import (
     GeneralTensor,
     SymmetricTensor,
@@ -379,3 +381,22 @@ def test_poll_reaches_dimension_search(monkeypatch, details):
     with pytest.raises(ComputationTimeout):
         getattr(rank, details)(big_cw(2, 3), poll=poll)
     assert len(finished) == 1
+
+
+def test_ranks_read_only_the_leads(monkeypatch, capsys):
+    # sgr, gr, rank_report, line_tangency and `dim --json` answer from the
+    # leads of the basis and never build its polynomials
+    def built(self):
+        raise AssertionError("basis polynomials built")
+
+    monkeypatch.setattr(groebner.GroebnerBasis, "polys", property(built))
+    f = big_cw(2, 3).to_polynomial()
+    assert sgr(f) == 2 and sgr(f, field=FP) == 2
+    assert gr(big_cw(2, 3)) == 3
+    report = rank_report(f, compute_gr=True)
+    assert (report.sgr, report.gr, report.sgr_basis_size) == (2, 3, len(sgr_details(f)[2]))
+    line = ProjectiveLine([1, 0], [0, 1])
+    assert line_tangency(parse_polynomial("x0^3 + x1^3"), line) == Tangency.NOT_TANGENT
+    assert line_tangency(parse_polynomial("x0^2*x1"), line) == Tangency.TANGENT
+    assert main(["dim", "--poly", "x0*x1", "--poly", "x0^2 + x1^2", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["dim"] == 0
