@@ -102,8 +102,11 @@ def _emit_report(report: RankReport, args, annotation=None):
     print(f"time: {report.ms} ms")
     if report.sgr_basis_size is not None and args.verbose:
         print(f"singular ideal basis size: {report.sgr_basis_size}")
-    if report.gr_basis_size is not None and args.verbose:
-        print(f"multilinear ideal basis size: {report.gr_basis_size}")
+    if report.gr is not None and args.verbose:
+        if report.gr_basis_size is None:
+            print("multilinear ideal: none built, GR read off SGR = flattening rank")
+        else:
+            print(f"multilinear ideal basis size: {report.gr_basis_size}")
     chain = report.bound_chain()
     if chain:
         print(f"bounds: {chain}")

@@ -797,29 +797,30 @@ def _min_hitting_set_size(supports, nvars: int, tick=None) -> int:
     for s in sorted(set(supports), key=int.bit_count):
         if not any(t & s == t for t in minimal):
             minimal.append(s)
-    best = nvars
+    return _hitting_search(minimal, 0, nvars, tick)
 
-    def search(uncovered, size):
-        nonlocal best
-        packed = bound = 0
-        for s in uncovered:
-            if not s & packed:
-                packed |= s
-                bound += 1
-        if size + bound >= best:
-            return
-        if not uncovered:
-            best = size
-            return
-        if tick is not None:
-            tick()
-        s = uncovered[0]
-        while s:
-            bit = s & -s
-            s ^= bit
-            search([t for t in uncovered if not t & bit], size + 1)
 
-    search(minimal, 0)
+def _hitting_search(uncovered, size, best, tick) -> int:
+    """The branch and bound of _min_hitting_set_size below one node: returns
+    the smaller of ``best`` and the smallest hitting set that extends the
+    node's ``size`` chosen variables.  A plain recursive function, so a
+    search leaves no reference cycle behind."""
+    packed = bound = 0
+    for s in uncovered:
+        if not s & packed:
+            packed |= s
+            bound += 1
+    if size + bound >= best:
+        return best
+    if not uncovered:
+        return size
+    if tick is not None:
+        tick()
+    s = uncovered[0]
+    while s:
+        bit = s & -s
+        s ^= bit
+        best = _hitting_search([t for t in uncovered if not t & bit], size + 1, best, tick)
     return best
 
 

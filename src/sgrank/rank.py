@@ -9,6 +9,13 @@ smooth hypersurfaces.
 The geometric rank of an order-d tensor uses the multilinear form in d-1
 variable groups: the generators are its partial derivatives with respect to
 the last group, giving n+1 polynomials in (d-1)(n+1) variables.
+
+``sgr``, ``gr`` and their ``_details`` run the engine on the whole input and
+are the reference.  ``rank_report`` answers from the rank laws: it splits a
+form into direct summands on disjoint variables, since SGR and GR add up over
+direct sums, and sums the blocks.  A block's flattening rank r (the dimension
+of the span of its partials) is read off its SGR basis, and SGR <= GR <= r,
+so a block with SGR = r has GR = r and builds no GR basis.
 """
 
 from __future__ import annotations
@@ -34,11 +41,8 @@ def _as_polynomial(obj, field=None, order=None) -> Polynomial:
     return poly if order is None else poly.convert_order(order)
 
 
-def singular_ideal(form: Polynomial) -> Ideal:
-    """The ideal of all first partial derivatives of a homogeneous form.
-
-    Over a prime field the characteristic must exceed the form's degree.
-    """
+def _form_degree(form: Polynomial) -> int:
+    """The degree of a form that has a singular ideal; raises otherwise."""
     if form.is_zero():
         raise InvalidInputError("the zero form has no singular ideal")
     if not form.is_homogeneous():
@@ -51,6 +55,15 @@ def singular_ideal(form: Polynomial) -> Ideal:
         # above the degree no exponent vanishes mod p, so every nonzero
         # form keeps a nonzero partial
         raise InvalidInputError(f"the characteristic {p} must exceed the degree {degree}")
+    return degree
+
+
+def singular_ideal(form: Polynomial) -> Ideal:
+    """The ideal of all first partial derivatives of a homogeneous form.
+
+    Over a prime field the characteristic must exceed the form's degree.
+    """
+    _form_degree(form)
     return Ideal([form.partial_derivative(i) for i in range(form.ring.nvars)])
 
 
@@ -155,6 +168,10 @@ class RankReport:
 
     ``sgr`` is an upper bound on the symmetric subrank, which is not computed
     here; ``gr`` is present only when requested or implied by the input.
+    ``sgr_basis_size`` is the size of the reduced Groebner basis of the
+    singular ideal.  ``gr_basis_size`` counts the elements of the GR bases
+    actually built, and is None when none was: a report reads GR off SGR
+    wherever SGR equals the flattening rank (see ``rank_report``).
     """
 
     sgr: int | None
@@ -188,11 +205,67 @@ class RankReport:
         }
 
 
+def _blocks(form: Polynomial) -> list:
+    """The form's direct summands, each in a ring over its own variables.
+
+    Two variables are in one block when a monomial joins them, so the blocks
+    are the connected components of the variables that occur; a variable in
+    no monomial belongs to none.  A form whose one block holds every
+    variable is returned as it is.  Each block keeps the variables' order,
+    so the monomial order restricts to it.
+    """
+    n = form.ring.nvars
+    comps = []
+    for m in form.terms:
+        joined = sum(1 << i for i, e in enumerate(m) if e)
+        rest = []
+        for c in comps:
+            if c & joined:
+                joined |= c
+            else:
+                rest.append(c)
+        rest.append(joined)
+        comps = rest
+    if len(comps) == 1 and comps[0] == (1 << n) - 1:
+        return [form]
+    block_of = {}
+    variables = []
+    for b, c in enumerate(sorted(comps, key=lambda c: c & -c)):
+        variables.append([i for i in range(n) if c >> i & 1])
+        block_of.update((i, b) for i in variables[-1])
+    terms = [{} for _ in comps]
+    for m, c in form.terms.items():
+        b = block_of[next(i for i, e in enumerate(m) if e)]
+        terms[b][tuple(m[i] for i in variables[b])] = c
+    field, order = form.ring.field, form.ring.order
+    return [Polynomial(PolyRing(len(v), field, order), t) for v, t in zip(variables, terms)]
+
+
+def _flattening_rank(basis, degree: int) -> int:
+    """The dimension of the span of a degree-``degree`` form's partials, read
+    off the reduced basis of its singular ideal.
+
+    The partials span the ideal's degree ``degree - 1`` part, and the
+    ideal has nothing below it, so the reduced basis holds one element per
+    dimension of that span: the elements of degree ``degree - 1``.  The
+    basis of a homogeneous ideal is homogeneous, so the leads show it.
+    """
+    return sum(1 for lm in basis.leading_monomials() if sum(lm) == degree - 1)
+
+
 def rank_report(obj, compute_gr: bool = False, *, field=None, order=None, poll=None) -> RankReport:
     """Full report for a symmetric tensor or homogeneous form.
 
-    With ``compute_gr`` the tensor form of the input is rebuilt when needed.
-    General (non-symmetric) tensors get a GR-only report.
+    General (non-symmetric) tensors get a GR-only report from ``gr_details``.
+    A symmetric input is split into its direct summands (``_blocks``), and
+    the report sums their values: SGR and GR add up over direct sums, and a
+    variable in no monomial adds nothing to either.  Each block's SGR comes
+    from ``sgr_details``.  With ``compute_gr``, a block whose SGR equals its
+    flattening rank r, the dimension of the span of its partials, has GR = r
+    with no further basis, since SGR <= GR (the source paper) and GR <= r
+    (Kopparty, Moshkovitz & Zuiddam, "Geometric rank of tensors and subrank
+    of matrix multiplication", CCC 2020); only the other blocks run
+    ``gr_details`` on their own tensor.
     """
     t0 = time.perf_counter()
     if isinstance(obj, GeneralTensor) and not obj.is_symmetric():
@@ -209,16 +282,27 @@ def rank_report(obj, compute_gr: bool = False, *, field=None, order=None, poll=N
         obj = obj.to_symmetric()
 
     form = _as_polynomial(obj, field=field, order=order)
-    s, sdim, sbasis = sgr_details(form, poll=poll)
-    g = None
+    degree = _form_degree(form)
+    s = ssize = 0
+    g = 0 if compute_gr else None
     gsize = None
-    if compute_gr:
-        tens = obj if isinstance(obj, SymmetricTensor) else SymmetricTensor.from_polynomial(form)
-        g, _, gbasis = gr_details(tens, field=field, order=order, poll=poll)
-        gsize = len(gbasis)
+    for block in _blocks(form):
+        s_b, _, sbasis = sgr_details(block, poll=poll)
+        s += s_b
+        ssize += len(sbasis)
+        if not compute_gr:
+            continue
+        if s_b == _flattening_rank(sbasis, degree):
+            g += s_b
+        else:
+            tens = SymmetricTensor.from_polynomial(block)
+            g_b, _, gbasis = gr_details(tens, order=order, poll=poll)
+            g += g_b
+            gsize = (gsize or 0) + len(gbasis)
+    n = form.ring.nvars
     ms = (time.perf_counter() - t0) * 1000.0
     return RankReport(
-        sgr=s, gr=g, sing_dim_affine=sdim,
-        ambient=form.ring.nvars, field=form.ring.field.name, ms=round(ms, 3),
-        sgr_basis_size=len(sbasis), gr_basis_size=gsize,
+        sgr=s, gr=g, sing_dim_affine=n - s,
+        ambient=n, field=form.ring.field.name, ms=round(ms, 3),
+        sgr_basis_size=ssize, gr_basis_size=gsize,
     )

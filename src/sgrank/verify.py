@@ -20,7 +20,7 @@ from typing import Callable
 from .errors import InvalidInputError
 from .groebner import buchberger, ideal_dimension, normal_form, s_polynomial
 from .polyring import DEFAULT_PRIME, GREVLEX, LEX, QQ, PolyRing, Polynomial, PrimeField
-from .rank import gr, matrix_rank, sgr, sgr_details, singular_ideal
+from .rank import gr, matrix_rank, rank_report, sgr, sgr_details, singular_ideal
 from .strata import (
     ProjectiveLine,
     Tangency,
@@ -223,6 +223,85 @@ def _case_sgr_leq_gr(seed):
     t = _random_symmetric_cubic(rng, rng.randint(1, 3))
     s, g = sgr(t), gr(t)
     return s <= g, f"sgr={s}, gr={g}"
+
+
+def _partials_rank(form: Polynomial) -> int:
+    """The flattening rank of a form: the rank of the coefficient matrix of
+    its partials, by Gaussian elimination."""
+    partials = [form.partial_derivative(i) for i in range(form.ring.nvars)]
+    monos = sorted({m for p in partials for m in p.terms})
+    zero = form.ring.field.zero
+    return matrix_rank([[p.terms.get(m, zero) for m in monos] for p in partials],
+                       form.ring.field)
+
+
+def _case_gr_leq_flattening(seed):
+    # every other seed maps the cubic by a singular matrix, so that its
+    # flattening rank falls below the number of variables
+    rng = random.Random(seed)
+    n = rng.randint(1, 3)
+    t = _random_symmetric_cubic(rng, n)
+    if seed % 2:
+        image = t.apply_matrix(_random_matrix(rng, n + 1, True))
+        t = t if image.is_zero() else image
+    s, g, r = sgr(t), gr(t), _partials_rank(t.to_polynomial())
+    return s <= g <= r, f"sgr={s}, gr={g}, flattening rank={r}"
+
+
+def _random_invertible_matrix(rng: random.Random, m: int):
+    while True:
+        a = _random_matrix(rng, m, False)
+        if matrix_rank(a) == m:
+            return a
+
+
+# Direct summands for the report cross-check: the W-state and the diagonal
+# x0^3 + x1^3 sit in 4 variables, so their flattening rank 2 is below the
+# block's size; the W-state's SGR 1 is below it too, the diagonal's is not.
+_REPORT_BLOCKS = {
+    "random": lambda rng: _random_symmetric_cubic(rng, rng.randint(1, 2)),
+    "one variable": lambda rng: identity_tensor(1, 0, 3).scale(rng.choice((-2, 1, 3))),
+    "w_state in 4": lambda rng: w_state(1).direct_sum(SymmetricTensor(3, 2, {})),
+    "diagonal in 4": lambda rng: identity_tensor(2, 3, 3),
+    "big_cw": lambda rng: big_cw(2, 3),
+    "small_cw": lambda rng: small_cw(2, 2),
+    "h3": lambda rng: complete_homogeneous_cubic(rng.randint(1, 3)),
+    "normal_form": lambda rng: SymmetricTensor.from_polynomial(irreducible_sgr2_cubic(2, 1)),
+}
+
+
+def _case_report_blocks(seed, variant):
+    """rank_report, which splits a form into direct summands and reads GR off
+    SGR where SGR is the flattening rank, against sgr, gr and sgr_details
+    on the whole form: a direct sum of 1-3 blocks, each under a random
+    invertible change of its own variables, plus 0-2 free variables, with
+    every variable then moved to a random place."""
+    rng = random.Random(seed)
+    kinds = sorted(_REPORT_BLOCKS)
+    names = [kinds[seed % len(kinds)]] + [rng.choice(kinds) for _ in range(rng.randint(0, 2))]
+    t = None
+    for name in names:
+        block = _REPORT_BLOCKS[name](rng)
+        block = block.apply_matrix(_random_invertible_matrix(rng, block.dim))
+        t = block if t is None else t.direct_sum(block)
+    free = rng.randint(0, 2)
+    if free:
+        t = t.direct_sum(SymmetricTensor(3, free, {}))
+    n = t.dim
+    perm = list(range(n))
+    rng.shuffle(perm)
+    t = t.apply_matrix([[int(j == perm[i]) for j in range(n)] for i in range(n)])
+    field = PrimeField(DEFAULT_PRIME) if variant == "Fp" else None
+    order = LEX if variant == "lex" else None
+    rep = rank_report(t, compute_gr=True, field=field, order=order)
+    s, dim, basis = sgr_details(t, field=field, order=order)
+    g = gr(t, field=field, order=order)
+    got = (rep.sgr, rep.gr, rep.sing_dim_affine, rep.sgr_basis_size)
+    want = (s, g, n - s, len(basis))
+    return got == want and dim == n - s, (
+        f"{' + '.join(names)} + {free} free: report (sgr, gr, dim, basis) = {got}, "
+        f"plain engine {want}"
+    )
 
 
 def _case_scaling(seed):
@@ -632,6 +711,12 @@ def suite_rank_properties():
         cases.append(Case(f"subadditive seed={seed}", _case_subadditive, (seed,)))
     for seed in range(30):
         cases.append(Case(f"sgr<=gr seed={seed}", _case_sgr_leq_gr, (seed,)))
+    for seed in range(30):
+        cases.append(Case(f"gr<=flattening rank seed={seed}", _case_gr_leq_flattening, (seed,)))
+    for seed in range(40):
+        for variant in ("QQ", "Fp", "lex"):
+            cases.append(Case(f"report by blocks vs plain engine ({variant}) seed={seed}",
+                              _case_report_blocks, (seed, variant)))
     for seed in range(10):
         cases.append(Case(f"scaling seed={seed}", _case_scaling, (seed,)))
     return cases

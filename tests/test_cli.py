@@ -98,6 +98,23 @@ def test_gr_big_cw(capsys):
     assert code == 0 and doc["gr"] == 3
 
 
+def test_gr_verbose_names_where_gr_came_from(capsys):
+    # big CW: SGR 2 is below the flattening rank 4, so GR needs its own basis
+    code, out, _ = run(capsys, "gr", "--poly", "x0*x1^2 + x0*x2^2 + x0^2*x3", "-v")
+    assert code == 0 and "gr: 3" in out
+    assert "singular ideal basis size: " in out
+    assert "multilinear ideal basis size: " in out
+    assert "read off" not in out
+    # smooth: SGR 2 is the flattening rank, so it is GR too
+    code, out, _ = run(capsys, "gr", "--poly", "x0^3 + x1^3", "-v")
+    assert code == 0 and "gr: 2" in out
+    assert "multilinear ideal: none built, GR read off SGR = flattening rank" in out
+    assert "multilinear ideal basis size" not in out
+    # without -v neither line is printed
+    code, out, _ = run(capsys, "gr", "--poly", "x0^3 + x1^3")
+    assert code == 0 and "multilinear" not in out
+
+
 def test_json_output_is_deterministic(capsys):
     _, out1, _ = run(capsys, "sgr", "--poly", "x0^3 + x1^3", "--json")
     _, out2, _ = run(capsys, "sgr", "--poly", "x0^3 + x1^3", "--json")

@@ -1,5 +1,6 @@
 """Groebner engine tests: bases, reduction, membership and dimension."""
 
+import gc
 import hashlib
 import itertools
 import random
@@ -810,6 +811,21 @@ def test_poll_cancels_dimension_search():
     del seen[:]
     assert ideal_dimension(_cycle_basis(21), poll=seen.append) == 10
     assert seen
+
+
+def test_dimension_search_leaves_no_reference_cycle():
+    # everything the search makes is freed by reference counting, so the
+    # cyclic collector finds nothing after it, polled or not
+    gb = _cycle_basis(33)
+    gc.collect()
+    gc.disable()
+    try:
+        assert ideal_dimension(gb) == 16
+        assert gc.collect() == 0
+        assert ideal_dimension(gb, poll=lambda stats: None) == 16
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_dimension_field_and_order_stability():

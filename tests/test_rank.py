@@ -1,5 +1,6 @@
 """SGR/GR computations, matrix rank and rank reports."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -10,7 +11,7 @@ from sgrank import groebner, rank
 from sgrank.cli import main
 from sgrank.errors import ComputationTimeout, DimensionMismatchError, InvalidInputError
 from sgrank.groebner import buchberger, ideal_membership
-from sgrank.polyring import LEX, PolyRing, PrimeField, parse_polynomial
+from sgrank.polyring import GREVLEX, LEX, QQ, PolyRing, PrimeField, parse_polynomial
 from sgrank.rank import (
     gr,
     matrix_rank,
@@ -30,6 +31,7 @@ from sgrank.tensor import (
     sym_matrix_mult,
     w_state,
 )
+from sgrank.verify import _partials_rank
 from sgrank.verify import _random_symmetric_cubic as random_symmetric_cubic
 
 FP = PrimeField(2**31 - 1)
@@ -359,6 +361,93 @@ def test_report_invariants_on_random_inputs():
         assert 1 <= rep.sgr <= n + 1
         assert rep.sgr <= rep.gr
         assert rep.sing_dim_affine + rep.sgr == rep.ambient
+
+
+def _random_form(rng, n, d, field, order):
+    """A random degree-d form in n variables pulled back from k <= n
+    variables, so its flattening rank is at most k."""
+    k = rng.randint(1, n)
+    small = PolyRing(k, field, order)
+    while True:
+        terms = {}
+        for idx in itertools.combinations_with_replacement(range(k), d):
+            if rng.random() < 0.6:
+                terms[tuple(idx.count(i) for i in range(k))] = rng.randint(-3, 3)
+        g = small.from_dict(terms)
+        if g.is_zero():
+            continue
+        f = g.substitute_linear([[rng.randint(-2, 2) for _ in range(k)] for _ in range(n)])
+        if not f.is_zero():
+            return PolyRing(n, field, order).from_dict(f.terms)
+
+
+def test_flattening_rank_is_read_off_the_singular_basis():
+    rng = random.Random(60)
+    fields = (QQ, PrimeField(101), FP)
+    below = 0
+    for i in range(60):
+        d = 3 + i % 2
+        n = rng.randint(2, 4 if d == 3 else 3)
+        field, order = fields[i % 3], (GREVLEX, LEX)[i // 3 % 2]
+        f = _random_form(rng, n, d, field, order)
+        s, _, basis = sgr_details(f)
+        r = rank._flattening_rank(basis, d)
+        assert r == _partials_rank(f), str(f)
+        g = gr(SymmetricTensor.from_polynomial(f), order=order)
+        assert s <= g <= r, str(f)
+        below += r < n
+    assert below >= 10
+
+
+def test_report_splits_a_direct_sum_into_blocks():
+    # x0, x2 and x3 in two blocks, x1 and x4 in none; each block keeps the
+    # order of its variables
+    f = parse_polynomial("3*x0^2*x2 + 2*x3^3", nvars=5)
+    blocks = rank._blocks(f)
+    assert [(b.ring.nvars, b.terms) for b in blocks] == [(2, {(2, 1): 3}), (1, {(3,): 2})]
+    connected = complete_homogeneous_cubic(2).to_polynomial()
+    assert rank._blocks(connected) == [connected]
+    assert rank._blocks(connected)[0] is connected
+    for order in (GREVLEX, LEX):
+        rep = rank_report(f.convert_order(order), compute_gr=True)
+        s, dim, basis = sgr_details(f, order=order)
+        assert (rep.sgr, rep.gr, rep.sing_dim_affine) == (s, gr(SymmetricTensor.from_polynomial(f)), dim)
+        assert rep.sgr_basis_size == len(basis)
+        assert rep.gr_basis_size is not None  # the W-state x0^2*x2 has SGR 1 < 2
+
+
+def test_report_reads_gr_off_sgr_with_one_basis(monkeypatch):
+    calls = []
+    real_buchberger = rank.buchberger
+
+    def buchberger(ideal, **kwargs):
+        calls.append(ideal)
+        return real_buchberger(ideal, **kwargs)
+
+    monkeypatch.setattr(rank, "buchberger", buchberger)
+    rep = rank_report(complete_homogeneous_cubic(3), compute_gr=True)
+    assert (rep.sgr, rep.gr, rep.gr_basis_size) == (4, 4, None)
+    assert len(calls) == 1
+
+
+def test_poll_stops_a_report_inside_its_second_block(monkeypatch):
+    calls = []
+    real_buchberger = rank.buchberger
+
+    def buchberger(ideal, **kwargs):
+        calls.append(ideal)
+        return real_buchberger(ideal, **kwargs)
+
+    def poll(stats):
+        if len(calls) == 2:
+            raise ComputationTimeout("stop")
+
+    h3 = complete_homogeneous_cubic(3)
+    monkeypatch.setattr(rank, "buchberger", buchberger)
+    with pytest.raises(ComputationTimeout):
+        rank_report(h3.direct_sum(h3), compute_gr=True, poll=poll)
+    # the first block's singular ideal, then the second's, in 4 variables
+    assert [len(ideal) for ideal in calls] == [4, 4]
 
 
 @pytest.mark.parametrize("details", ["sgr_details", "gr_details"])
