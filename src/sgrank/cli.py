@@ -104,7 +104,8 @@ def _emit_report(report: RankReport, args, annotation=None):
         print(f"singular ideal basis size: {report.sgr_basis_size}")
     if report.gr is not None and args.verbose:
         if report.gr_basis_size is None:
-            print("multilinear ideal: none built, GR read off SGR = flattening rank")
+            print("multilinear ideal: not built for every block, "
+                  "GR read off SGR = flattening rank where they are equal")
         else:
             print(f"multilinear ideal basis size: {report.gr_basis_size}")
     chain = report.bound_chain()

@@ -168,10 +168,12 @@ class RankReport:
 
     ``sgr`` is an upper bound on the symmetric subrank, which is not computed
     here; ``gr`` is present only when requested or implied by the input.
-    ``sgr_basis_size`` is the size of the reduced Groebner basis of the
-    singular ideal.  ``gr_basis_size`` counts the elements of the GR bases
-    actually built, and is None when none was: a report reads GR off SGR
-    wherever SGR equals the flattening rank (see ``rank_report``).
+    ``sgr_basis_size`` and ``gr_basis_size`` are the sizes of the reduced
+    Groebner bases of the singular and the multilinear ideal.  A report that
+    splits its input builds one basis per block, and the blocks' bases
+    together are the reduced basis of the whole ideal.  ``gr_basis_size`` is
+    None when some block read GR off SGR (see ``rank_report``) and so built
+    no GR basis.
     """
 
     sgr: int | None
@@ -285,7 +287,7 @@ def rank_report(obj, compute_gr: bool = False, *, field=None, order=None, poll=N
     degree = _form_degree(form)
     s = ssize = 0
     g = 0 if compute_gr else None
-    gsize = None
+    gsizes = []   # per block: its GR basis size, None where GR = SGR = r
     for block in _blocks(form):
         s_b, _, sbasis = sgr_details(block, poll=poll)
         s += s_b
@@ -294,11 +296,13 @@ def rank_report(obj, compute_gr: bool = False, *, field=None, order=None, poll=N
             continue
         if s_b == _flattening_rank(sbasis, degree):
             g += s_b
+            gsizes.append(None)
         else:
             tens = SymmetricTensor.from_polynomial(block)
             g_b, _, gbasis = gr_details(tens, order=order, poll=poll)
             g += g_b
-            gsize = (gsize or 0) + len(gbasis)
+            gsizes.append(len(gbasis))
+    gsize = sum(gsizes) if compute_gr and None not in gsizes else None
     n = form.ring.nvars
     ms = (time.perf_counter() - t0) * 1000.0
     return RankReport(

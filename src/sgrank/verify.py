@@ -20,7 +20,7 @@ from typing import Callable
 from .errors import InvalidInputError
 from .groebner import buchberger, ideal_dimension, normal_form, s_polynomial
 from .polyring import DEFAULT_PRIME, GREVLEX, LEX, QQ, PolyRing, Polynomial, PrimeField
-from .rank import gr, matrix_rank, rank_report, sgr, sgr_details, singular_ideal
+from .rank import gr, gr_details, matrix_rank, rank_report, sgr, sgr_details, singular_ideal
 from .strata import (
     ProjectiveLine,
     Tangency,
@@ -272,7 +272,7 @@ _REPORT_BLOCKS = {
 
 def _case_report_blocks(seed, variant):
     """rank_report, which splits a form into direct summands and reads GR off
-    SGR where SGR is the flattening rank, against sgr, gr and sgr_details
+    SGR where SGR is the flattening rank, against sgr_details and gr_details
     on the whole form: a direct sum of 1-3 blocks, each under a random
     invertible change of its own variables, plus 0-2 free variables, with
     every variable then moved to a random place."""
@@ -295,12 +295,14 @@ def _case_report_blocks(seed, variant):
     order = LEX if variant == "lex" else None
     rep = rank_report(t, compute_gr=True, field=field, order=order)
     s, dim, basis = sgr_details(t, field=field, order=order)
-    g = gr(t, field=field, order=order)
+    g, _, gbasis = gr_details(t, field=field, order=order)
     got = (rep.sgr, rep.gr, rep.sing_dim_affine, rep.sgr_basis_size)
     want = (s, g, n - s, len(basis))
-    return got == want and dim == n - s, (
+    # a report that built every block's GR basis has the whole one's size
+    whole = rep.gr_basis_size in (None, len(gbasis))
+    return got == want and dim == n - s and whole, (
         f"{' + '.join(names)} + {free} free: report (sgr, gr, dim, basis) = {got}, "
-        f"plain engine {want}"
+        f"plain engine {want}; GR basis {rep.gr_basis_size} against {len(gbasis)}"
     )
 
 

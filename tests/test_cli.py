@@ -108,7 +108,13 @@ def test_gr_verbose_names_where_gr_came_from(capsys):
     # smooth: SGR 2 is the flattening rank, so it is GR too
     code, out, _ = run(capsys, "gr", "--poly", "x0^3 + x1^3", "-v")
     assert code == 0 and "gr: 2" in out
-    assert "multilinear ideal: none built, GR read off SGR = flattening rank" in out
+    assert "multilinear ideal: not built for every block, GR read off SGR = flattening rank" in out
+    assert "multilinear ideal basis size" not in out
+    # big CW plus x4^3: the cube reads GR off SGR, so the big CW block's
+    # basis is not the whole ideal's, and no size is printed
+    code, out, _ = run(capsys, "gr", "--poly", "x0*x1^2 + x0*x2^2 + x0^2*x3 + x4^3", "-v")
+    assert code == 0 and "gr: 4" in out
+    assert "GR read off SGR = flattening rank" in out
     assert "multilinear ideal basis size" not in out
     # without -v neither line is printed
     code, out, _ = run(capsys, "gr", "--poly", "x0^3 + x1^3")

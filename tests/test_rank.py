@@ -14,6 +14,7 @@ from sgrank.groebner import buchberger, ideal_membership
 from sgrank.polyring import GREVLEX, LEX, QQ, PolyRing, PrimeField, parse_polynomial
 from sgrank.rank import (
     gr,
+    gr_details,
     matrix_rank,
     rank_report,
     sgr,
@@ -408,15 +409,24 @@ def test_report_splits_a_direct_sum_into_blocks():
     connected = complete_homogeneous_cubic(2).to_polynomial()
     assert rank._blocks(connected) == [connected]
     assert rank._blocks(connected)[0] is connected
+    tens = SymmetricTensor.from_polynomial(f)
     for order in (GREVLEX, LEX):
-        rep = rank_report(f.convert_order(order), compute_gr=True)
+        rep = rank_report(tens, compute_gr=True, order=order)
         s, dim, basis = sgr_details(f, order=order)
-        assert (rep.sgr, rep.gr, rep.sing_dim_affine) == (s, gr(SymmetricTensor.from_polynomial(f)), dim)
+        assert (rep.sgr, rep.gr, rep.sing_dim_affine) == (s, gr(tens), dim) == (2, 3, 3)
         assert rep.sgr_basis_size == len(basis)
-        assert rep.gr_basis_size is not None  # the W-state x0^2*x2 has SGR 1 < 2
+        assert rep.gr_basis_size is None  # 2*x3^3 has SGR 1 = r
+        # the W-state x0^2*x2 alone (SGR 1 < r = 2) builds its GR basis,
+        # whose size is the whole multilinear ideal's
+        w = parse_polynomial("3*x0^2*x2", nvars=4).convert_order(order)
+        rep = rank_report(w, compute_gr=True)
+        gbasis = gr_details(SymmetricTensor.from_polynomial(w))[2]
+        assert (rep.gr, rep.gr_basis_size) == (2, len(gbasis))
 
 
-def test_report_reads_gr_off_sgr_with_one_basis(monkeypatch):
+@pytest.fixture
+def buchberger_calls(monkeypatch):
+    """The ideals rank's buchberger is called on, in order."""
     calls = []
     real_buchberger = rank.buchberger
 
@@ -425,29 +435,25 @@ def test_report_reads_gr_off_sgr_with_one_basis(monkeypatch):
         return real_buchberger(ideal, **kwargs)
 
     monkeypatch.setattr(rank, "buchberger", buchberger)
+    return calls
+
+
+def test_report_reads_gr_off_sgr_with_one_basis(buchberger_calls):
     rep = rank_report(complete_homogeneous_cubic(3), compute_gr=True)
     assert (rep.sgr, rep.gr, rep.gr_basis_size) == (4, 4, None)
-    assert len(calls) == 1
+    assert len(buchberger_calls) == 1
 
 
-def test_poll_stops_a_report_inside_its_second_block(monkeypatch):
-    calls = []
-    real_buchberger = rank.buchberger
-
-    def buchberger(ideal, **kwargs):
-        calls.append(ideal)
-        return real_buchberger(ideal, **kwargs)
-
+def test_poll_stops_a_report_inside_its_second_block(buchberger_calls):
     def poll(stats):
-        if len(calls) == 2:
+        if len(buchberger_calls) == 2:
             raise ComputationTimeout("stop")
 
     h3 = complete_homogeneous_cubic(3)
-    monkeypatch.setattr(rank, "buchberger", buchberger)
     with pytest.raises(ComputationTimeout):
         rank_report(h3.direct_sum(h3), compute_gr=True, poll=poll)
     # the first block's singular ideal, then the second's, in 4 variables
-    assert [len(ideal) for ideal in calls] == [4, 4]
+    assert [len(ideal) for ideal in buchberger_calls] == [4, 4]
 
 
 @pytest.mark.parametrize("details", ["sgr_details", "gr_details"])
