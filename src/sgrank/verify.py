@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 import os
 import random
 import time
@@ -589,6 +590,121 @@ def _case_plain_engine(name, variant):
     )
 
 
+def _random_form(rng: random.Random, ring: PolyRing, degree, keep=None) -> Polynomial:
+    """A form of the given degree with coefficients drawn from -5..5 on every
+    monomial that ``keep`` accepts (all of them by default)."""
+    n = ring.nvars
+    terms = {}
+    for c in itertools.combinations_with_replacement(range(n), degree):
+        m = tuple(map(c.count, range(n)))
+        if (keep is None or keep(m)) and (v := rng.randint(-5, 5)):
+            terms[m] = v
+    return ring.from_dict(terms)
+
+
+@functools.cache
+def _square_systems():
+    """Homogeneous systems of as many generators as variables over QQ in
+    grevlex, where the engine tracks the complete-intersection Hilbert bound,
+    each with whether pairs must be skipped on it (True), must not be
+    (False), or may be (None).  Built once per process."""
+    rng = random.Random(1996)
+    r4 = PolyRing(4)
+    systems = {}
+    # Smooth forms: the partials are a regular sequence.
+    for n in (4, 5, 6):
+        f = complete_homogeneous_cubic(n - 1).to_polynomial()
+        systems[f"h3 in {n} vars"] = (list(singular_ideal(f)), True)
+    for n in (4, 5):
+        f = _random_form(rng, PolyRing(n), 3)
+        systems[f"dense cubic in {n} vars"] = (list(singular_ideal(f)), True)
+    # Cubics singular along the last k coordinates (no term of degree 2 or
+    # more in them): the count first ends above the bound at degree 5 for
+    # k = 1 and at degree 3 for k = 2.  The other systems that are not
+    # complete intersections first end above it at degree 7 (a common zero)
+    # and 2 (dependent generators).
+    for k in (1, 2):
+        f = _random_form(rng, r4, 3, lambda m, k=k: sum(m[4 - k:]) < 2)
+        systems[f"cubic singular on {k} coordinates"] = (list(singular_ideal(f)), None)
+    systems["mixed degrees 2, 3, 2, 4"] = ([_random_form(rng, r4, d) for d in (2, 3, 2, 4)], True)
+    # Forms of degrees 2, 3, 2, 3 sharing the zero (0, 0, 0, 1).
+    systems["mixed degrees with a common zero"] = (
+        [_random_form(rng, r4, d, lambda m: m[3] < d) for d in (2, 3, 2, 3)], None)
+    g = [_random_form(rng, r4, 2) for _ in range(3)]
+    systems["linearly dependent generators"] = ([*g, g[0] + g[1] * 3], None)
+    systems["a zero generator"] = ([*g, r4.zero()], False)
+    return systems
+
+
+# Runs that take the textbook algorithm more than about 1.5 s; h3 in 6
+# variables stays over Fp only (2-3 s), the slowest case of the suite.
+_SQUARE_SLOW = {("h3 in 6 vars", "QQ"), ("h3 in 6 vars", "lex"), ("dense cubic in 5 vars", "lex")}
+
+
+def _case_square_system(name, variant):
+    """buchberger and the textbook algorithm give the same reduced basis of a
+    square homogeneous system over QQ, over Fp or in lex order: a check that
+    the pairs the Hilbert bound drops unreduced were zero.  Whether pairs
+    were dropped is checked too, where it is known."""
+    gens, skips = _square_systems()[name]
+    if variant == "Fp":
+        gens = [g.convert_field(PrimeField(DEFAULT_PRIME)) for g in gens]
+    elif variant == "lex":
+        gens = [g.convert_order(LEX) for g in gens]
+    last = []
+    fast = list(buchberger(gens, poll=last.append, poll_every=1))
+    skipped = last[-1].pairs_skipped if last else 0
+    plain = _textbook_buchberger(gens)
+    ok = fast == plain and (skips is None or (skipped > 0) == skips)
+    return ok, (f"{len(fast)} elements, textbook {'agrees' if fast == plain else 'differs'}, "
+                f"{skipped} pairs skipped")
+
+
+def _standard_count(leads, nvars, t) -> int:
+    """The number of degree-t monomials that no lead divides, by listing them."""
+    return sum(
+        1 for c in itertools.combinations_with_replacement(range(nvars), t)
+        if not any(all(map(int.__le__, lm, map(c.count, range(nvars)))) for lm in leads)
+    )
+
+
+def _complete_intersection_hf(degrees, t) -> int:
+    """The Hilbert function at t of a complete intersection of the given
+    degrees, counted as the degree-t monomials that x_i^(d_i) leave
+    standard: exponents a with a_i < d_i summing to t."""
+    return sum(1 for a in itertools.product(*(range(d) for d in degrees)) if sum(a) == t)
+
+
+def _case_hilbert_bound(seed):
+    """On a random square homogeneous system, degenerate ones included (a
+    generator that is a combination of others, a common factor, a common
+    zero), the final lead ideal leaves at least CI(t) standard monomials in
+    every degree t up to the top basis degree + 1: the bound the engine's
+    skip rests on."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 4)
+    field = PrimeField(DEFAULT_PRIME) if seed % 2 else QQ
+    ring = PolyRing(n, field, LEX if seed % 3 == 0 else GREVLEX)
+    kind = ("generic", "combination", "common factor", "common zero")[seed % 4]
+    degrees = [rng.randint(1, 3) for _ in range(n)]
+    if kind == "combination":
+        degrees = [degrees[0]] * n
+    gens = []
+    for d in degrees:
+        g = _random_form(rng, ring, d, None if kind != "common zero" else lambda m, d=d: m[0] < d)
+        if kind == "common factor" and d > 1:
+            g = _random_form(rng, ring, 1) * _random_form(rng, ring, d - 1)
+        gens.append(g if not g.is_zero() else ring.from_dict({(d,) + (0,) * (n - 1): 1}))
+    if kind == "combination":
+        gens[-1] = gens[0] * 2 if n == 2 else gens[0] + gens[1]
+    leads = buchberger(gens).leading_monomials()
+    top = max(map(sum, leads))
+    low = [t for t in range(top + 2)
+           if _standard_count(leads, n, t) < _complete_intersection_hf(degrees, t)]
+    return not low, (f"{kind}, degrees {degrees}: "
+                     + (f"count below CI(t) at t={low}" if low else f"count >= CI(t) for t <= {top + 1}"))
+
+
 def _shortcut_disagreements(nvars, terms):
     """Where buchberger and the textbook algorithm give different reduced
     bases of the ideal of the given single terms, (exponent tuple,
@@ -781,6 +897,14 @@ def suite_engine():
                                   _case_plain_engine, (name, variant)))
     for name in ("w_state", "big_cw[2,3]"):
         cases.append(Case(f"gr cross-checks: {name}", _case_cross_gr, (name,)))
+    for name in _square_systems():
+        for variant in ("QQ", "Fp", "lex"):
+            if (name, variant) not in _SQUARE_SLOW:
+                cases.append(Case(f"square system vs textbook ({variant}): {name}",
+                                  _case_square_system, (name, variant)))
+    for seed in range(40):
+        cases.append(Case(f"Hilbert bound on a square system seed={seed}",
+                          _case_hilbert_bound, (seed,)))
     for seed in range(30):
         cases.append(Case(f"monomial shortcut vs textbook seed={seed}",
                           _case_monomial_shortcut, (seed,)))

@@ -478,15 +478,15 @@ def test_poll_fires_inside_one_long_reduction():
 
 @pytest.mark.parametrize("form, counts, digest", [
     (lambda: sym_matrix_mult(3).convert_field(FP), (95, 57, 25), "f4f728549ec93dde"),
-    (lambda: complete_homogeneous_cubic(5).to_polynomial(), (177, 60, 43), "f40090886b5e2a3b"),
+    (lambda: complete_homogeneous_cubic(5).to_polynomial(), (121, 60, 43), "f40090886b5e2a3b"),
     (lambda: big_cw(2, 3).to_polynomial(), (4, 3, 4), "1b3297379b1ba7d1"),
     # dense, 6 variables, basis coefficients up to 681 bits
-    (lambda: _random_symmetric_cubic(random.Random(5), 5).to_polynomial(), (156, 80, 39),
+    (lambda: _random_symmetric_cubic(random.Random(5), 5).to_polynomial(), (33, 80, 39),
      "cfc9b9d26e55a557"),
     (lambda: sym_matrix_mult(3).convert_order(LEX), (95, 55, 25), "c83eccf283874507"),
     # the engine inputs of the benchmark's trace-m4-fp and h3-n7-qq, unscaled
     (lambda: sym_matrix_mult(4).convert_field(FP), (1318, 613, 161), "9277c25d91267b14"),
-    (lambda: complete_homogeneous_cubic(7).to_polynomial(), (765, 279, 122), "6c85d0108d62ddda"),
+    (lambda: complete_homogeneous_cubic(7).to_polynomial(), (624, 279, 122), "6c85d0108d62ddda"),
 ], ids=["sym_matrix_mult-3-Fp", "h3-5-QQ", "big_cw-2-3-QQ", "random-cubic-5-QQ",
         "sym_matrix_mult-3-lex-QQ", "sym_matrix_mult-4-Fp", "h3-7-QQ"])
 def test_engine_counts_pinned(form, counts, digest):
@@ -512,6 +512,98 @@ def test_engine_counts_pinned(form, counts, digest):
     assert (len(wrapped), wrapped.leading_monomials(), wrapped.is_unit_ideal) == (size, leads, unit)
     assert (done[0], peak[0], len(gb)) == counts
     assert hashlib.sha256("\n".join(map(str, gb)).encode()).hexdigest()[:16] == digest
+
+
+def _final_stats(gens):
+    """The basis and the last GBStats of a run polled at every pair."""
+    seen = []
+    gb = buchberger(gens, poll=seen.append, poll_every=1)
+    return gb, seen[-1]
+
+
+def _digest(gb):
+    return hashlib.sha256("\n".join(map(str, gb)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("form", [
+    lambda: complete_homogeneous_cubic(5).to_polynomial(),
+    lambda: complete_homogeneous_cubic(7).to_polynomial(),
+    lambda: _random_symmetric_cubic(random.Random(4), 4).to_polynomial(),  # dense, 5 variables
+], ids=["h3-5", "h3-7", "random-cubic-5-vars"])
+def test_skipped_pairs_reduce_to_zero(form, monkeypatch):
+    # the pairs the Hilbert bound drops are exactly pairs the full run reduces
+    # to zero: same basis, and every dropped pair is one fewer reduced
+    gens = list(singular_ideal(form()))
+    gb, stats = _final_stats(gens)
+    monkeypatch.setattr(groebner, "_hilbert_bound", lambda ideal: None)
+    plain, plain_stats = _final_stats(gens)
+    assert stats.pairs_skipped > 0 and plain_stats.pairs_skipped == 0
+    assert plain_stats.pairs_done == stats.pairs_done + stats.pairs_skipped
+    assert _digest(gb) == _digest(plain)
+
+
+def test_poll_stops_a_run_while_it_skips():
+    # h3 in 9 variables skips 203 pairs; a skipped pair counts toward the
+    # poll cadence, so polls fire while nothing is reduced, and raising in
+    # any of them stops the run there
+    gens = list(singular_ideal(complete_homogeneous_cubic(8).to_polynomial()))
+    seen = []
+    buchberger(gens, poll=seen.append)
+    # polls that skipped pairs alone brought on: 8 more skipped, none reduced
+    skipping = [k for k in range(1, len(seen))
+                if seen[k].pairs_done == seen[k - 1].pairs_done
+                and seen[k].pairs_skipped == seen[k - 1].pairs_skipped + 8]
+    assert len(skipping) >= 3
+    for k in (skipping[0], skipping[len(skipping) // 2], skipping[-1]):
+        calls = []
+
+        def poll(stats):
+            calls.append(stats)
+            if len(calls) == k + 1:
+                raise ComputationTimeout("stop", basis_size=stats.basis_size,
+                                         pairs_done=stats.pairs_done, pairs_left=stats.pairs_left)
+
+        with pytest.raises(ComputationTimeout):
+            buchberger(gens, poll=poll)
+        assert calls == seen[:k + 1]
+
+
+def test_hilbert_bound_of_square_homogeneous_systems():
+    r = PolyRing(4)
+    quadrics = list(singular_ideal(complete_homogeneous_cubic(3).to_polynomial()))
+    assert groebner._hilbert_bound(Ideal(quadrics)) == [1, 4, 6, 4, 1]
+    # degrees 2 and 3: (1 + z)(1 + z + z^2); a linear form adds a factor 1
+    r2 = PolyRing(2)
+    assert groebner._hilbert_bound(Ideal([P("x0^2", ring=r2), P("x0*x1^2", ring=r2)])) == [1, 2, 2, 1]
+    r3 = PolyRing(3)
+    mixed = [P("x0 - x2", ring=r3), P("x1^2", ring=r3), P("x2^3 + x0*x1*x2", ring=r3)]
+    assert groebner._hilbert_bound(Ideal(mixed)) == [1, 2, 2, 1]
+    # any other shape is not tracked: fewer forms than variables (a zero
+    # generator is dropped), a form that is not homogeneous, more forms
+    assert groebner._hilbert_bound(Ideal(quadrics[:3])) is None
+    assert groebner._hilbert_bound(Ideal([*quadrics[:3], r.zero()])) is None
+    assert groebner._hilbert_bound(Ideal([*quadrics[:3], P("x3^2 + x0", ring=r)])) is None
+    assert groebner._hilbert_bound(Ideal([*quadrics, P("x0*x1", ring=r)])) is None
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+def test_next_standard_lists_the_standard_monomials(order):
+    # built degree by degree, the standard monomials are exactly the
+    # monomials that no lead divides
+    rng = random.Random(19)
+    n = 4
+    pk = _Packing(n, order, 8)
+    units = [pk.pack(tuple(int(i == k) for i in range(n))) for k in range(n)]
+    for _ in range(30):
+        leads = {tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 6))}
+        std = {0: ()}
+        for t in range(1, 8):
+            std = groebner._next_standard(std, {pk.pack(m) for m in leads if sum(m) == t}, units, None)
+            monos = [tuple(map(c.count, range(n)))
+                     for c in itertools.combinations_with_replacement(range(n), t)]
+            want = {m for m in monos if not any(all(map(int.__le__, lm, m)) for lm in leads)}
+            assert sorted(map(pk.unpack, std)) == sorted(want)
+            assert all(std[pk.pack(m)] == tuple(i for i in range(n) if m[i]) for m in want)
 
 
 # ---------------------------------------------------------------------------
