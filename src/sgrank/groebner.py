@@ -87,8 +87,13 @@ extracted; over the rationals unnormalized (num, den) int pairs, with one gcd
 when extracted and one more per reduction step for all the step's terms.
 Equal denominators subtract without a multiply; unlike ones meet over their
 lcm, which a gcd cuts back once it is more than 64 bits wider than the
-step's own.  Fractions enter and leave only through pack_terms and
-unpack_terms; _entry also uses them to make a new element monic.
+step's own.
+
+A run builds its run context, a _Packing, once per width it tries: the
+ring, the packed layout and the field's modulus p, 0 over the rationals.
+The helpers read the coefficient format off p and take no field.  Fractions
+enter and leave only through its pack_terms and unpack_terms; _entry also
+uses them to make a new element monic.
 """
 
 from __future__ import annotations
@@ -105,7 +110,6 @@ from .errors import ComputationTimeout, DimensionMismatchError, InvalidInputErro
 from .polyring import (
     GREVLEX,
     LEX,
-    MonomialOrder,
     PolyRing,
     Polynomial,
     PrimeField,
@@ -175,48 +179,32 @@ class Ideal:
 class GroebnerBasis:
     """A reduced Groebner basis: monic, mutually irredundant, order-sorted.
 
-    ``len``, :meth:`leading_monomials` and :attr:`is_unit_ideal` read the
-    leading monomials alone, which is all the rank functions need.  A basis
-    that buchberger() returns holds its elements as the engine's packed
-    reducer entries and builds the Polynomials on first use of ``polys``,
-    iteration, indexing or ``repr``; ``GroebnerBasis(ring, polys)`` wraps
-    polynomials that already exist.
+    buchberger() builds it from its run context, a _Packing, and the run's
+    monic reducer entries, largest lead first; only the leads are unpacked
+    then.  ``len``, :meth:`leading_monomials` and
+    :attr:`is_unit_ideal` read the leading monomials alone, which is all the
+    rank functions need.  The Polynomials are built on first use of
+    ``polys``, iteration, indexing or ``repr``.
     """
 
     __slots__ = ("ring", "_leads", "_polys", "_packed")
 
-    def __init__(self, ring: PolyRing, polys):
-        self.ring = ring
-        self._polys = tuple(polys)
-        self._leads = tuple(g.leading_monomial() for g in self._polys)
-        self._packed = None
-
-    @classmethod
-    def _from_entries(cls, ring: PolyRing, pk: _Packing, entries) -> GroebnerBasis:
-        """The basis of the monic reducer entries, largest lead first; only
-        the leads are unpacked here."""
-        basis = cls.__new__(cls)
-        basis.ring = ring
-        basis._leads = tuple(pk.unpack(entry[0]) for entry in entries)
-        basis._polys = None
-        basis._packed = (pk, entries)
-        return basis
+    def __init__(self, pk: _Packing, entries):
+        self.ring = pk.ring
+        self._leads = tuple(pk.unpack(entry[0]) for entry in entries)
+        self._polys = None
+        self._packed = (pk, entries)
 
     @property
     def polys(self) -> tuple:
         if self._polys is None:
             pk, entries = self._packed
-            field = self.ring.field
             self._polys = tuple(
-                Polynomial(self.ring, pk.unpack_terms(_entry_terms(entry, field), field))
+                Polynomial(self.ring, pk.unpack_terms(_entry_terms(entry, pk)))
                 for entry in entries
             )
             self._packed = None
         return self._polys
-
-    @property
-    def order(self) -> MonomialOrder:
-        return self.ring.order
 
     @property
     def is_unit_ideal(self) -> bool:
@@ -248,19 +236,25 @@ class _Overflow(Exception):
 
 
 class _Packing:
-    """Exponent vectors of one ring packed into ints at one field width.
+    """The run context of one engine run: the ring, its exponent vectors
+    packed into ints at one field width, and the field's modulus.
 
-    ``key`` maps a packed monomial to an int that sorts like the order's key;
-    ``guard`` holds the guard bit of every field, ``varmask`` every bit of the
-    variable fields.
+    ``p`` is the prime of a prime field and 0 over the rationals; it fixes
+    the coefficient format of the working terms for the whole run, so the
+    engine helpers read it here and take no field.  ``key`` maps a packed
+    monomial to an int that sorts like the order's key; ``guard`` holds the
+    guard bit of every field, ``varmask`` every bit of the variable fields.
     """
 
     __slots__ = (
-        "width", "shifts", "dshift", "fmask", "top", "guard", "mask", "key",
-        "varmask", "varguard", "ones", "sumshift",
+        "ring", "p", "width", "shifts", "dshift", "fmask", "top", "guard", "mask",
+        "key", "varmask", "varguard", "ones", "sumshift",
     )
 
-    def __init__(self, nvars: int, order: MonomialOrder, width: int):
+    def __init__(self, ring: PolyRing, width: int):
+        nvars, order, field = ring.nvars, ring.order, ring.field
+        self.ring = ring
+        self.p = field.p if isinstance(field, PrimeField) else 0
         if order == GREVLEX:
             self.shifts = tuple(i * width for i in range(nvars))
             self.dshift = nvars * width
@@ -310,29 +304,30 @@ class _Packing:
         fmask = self.fmask
         return tuple(p >> s & fmask for s in self.shifts)
 
-    def pack_terms(self, terms: dict, field) -> dict:
+    def pack_terms(self, terms: dict) -> dict:
         """Packed working terms of a polynomial's terms: residues over a prime
         field, (numerator, denominator) int pairs over the rationals."""
         pack = self.pack
-        if isinstance(field, PrimeField):
+        if self.p:
             return {pack(m): c for m, c in terms.items()}
         return {pack(m): (c.numerator, c.denominator) for m, c in terms.items()}
 
-    def unpack_terms(self, terms: dict, field) -> dict:
+    def unpack_terms(self, terms: dict) -> dict:
         """Polynomial terms of packed working terms (the inverse of pack_terms)."""
         unpack = self.unpack
-        if isinstance(field, PrimeField):
+        if self.p:
             return {unpack(m): c for m, c in terms.items()}
         return {unpack(m): Fraction(n, d) for m, (n, d) in terms.items()}
 
 
-def _packed_run(ring: PolyRing, degree: int, run):
+def _packed_run(ring: PolyRing, polys, run):
     """run(packing) at the narrowest field width (8 bits at least) that holds
-    ``degree``; each overflow doubles the width and reruns from the input."""
-    width = max(8, degree.bit_length() + 1)
+    the largest degree of ``polys``; each overflow doubles the width and
+    reruns from the input."""
+    width = max(8, max(g.total_degree() for g in polys).bit_length() + 1)
     while True:
         try:
-            return run(_Packing(ring.nvars, ring.order, width))
+            return run(_Packing(ring, width))
         except _Overflow:
             width *= 2
 
@@ -341,15 +336,15 @@ def _packed_run(ring: PolyRing, degree: int, run):
 # Reduction (multivariate division)
 # ---------------------------------------------------------------------------
 
-def _entry(terms: dict, pk: _Packing, field):
+def _entry(terms: dict, pk: _Packing):
     """The monic reducer entry (lead, D, tail) of nonzero packed working terms.
     The tail lists the (monomial, coefficient) terms below the lead: residues
     and D = 1 over a prime field, int numerators over D, the lcm of their
     denominators, over the rationals."""
     lm = max(terms, key=pk.key)
-    if isinstance(field, PrimeField):
-        p = field.p
-        inv = field.inv(terms[lm])
+    p = pk.p
+    if p:
+        inv = pow(terms[lm], -1, p)
         return lm, 1, [(m, c * inv % p) for m, c in terms.items() if m != lm]
     ln, ld = terms[lm]
     tail = [(m, Fraction(n * ld, d * ln)) for m, (n, d) in terms.items() if m != lm]
@@ -357,15 +352,15 @@ def _entry(terms: dict, pk: _Packing, field):
     return lm, den, [(m, c.numerator * (den // c.denominator)) for m, c in tail]
 
 
-def _entry_terms(entry, field) -> dict:
+def _entry_terms(entry, pk: _Packing) -> dict:
     """The packed working terms of a reducer entry, its monic lead included."""
     lm, den, tail = entry
-    if isinstance(field, PrimeField):
+    if pk.p:
         return {lm: 1, **dict(tail)}
     return {lm: (1, 1), **{m: (n, den) for m, n in tail}}
 
 
-def _reduce_full(terms: dict, find, pk: _Packing, field, tick=None) -> dict:
+def _reduce_full(terms: dict, find, pk: _Packing, tick=None) -> dict:
     """Full normal form of the packed working terms modulo reducer entries.
 
     Repeatedly extracts the largest remaining monomial; either eliminates it
@@ -384,9 +379,9 @@ def _reduce_full(terms: dict, find, pk: _Packing, field, tick=None) -> dict:
     back by a gcd.  ``tick``, when given, is called every 1,024 pops and may
     raise to cancel.
     """
-    if not isinstance(field, PrimeField):
+    p = pk.p
+    if not p:
         return _reduce_rational(terms, find, pk, tick)
-    p = field.p
     mask = pk.mask
     guard = pk.guard
     work = dict(terms)
@@ -505,12 +500,11 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
     for g in polys:
         if g.ring != ring:
             raise DimensionMismatchError("normal_form operands live in different rings")
-    field = ring.field
     divisors = [g for g in polys if not g.is_zero()]
 
     def run(pk):
         reducers = sorted(
-            (_entry(pk.pack_terms(g.terms, field), pk, field) for g in divisors),
+            (_entry(pk.pack_terms(g.terms), pk) for g in divisors),
             key=lambda e: pk.key(e[0]),
         )
         guard = pk.guard
@@ -518,11 +512,9 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
         def find(m):  # the first reducer whose lead divides m
             return next((e for e in reducers if not (m - e[0]) & guard), None)
 
-        rem = _reduce_full(pk.pack_terms(f.terms, field), find, pk, field)
-        return pk.unpack_terms(rem, field)
+        return pk.unpack_terms(_reduce_full(pk.pack_terms(f.terms), find, pk))
 
-    degree = max(g.total_degree() for g in (f, *divisors))
-    return Polynomial(ring, _packed_run(ring, degree, run))
+    return Polynomial(ring, _packed_run(ring, (f, *divisors), run))
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -531,18 +523,16 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
         raise DimensionMismatchError("s_polynomial operands live in different rings")
     if f.is_zero() or g.is_zero():
         raise InvalidInputError("s_polynomial of a zero polynomial")
-    ring = f.ring
-    field = ring.field
 
     def run(pk):
-        ef = _entry(pk.pack_terms(f.terms, field), pk, field)
-        eg = _entry(pk.pack_terms(g.terms, field), pk, field)
-        return pk.unpack_terms(_spoly(ef, eg, pk.lcm(ef[0], eg[0]), pk, field), field)
+        ef = _entry(pk.pack_terms(f.terms), pk)
+        eg = _entry(pk.pack_terms(g.terms), pk)
+        return pk.unpack_terms(_spoly(ef, eg, pk.lcm(ef[0], eg[0]), pk))
 
-    return Polynomial(ring, _packed_run(ring, max(f.total_degree(), g.total_degree()), run))
+    return Polynomial(f.ring, _packed_run(f.ring, (f, g), run))
 
 
-def _spoly(ei, ej, lcm, pk: _Packing, field) -> dict:
+def _spoly(ei, ej, lcm, pk: _Packing) -> dict:
     """S-polynomial of the entries ei and ej, whose leads have the packed lcm,
     as packed working terms.  The monic leads cancel, so it is the tail of ei
     minus the tail of ej, each shifted up to the lcm."""
@@ -555,8 +545,8 @@ def _spoly(ei, ej, lcm, pk: _Packing, field) -> dict:
     guard = pk.guard
     if any(m & guard for m, _ in chain(si, sj)):
         raise _Overflow
-    if isinstance(field, PrimeField):
-        p = field.p
+    p = pk.p
+    if p:
         out = dict(si)
         for m, c in sj:
             out[m] = (out.get(m, 0) - c) % p
@@ -604,8 +594,8 @@ def buchberger(generators, *, poll=None, poll_every=8) -> GroebnerBasis:
         ideal = generators
     else:
         ideal = Ideal(list(generators))
-    degree = max(g.total_degree() for g in ideal.generators)
-    return _packed_run(ideal.ring, degree, lambda pk: _buchberger(ideal, pk, poll, poll_every))
+    return _packed_run(ideal.ring, ideal.generators,
+                       lambda pk: _buchberger(ideal, pk, poll, poll_every))
 
 
 def _chain_criterion(mh: int, lcm_h: dict, leads, pk: _Packing) -> list:
@@ -723,15 +713,13 @@ def _minimal_monomials(seed, pk: _Packing, poll, poll_every) -> list:
 
 
 def _buchberger(ideal: Ideal, pk: _Packing, poll, poll_every) -> GroebnerBasis:
-    ring = ideal.ring
-    field = ring.field
     pkey = pk.key
     seed = sorted(
-        (pk.pack_terms(g.terms, field) for g in ideal.generators),
+        (pk.pack_terms(g.terms) for g in ideal.generators),
         key=lambda terms: pkey(max(terms, key=pkey)),
     )
     if all(len(terms) == 1 for terms in seed):
-        return GroebnerBasis._from_entries(ring, pk, _minimal_monomials(seed, pk, poll, poll_every))
+        return GroebnerBasis(pk, _minimal_monomials(seed, pk, poll, poll_every))
     guard = pk.guard
     lcm = pk.lcm
     degree = pk.degree
@@ -813,11 +801,11 @@ def _buchberger(ideal: Ideal, pk: _Packing, poll, poll_every) -> GroebnerBasis:
             lm, _, tail = entries[ig]
             if all((m - mh) & guard for m, _ in tail):
                 continue
-            terms = _entry_terms(entries[ig], field)
+            terms = _entry_terms(entries[ig], pk)
             lc = terms.pop(lm)
-            terms = _reduce_full(terms, find, pk, field, tick)
+            terms = _reduce_full(terms, find, pk, tick)
             terms[lm] = lc
-            entries[ig] = _entry(terms, pk, field)
+            entries[ig] = _entry(terms, pk)
             if tick is not None:
                 tick()
         # Phase 5: queue the new pairs.
@@ -829,11 +817,11 @@ def _buchberger(ideal: Ideal, pk: _Packing, poll, poll_every) -> GroebnerBasis:
     # first, is reduced against the basis so far and added if nonzero.
     pairs_done = pairs_skipped = 0
     for k, terms in enumerate(seed, 1):
-        h = _reduce_full(terms, find, pk, field, tick)
+        h = _reduce_full(terms, find, pk, tick)
         if poll is not None and k % poll_every == 0:
             poll(GBStats(len(seed), 0, 0))
         if h:
-            update(_entry(h, pk, field))
+            update(_entry(h, pk))
 
     # The Hilbert bound (module docstring): std holds the standard monomials
     # of degree std_degree while a square homogeneous system is tracked, and
@@ -842,7 +830,8 @@ def _buchberger(ideal: Ideal, pk: _Packing, poll, poll_every) -> GroebnerBasis:
     std = None if bound is None else {0: ()}  # 1 is the one degree-0 monomial
     std_degree = 0
     full_degree = -1
-    units = [pk.pack(tuple(int(i == k) for i in range(ring.nvars))) for k in range(ring.nvars)]
+    nvars = pk.ring.nvars
+    units = [pk.pack(tuple(int(i == k) for i in range(nvars))) for k in range(nvars)]
 
     def ci(t):
         return bound[t] if t < len(bound) else 0
@@ -872,14 +861,14 @@ def _buchberger(ideal: Ideal, pk: _Packing, poll, poll_every) -> GroebnerBasis:
             pairs_skipped += 1
             h = None
         else:
-            s = _spoly(entries[i], entries[j], lcm_ij, pk, field)
-            h = _reduce_full(s, find, pk, field, tick)
+            s = _spoly(entries[i], entries[j], lcm_ij, pk)
+            h = _reduce_full(s, find, pk, tick)
             pairs_done += 1
         # A skipped pair keeps the poll cadence, so --timeout holds through a skip.
         if tick is not None and (pairs_done + pairs_skipped) % poll_every == 0:
             tick()
         if h:
-            entry = _entry(h, pk, field)
+            entry = _entry(h, pk)
             update(entry)
             if std is not None:
                 del std[entry[0]]  # its lead leaves the standard monomials
@@ -887,7 +876,7 @@ def _buchberger(ideal: Ideal, pk: _Packing, poll, poll_every) -> GroebnerBasis:
                     full_degree = d
 
     final = sorted(active, key=keys.__getitem__, reverse=True)
-    return GroebnerBasis._from_entries(ring, pk, [entries[i] for i in final])
+    return GroebnerBasis(pk, [entries[i] for i in final])
 
 
 def ideal_membership(f: Polynomial, basis) -> bool:

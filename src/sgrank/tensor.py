@@ -23,7 +23,7 @@ from collections import Counter
 from fractions import Fraction
 
 from .errors import DimensionMismatchError, InvalidInputError, ParseError
-from .polyring import PolyRing, Polynomial, QQ, add_terms
+from .polyring import PolyRing, Polynomial, QQ, add_terms, parse_polynomial
 
 
 def multiindex_multiplicity(idx) -> int:
@@ -501,8 +501,6 @@ def irreducible_sgr2_cubic(n: int, variant: int = 1) -> Polynomial:
 
     Known for n in {2, 3, 4}; n = 2 has two variants.
     """
-    from .polyring import parse_polynomial
-
     forms = {
         (2, 1): "x0^2*x2 + x1^3",
         (2, 2): "x0^2*x2 + x1^3 + x1^2*x2",

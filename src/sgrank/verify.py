@@ -20,7 +20,16 @@ from typing import Callable
 
 from .errors import InvalidInputError
 from .groebner import buchberger, ideal_dimension, normal_form, s_polynomial
-from .polyring import DEFAULT_PRIME, GREVLEX, LEX, QQ, PolyRing, Polynomial, PrimeField
+from .polyring import (
+    DEFAULT_PRIME,
+    GREVLEX,
+    LEX,
+    QQ,
+    PolyRing,
+    Polynomial,
+    PrimeField,
+    parse_polynomial,
+)
 from .rank import gr, gr_details, matrix_rank, rank_report, sgr, sgr_details, singular_ideal
 from .strata import (
     ProjectiveLine,
@@ -376,8 +385,6 @@ _CRAFTED_BINARY_CUBICS = (
 
 
 def _case_discriminant_crafted(idx):
-    from .polyring import parse_polynomial
-
     f = parse_polynomial(_CRAFTED_BINARY_CUBICS[idx], nvars=2)
     a = _binary_cubic_coeffs(f)
     disc = binary_cubic_discriminant(*a)
@@ -563,33 +570,6 @@ def _textbook_buchberger(generators):
     return reduced[::-1]
 
 
-# Runs that take the textbook algorithm more than about 1 s; every other
-# (form, variant) run takes under 0.7 s.
-_TEXTBOOK_SLOW = {
-    *((name, variant) for name in ("h3[5]", "matmul[4]", "random_cubic[n=5]")
-      for variant in ("QQ", "Fp", "lex")),
-    ("random_cubic[n=4]", "lex"),
-}
-
-
-def _case_plain_engine(name, variant):
-    """buchberger and the textbook algorithm give the same reduced basis of
-    the singular ideal over QQ, over Fp or in lex order: a check of the pair
-    criteria, the first-divisor memo and the tail rewrites against a run
-    that has none of them."""
-    f = _engine_forms()[name]
-    if variant == "Fp":
-        f = f.convert_field(PrimeField(DEFAULT_PRIME))
-    elif variant == "lex":
-        f = f.convert_order(LEX)
-    gens = list(singular_ideal(f))
-    fast = list(buchberger(gens))
-    plain = _textbook_buchberger(gens)
-    return fast == plain, (
-        f"{len(fast)} elements, textbook {'agrees' if fast == plain else 'differs'}"
-    )
-
-
 def _random_form(rng: random.Random, ring: PolyRing, degree, keep=None) -> Polynomial:
     """A form of the given degree with coefficients drawn from -5..5 on every
     monomial that ``keep`` accepts (all of them by default)."""
@@ -603,14 +583,16 @@ def _random_form(rng: random.Random, ring: PolyRing, degree, keep=None) -> Polyn
 
 
 @functools.cache
-def _square_systems():
-    """Homogeneous systems of as many generators as variables over QQ in
-    grevlex, where the engine tracks the complete-intersection Hilbert bound,
-    each with whether pairs must be skipped on it (True), must not be
-    (False), or may be (None).  Built once per process."""
+def _textbook_systems():
+    """The systems of the textbook cross-check, name -> (generators over QQ
+    in grevlex, skips).  The singular ideal of each engine form comes first,
+    with skips None.  Then come square homogeneous systems, where the engine
+    tracks the complete-intersection Hilbert bound; skips says whether pairs
+    must be skipped on one (True), must not be (False), or may be (None).
+    Built once per process."""
+    systems = {name: (list(singular_ideal(f)), None) for name, f in _engine_forms().items()}
     rng = random.Random(1996)
     r4 = PolyRing(4)
-    systems = {}
     # Smooth forms: the partials are a regular sequence.
     for n in (4, 5, 6):
         f = complete_homogeneous_cubic(n - 1).to_polynomial()
@@ -636,21 +618,37 @@ def _square_systems():
     return systems
 
 
-# Runs that take the textbook algorithm more than about 1.5 s; h3 in 6
-# variables stays over Fp only (2-3 s), the slowest case of the suite.
-_SQUARE_SLOW = {("h3 in 6 vars", "QQ"), ("h3 in 6 vars", "lex"), ("dense cubic in 5 vars", "lex")}
+# Runs too slow for the textbook algorithm, left out of the suite.  Every run
+# kept takes under 3 s; h3 in 6 variables over Fp (2-3 s) is the slowest.
+_TEXTBOOK_SLOW = {
+    *((name, variant) for name in ("h3[5]", "matmul[4]", "random_cubic[n=5]")
+      for variant in ("QQ", "Fp", "lex")),
+    ("random_cubic[n=4]", "lex"),
+    ("h3 in 6 vars", "QQ"),
+    ("h3 in 6 vars", "lex"),
+    ("dense cubic in 5 vars", "lex"),
+}
 
 
-def _case_square_system(name, variant):
-    """buchberger and the textbook algorithm give the same reduced basis of a
-    square homogeneous system over QQ, over Fp or in lex order: a check that
-    the pairs the Hilbert bound drops unreduced were zero.  Whether pairs
-    were dropped is checked too, where it is known."""
-    gens, skips = _square_systems()[name]
+def _in_variant(gens, variant):
+    """The generators over QQ in grevlex (variant "QQ"), mapped to Fp ("Fp")
+    or put in lex order ("lex")."""
     if variant == "Fp":
-        gens = [g.convert_field(PrimeField(DEFAULT_PRIME)) for g in gens]
-    elif variant == "lex":
-        gens = [g.convert_order(LEX) for g in gens]
+        fp = PrimeField(DEFAULT_PRIME)
+        return [g.convert_field(fp) for g in gens]
+    if variant == "lex":
+        return [g.convert_order(LEX) for g in gens]
+    return gens
+
+
+def _case_textbook(name, variant):
+    """buchberger and the textbook algorithm give the same reduced basis over
+    QQ, over Fp or in lex order: a check of the pair criteria, the
+    first-divisor memo, the tail rewrites and the pairs the Hilbert bound
+    drops unreduced against a run that has none of them.  Whether pairs
+    were dropped is checked too, where it is known."""
+    gens, skips = _textbook_systems()[name]
+    gens = _in_variant(gens, variant)
     last = []
     fast = list(buchberger(gens, poll=last.append, poll_every=1))
     skipped = last[-1].pairs_skipped if last else 0
@@ -891,17 +889,13 @@ def suite_engine():
     for name in sorted(_engine_forms()):
         cases.append(Case(f"QQ vs Fp: {name}", _case_cross_field, (name,)))
         cases.append(Case(f"grevlex vs lex: {name}", _case_cross_order, (name,)))
+    for name in ("w_state", "big_cw[2,3]"):
+        cases.append(Case(f"gr cross-checks: {name}", _case_cross_gr, (name,)))
+    for name in _textbook_systems():
         for variant in ("QQ", "Fp", "lex"):
             if (name, variant) not in _TEXTBOOK_SLOW:
                 cases.append(Case(f"textbook Buchberger ({variant}): {name}",
-                                  _case_plain_engine, (name, variant)))
-    for name in ("w_state", "big_cw[2,3]"):
-        cases.append(Case(f"gr cross-checks: {name}", _case_cross_gr, (name,)))
-    for name in _square_systems():
-        for variant in ("QQ", "Fp", "lex"):
-            if (name, variant) not in _SQUARE_SLOW:
-                cases.append(Case(f"square system vs textbook ({variant}): {name}",
-                                  _case_square_system, (name, variant)))
+                                  _case_textbook, (name, variant)))
     for seed in range(40):
         cases.append(Case(f"Hilbert bound on a square system seed={seed}",
                           _case_hilbert_bound, (seed,)))
