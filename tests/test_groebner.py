@@ -476,16 +476,16 @@ def test_poll_fires_inside_one_long_reduction():
 
 
 @pytest.mark.parametrize("form, counts, digest", [
-    (lambda: sym_matrix_mult(3).convert_field(FP), (95, 57, 25), "f4f728549ec93dde"),
-    (lambda: complete_homogeneous_cubic(5).to_polynomial(), (121, 60, 43), "f40090886b5e2a3b"),
+    (lambda: sym_matrix_mult(3).convert_field(FP), (95, 61, 25), "f4f728549ec93dde"),
+    (lambda: complete_homogeneous_cubic(5).to_polynomial(), (72, 68, 43), "f40090886b5e2a3b"),
     (lambda: big_cw(2, 3).to_polynomial(), (4, 3, 4), "1b3297379b1ba7d1"),
     # dense, 6 variables, basis coefficients up to 681 bits
     (lambda: _random_symmetric_cubic(random.Random(5), 5).to_polynomial(), (33, 80, 39),
      "cfc9b9d26e55a557"),
-    (lambda: sym_matrix_mult(3).convert_order(LEX), (95, 55, 25), "c83eccf283874507"),
+    (lambda: sym_matrix_mult(3).convert_order(LEX), (95, 66, 25), "c83eccf283874507"),
     # the engine inputs of the benchmark's trace-m4-fp and h3-n7-qq, unscaled
-    (lambda: sym_matrix_mult(4).convert_field(FP), (1318, 613, 161), "9277c25d91267b14"),
-    (lambda: complete_homogeneous_cubic(7).to_polynomial(), (624, 279, 122), "6c85d0108d62ddda"),
+    (lambda: sym_matrix_mult(4).convert_field(FP), (1318, 682, 161), "9277c25d91267b14"),
+    (lambda: complete_homogeneous_cubic(7).to_polynomial(), (302, 294, 122), "6c85d0108d62ddda"),
 ], ids=["sym_matrix_mult-3-Fp", "h3-5-QQ", "big_cw-2-3-QQ", "random-cubic-5-QQ",
         "sym_matrix_mult-3-lex-QQ", "sym_matrix_mult-4-Fp", "h3-7-QQ"])
 def test_engine_counts_pinned(form, counts, digest):
