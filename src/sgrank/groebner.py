@@ -2,30 +2,29 @@
 
 The basis computation follows the classical improved Buchberger loop: normal
 pair selection (smallest lcm degree first) from a heap-ordered pair queue, and
-the Gebauer-Moeller update, which computes the
-lcm of the new lead with each basis lead once and applies the coprimality and
-chain criteria with it.  The chain criterion on the new pairs works on u, the
-lcm divided by the new lead: equal u are tested once, in ascending degree,
-and a degree-1 u covers every u that shares its variable with one AND.  The
-generators enter through the same step as a reduced S-polynomial: smallest
-lead first, each is reduced against the basis so far and, if nonzero, added
-by the update.  The update rewrites every tail with a term that the new lead
-divides, so the basis stays reduced after each step; a tail below the new
-lead has no such term and is not scanned.  When the one such term is the new
-lead mh itself, as in every rewrite of a homogeneous run, the rewrite is one
-fused subtract of c times the new element's tail, which is already in normal
-form; otherwise the tail is reduced in full.  Within one lcm degree, pairs
-go in ascending total degree of their two multipliers, lcm / lm_i and lcm /
-lm_j, that is largest lead gcd first, then by the order key of the lcm and
-by index.  The pairs whose leads overlap most reduce first, the nonzero
-remainders come early in each degree, and the Hilbert bound below then
-drops more of the rest: on h3 in 8 variables over the rationals the run
-reduces 302 pairs, not 624 as in lcm-key order ("One sugar cube, please",
-Giovini, Mora, Niesi, Robbiano & Traverso, ISSAC 1991, shows how much the
-selection strategy matters).  Neither the criteria nor the skip depend on
-the order within a degree.  When every generator is a single
-term, every S-polynomial is zero, and the seed step and the pair loop are
-skipped: the basis is the minimal generators, made monic, which one pass
+the Gebauer-Moeller update, which computes the lcm of the new lead with each
+basis lead once and applies the coprimality and chain criteria with it.  The
+chain criterion on the new pairs works on u, the lcm divided by the new lead:
+equal u are tested once, in ascending degree, and a degree-1 u covers every u
+that shares its variable with one AND.  The generators enter through the same
+step as a reduced S-polynomial: smallest lead first, each is reduced against
+the basis so far and, if nonzero, added by the update.  The update rewrites
+every tail with a term that the new lead divides, so the basis stays reduced
+after each step; a tail below the new lead has no such term and is not
+scanned.  When the one such term is the new lead mh itself, as in every
+rewrite of a homogeneous run, the rewrite is one fused subtract of c times the
+new element's tail, which is already in normal form; otherwise the tail is
+reduced in full.  Within one lcm degree, pairs go in ascending total degree of
+their two multipliers, lcm / lm_i and lcm / lm_j, that is largest lead gcd
+first, then by the order key of the lcm and by index.  The pairs whose leads
+overlap most reduce first, the nonzero remainders come early in each degree,
+and the Hilbert bound below then drops more of the rest: on h3 in 8 variables
+over the rationals the run reduces 302 pairs, not 624 as in lcm-key order
+("One sugar cube, please", Giovini, Mora, Niesi, Robbiano & Traverso, ISSAC
+1991, shows how much the selection strategy matters).  Neither the criteria
+nor the skip depend on the order within a degree.  When every generator is a
+single term, every S-polynomial is zero, and the seed step and the pair loop
+are skipped: the basis is the minimal generators, made monic, which one pass
 over the key-sorted generators keeps.  A reduction step uses the basis
 element with the smallest-key lead that divides the monomial.  A memo
 remembers that choice per monomial, with the basis size at the time, and a
@@ -88,19 +87,19 @@ grow: when packing, in the S-pair multiplier and on every new term of a
 reduction; an lcm checks its recomputed degree.  An overflow aborts the run,
 which restarts from the input at twice the width.
 
-Each basis element is one reducer entry (lead, D, tail), monic, so a
-reduction step is a fused multiply-subtract.  Over a prime field D is 1 and
-the tail holds residues; over the rationals it holds int numerators over the
-common denominator D, the lcm of the reduced denominators, which _entry
-reaches with ints alone: one lcm of the denominators, the sign of the lead,
-and one gcd of the numerators with the common denominator.  S-polynomials and remainders are {int: coefficient}
-dicts in the working coefficients of the reduction loops, after the heap
-division of Monagan & Pearce ("Sparse polynomial division using a heap", JSC
-2011): over a prime field ints, reduced mod p once, when their monomial is
-extracted; over the rationals unnormalized (num, den) int pairs, with one gcd
-when extracted and one more per reduction step for all the step's terms.
-Equal denominators subtract without a multiply; unlike ones meet over their
-lcm, which a gcd cuts back once it is more than 64 bits wider than the
+Each basis element is one reducer entry (lead, D, tail), monic, so a reduction
+step is a fused multiply-subtract.  Over a prime field D is 1 and the tail
+holds residues; over the rationals it holds int numerators over the common
+denominator D, the lcm of the reduced denominators, which _entry reaches with
+ints alone: one lcm of the denominators, the sign of the lead, and one gcd of
+the numerators with the common denominator.  S-polynomials and remainders are
+{int: coefficient} dicts in the working coefficients of the reduction loops,
+after the heap division of Monagan & Pearce ("Sparse polynomial division using
+a heap", JSC 2011): over a prime field ints, reduced mod p once, when their
+monomial is extracted; over the rationals unnormalized (num, den) int pairs,
+with one gcd when extracted and one more per reduction step for all the step's
+terms.  Equal denominators subtract without a multiply; unlike ones meet over
+their lcm, which a gcd cuts back once it is more than 64 bits wider than the
 step's own.
 
 A run builds its run context, a _Packing, once per width it tries: the
@@ -369,7 +368,13 @@ def _entry(terms: dict, pk: _Packing):
     tail = [(m, c) for m, c in terms.items() if m != lm]
     common = lcm(*(d for _, (_, d) in tail))
     den = common * ln
-    tail = [(m, n * (common // d) * ld) for m, (n, d) in tail]
+    return _lowest_terms(lm, den, [(m, n * (common // d) * ld) for m, (n, d) in tail])
+
+
+def _lowest_terms(lm, den, tail):
+    """The rational entry (lm, den, tail) with den and the tail numerators
+    divided by their gcd, which leaves den the lcm of the reduced
+    denominators."""
     g = gcd(den, *(n for _, n in tail))
     if g == 1:
         return lm, den, tail
@@ -557,10 +562,7 @@ def _cancel_lead(entry, eh, pk: _Packing):
             out[m] = v
         else:
             del out[m]
-    g = gcd(den, *out.values())
-    if g == 1:
-        return lm, den, list(out.items())
-    return lm, den // g, [(m, n // g) for m, n in out.items()]
+    return _lowest_terms(lm, den, list(out.items()))
 
 
 def normal_form(f: Polynomial, basis) -> Polynomial:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
+from . import groebner
 from .errors import InvalidInputError
 from .groebner import buchberger, ideal_dimension, normal_form, s_polynomial
 from .polyring import (
@@ -582,6 +583,24 @@ def _random_form(rng: random.Random, ring: PolyRing, degree, keep=None) -> Polyn
     return ring.from_dict(terms)
 
 
+def _random_polynomial(rng: random.Random, ring: PolyRing) -> Polynomial:
+    """2 to 4 terms of degree 0 to 3 with coefficients from -5..5 without 0,
+    a repeated monomial keeping its last coefficient: seldom homogeneous."""
+    n = ring.nvars
+    terms = {}
+    for _ in range(rng.randint(2, 4)):
+        c = rng.choices(range(n), k=rng.randint(0, 3))
+        terms[tuple(map(c.count, range(n)))] = rng.choice((-5, -4, -3, -2, -1, 1, 2, 3, 4, 5))
+    return ring.from_dict(terms)
+
+
+# Seeds of random non-homogeneous systems on which a new lead divides a tail
+# term above itself, so the update reduces that tail in full (seed 112 in
+# every variant, 86 over QQ and Fp, 12 and 192 in lex).  Of the first 200
+# seeds, 12 do, among those whose runs all take under 1 s.
+_FULL_REWRITE_SEEDS = (12, 86, 112, 192)
+
+
 @functools.cache
 def _textbook_systems():
     """The systems of the textbook cross-check, name -> (generators over QQ
@@ -615,6 +634,12 @@ def _textbook_systems():
     g = [_random_form(rng, r4, 2) for _ in range(3)]
     systems["linearly dependent generators"] = ([*g, g[0] + g[1] * 3], None)
     systems["a zero generator"] = ([*g, r4.zero()], False)
+    # Not homogeneous, so not tracked: no pair may be skipped.
+    for seed in _FULL_REWRITE_SEEDS:
+        seeded = random.Random(seed)
+        ring = PolyRing(seeded.randint(2, 3))
+        gens = [_random_polynomial(seeded, ring) for _ in range(seeded.randint(2, 3))]
+        systems[f"non-homogeneous seed={seed}"] = (gens, False)
     return systems
 
 
@@ -656,6 +681,29 @@ def _case_textbook(name, variant):
     ok = fast == plain and (skips is None or (skipped > 0) == skips)
     return ok, (f"{len(fast)} elements, textbook {'agrees' if fast == plain else 'differs'}, "
                 f"{skipped} pairs skipped")
+
+
+def _case_full_tail_rewrite():
+    """The update reduces a tail in full, not by one fused subtract, on the
+    seeded non-homogeneous systems: the path their textbook cross-checks are
+    there for is reached, in at least one run over QQ, Fp or lex."""
+    rewrite = groebner._rewrite_tail
+    counts = {}
+
+    def counted(*args):
+        counts[variant] += 1
+        return rewrite(*args)
+
+    groebner._rewrite_tail = counted
+    try:
+        for variant in ("QQ", "Fp", "lex"):
+            counts[variant] = 0
+            for seed in _FULL_REWRITE_SEEDS:
+                buchberger(_in_variant(_textbook_systems()[f"non-homogeneous seed={seed}"][0],
+                                       variant))
+    finally:
+        groebner._rewrite_tail = rewrite
+    return sum(counts.values()) > 0, f"full tail rewrites: {counts}"
 
 
 def _standard_count(leads, nvars, t) -> int:
@@ -896,6 +944,7 @@ def suite_engine():
             if (name, variant) not in _TEXTBOOK_SLOW:
                 cases.append(Case(f"textbook Buchberger ({variant}): {name}",
                                   _case_textbook, (name, variant)))
+    cases.append(Case("full tail rewrite on non-homogeneous systems", _case_full_tail_rewrite, ()))
     for seed in range(40):
         cases.append(Case(f"Hilbert bound on a square system seed={seed}",
                           _case_hilbert_bound, (seed,)))

@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from sgrank.groebner import (
 from sgrank.polyring import GREVLEX, LEX, PolyRing, PrimeField, QQ, parse_polynomial
 from sgrank.rank import matrix_rank, singular_ideal
 from sgrank.tensor import big_cw, complete_homogeneous_cubic, sym_matrix_mult
-from sgrank.verify import _random_symmetric_cubic
+from sgrank.verify import _random_symmetric_cubic, _textbook_buchberger
 
 FP = PrimeField(2**31 - 1)
 
@@ -539,8 +540,126 @@ def test_skipped_pairs_reduce_to_zero(form, monkeypatch):
     assert _digest(gb) == _digest(plain)
 
 
+def _comparable(entry):
+    """A reducer entry with its tail as a dict: tail order carries no meaning."""
+    lm, den, tail = entry
+    return lm, den, dict(tail)
+
+
+def _fraction_entry(terms, pk):
+    """_entry over the rationals by Fractions: each monic tail coefficient
+    reduced, then all put over the lcm of their denominators."""
+    lm = max(terms, key=pk.key)
+    ln, ld = terms[lm]
+    tail = {m: Fraction(n * ld, d * ln) for m, (n, d) in terms.items() if m != lm}
+    den = math.lcm(*(c.denominator for c in tail.values()))
+    return lm, den, {m: c.numerator * (den // c.denominator) for m, c in tail.items()}
+
+
+def test_rational_entry_matches_fraction_reference():
+    # random working terms: either sign on the lead, (num, den) pairs that
+    # share a factor, and tails from empty to 6 terms
+    rng = random.Random(21)
+    pk = _Packing(PolyRing(3), 8)
+    monos = [pk.pack(m) for m in itertools.product(range(3), repeat=3)]
+    leads = set()
+    for _ in range(400):
+        terms = {}
+        for m in rng.sample(monos, rng.randint(1, 7)):
+            k = rng.randint(1, 6)
+            terms[m] = (rng.choice((-1, 1)) * rng.randint(1, 30) * k, rng.randint(1, 30) * k)
+        lm, den, tail = entry = groebner._entry(terms, pk)
+        assert _comparable(entry) == _fraction_entry(terms, pk)
+        leads.add((terms[lm][0] < 0, not tail))
+    assert leads == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def _lead_divides(eh, pk):
+    """A find() whose only reducer entry is eh."""
+    return lambda m: None if (m - eh[0]) & pk.guard else eh
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["QQ", "Fp"])
+def test_cancel_lead_matches_full_rewrite(field):
+    # random g whose tail holds mh and no other multiple of it: the fused
+    # subtract of c * tail_h gives the entry the full reduction gives, D and
+    # numerators included; g = lm_g + c * h cancels to an empty tail
+    rng = random.Random(7)
+    ring = PolyRing(3, field)
+    pk = _Packing(ring, 8)
+    monos = sorted((m for m in itertools.product(range(4), repeat=3) if sum(m) <= 3),
+                   key=ring.order.key)
+
+    def coeff():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 40), rng.randint(1, 40))
+
+    def entry(terms):
+        return groebner._entry(pk.pack_terms(ring.from_dict(terms).terms), pk)
+
+    emptied = 0
+    for _ in range(200):
+        k = rng.randrange(4, len(monos) - 1)
+        mh = monos[k]
+        h = {m: coeff() for m in rng.sample(monos[:k], 4)}
+        h[mh] = coeff()
+        lead = rng.choice([m for m in monos[k + 1:] if not all(map(int.__le__, mh, m))])
+        g = {m: coeff() for m in rng.sample(monos[:monos.index(lead)], 3)
+             if not all(map(int.__le__, mh, m))}
+        c = coeff()
+        if rng.random() < 0.2:
+            g = {m: c * v / h[mh] for m, v in h.items()}
+        g[mh] = c
+        g[lead] = coeff()
+        eg, eh = entry(g), entry(h)
+        fast = groebner._cancel_lead(eg, eh, pk)
+        full = groebner._rewrite_tail(eg, _lead_divides(eh, pk), pk)
+        assert _comparable(fast) == _comparable(full)
+        emptied += not fast[2]
+    assert emptied
+
+
+@pytest.mark.parametrize("form", [
+    lambda: complete_homogeneous_cubic(5).to_polynomial(),
+    lambda: sym_matrix_mult(3).convert_field(FP),
+    lambda: _random_symmetric_cubic(random.Random(5), 5).to_polynomial(),
+], ids=["h3-5-QQ", "sym_matrix_mult-3-Fp", "random-cubic-5-QQ"])
+def test_every_homogeneous_rewrite_is_one_subtract(form, monkeypatch):
+    # each rewrite of a homogeneous run cancels the new lead alone, and the
+    # fused subtract equals the full reduction by the new element (the
+    # bases' digests are pinned in test_engine_counts_pinned)
+    cancel, rewrite = groebner._cancel_lead, groebner._rewrite_tail
+    done = []
+
+    def checked(entry, eh, pk):
+        fast = cancel(entry, eh, pk)
+        full = rewrite(entry, _lead_divides(eh, pk), pk)
+        assert _comparable(fast) == _comparable(full)
+        done.append(entry)
+        return fast
+
+    monkeypatch.setattr(groebner, "_cancel_lead", checked)
+    monkeypatch.setattr(groebner, "_rewrite_tail",
+                        lambda *a: pytest.fail("full tail rewrite in a homogeneous run"))
+    buchberger(singular_ideal(form()))
+    assert done
+
+
+@pytest.mark.parametrize("field, order", [(QQ, GREVLEX), (FP, GREVLEX), (QQ, LEX)],
+                         ids=["QQ", "Fp", "lex-QQ"])
+def test_full_tail_rewrite_on_a_non_homogeneous_system(field, order, monkeypatch):
+    # a new lead divides a tail term above itself, so the tail is reduced in
+    # full; the basis still matches the textbook algorithm
+    rewrite = groebner._rewrite_tail
+    calls = []
+    monkeypatch.setattr(groebner, "_rewrite_tail", lambda *a: calls.append(a) or rewrite(*a))
+    ring = PolyRing(2, field, order)
+    gens = [P(t, ring=ring) for t in ("x0^2*x1 - 3", "-x0*x1^2 + 1", "3*x1^2 + 3*x0 - 2*x1")]
+    assert list(buchberger(gens)) == _textbook_buchberger(gens)
+    assert calls
+
+
 def test_poll_stops_a_run_while_it_skips():
-    # h3 in 9 variables skips 203 pairs; a skipped pair counts toward the
+    # h3 in 9 variables skips 942 pairs; a skipped pair counts toward the
     # poll cadence, so polls fire while nothing is reduced, and raising in
     # any of them stops the run there
     gens = list(singular_ideal(complete_homogeneous_cubic(8).to_polynomial()))
