@@ -80,12 +80,7 @@ def _load_input(args):
     """Input object from --poly or --tensor (over QQ; converted at compute time)."""
     if args.poly is not None:
         return parse_polynomial(args.poly, nvars=args.nvars)
-    try:
-        with open(args.tensor, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read tensor file {args.tensor!r}: {exc}") from exc
-    return tensor_from_json(text)
+    return tensor_from_json(_read(args.tensor, "tensor"))
 
 
 def _emit_report(report: RankReport, args, annotation=None):
@@ -119,22 +114,14 @@ def _emit_report(report: RankReport, args, annotation=None):
               "rerun over QQ to certify")
 
 
-def cmd_sgr(args) -> int:
+def cmd_rank(args) -> int:
+    """``sgr`` and ``gr``; a general tensor must be symmetric when only SGR is asked."""
     field, order = _field_and_order(args)
     obj = _load_input(args)
-    if isinstance(obj, GeneralTensor):
+    if isinstance(obj, GeneralTensor) and not args.compute_gr:
         obj = obj.to_symmetric()
     poll = deadline_poll(args.timeout)
-    report = rank_report(obj, compute_gr=False, field=field, order=order, poll=poll)
-    _emit_report(report, args)
-    return EXIT_OK
-
-
-def cmd_gr(args) -> int:
-    field, order = _field_and_order(args)
-    obj = _load_input(args)
-    poll = deadline_poll(args.timeout)
-    report = rank_report(obj, compute_gr=True, field=field, order=order, poll=poll)
+    report = rank_report(obj, compute_gr=args.compute_gr, field=field, order=order, poll=poll)
     _emit_report(report, args)
     return EXIT_OK
 
@@ -183,12 +170,7 @@ def cmd_dim(args) -> int:
 
 def cmd_hypergraph(args) -> int:
     field, order = _field_and_order(args)
-    try:
-        with open(args.edges, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read edge file {args.edges!r}: {exc}") from exc
-    hg = parse_hypergraph(text)
+    hg = parse_hypergraph(_read(args.edges, "edge"))
     tensor = hypergraph_tensor(hg)
     poll = deadline_poll(args.timeout)
     report = rank_report(tensor, compute_gr=args.gr, field=field, order=order, poll=poll)
@@ -196,6 +178,14 @@ def cmd_hypergraph(args) -> int:
                   f"(vertices={hg.n}, uniformity={hg.uniformity}, edges={len(hg.edges)})")
     _emit_report(report, args, annotation=None if args.json else annotation)
     return EXIT_OK
+
+
+def _read(path, what):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {what} file {path!r}: {exc}") from exc
 
 
 def _write(path, text):
@@ -294,12 +284,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sgr", help="symmetric geometric rank of a form or symmetric tensor")
     _add_input_flags(p)
     _add_engine_flags(p)
-    p.set_defaults(func=cmd_sgr)
+    p.set_defaults(func=cmd_rank, compute_gr=False)
 
     p = sub.add_parser("gr", help="geometric rank (and sgr for symmetric input)")
     _add_input_flags(p)
     _add_engine_flags(p)
-    p.set_defaults(func=cmd_gr)
+    p.set_defaults(func=cmd_rank, compute_gr=True)
 
     p = sub.add_parser("dim", help="affine dimension of the zero set of given polynomials")
     p.add_argument("--poly", action="append", required=True,

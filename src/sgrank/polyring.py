@@ -10,8 +10,8 @@ from monomial to nonzero coefficient together with its :class:`PolyRing`
 context (variable count, field, monomial order).  The zero polynomial has an
 empty term map.
 
-:func:`add_terms` is the one sparse sum outside the Groebner engine: ring
-construction, polynomial ``+`` and ``*``, and the tensor sums in
+:func:`add_terms` is the one sparse sum outside the Groebner engine: the
+parser, polynomial ``+`` and ``*``, and the tensor sums in
 :mod:`sgrank.tensor` all add (key, coefficient) pairs through it.
 """
 
@@ -342,9 +342,15 @@ class PolyRing:
                 raise InvalidInputError(
                     f"exponent in monomial {tuple(mono)} is not a non-negative integer"
                 )
-        field = self.field
-        items = ((tuple(mono), field.convert(coeff)) for mono, coeff in terms.items())
-        return Polynomial(self, add_terms({}, items, field))
+        return self._build((tuple(mono), coeff) for mono, coeff in terms.items())
+
+    def _build(self, items) -> "Polynomial":
+        """Build from (exponent tuple, coefficient-like) pairs with distinct, valid keys.
+
+        Converts each coefficient into the field once and drops the zeros.
+        """
+        convert = self.field.convert
+        return Polynomial(self, {m: v for m, c in items if (v := convert(c))})
 
     def with_field(self, field) -> "PolyRing":
         return PolyRing(self.nvars, field, self.order)
@@ -530,22 +536,12 @@ class Polynomial:
         ring = PolyRing(len(rows), self.ring.field, self.ring.order)
         gens = ring.gens()
         images = [sum((g * row[i] for g, row in zip(gens, rows)), ring.zero()) for i in range(n)]
-        pow_cache = [{0: ring.one()} for _ in range(n)]
         result = ring.zero()
         for m, c in self.terms.items():
             term = ring.constant(c)
-            for i, e in enumerate(m):
-                if not e:
-                    continue
-                cache = pow_cache[i]
-                if e not in cache:
-                    q = max(k for k in cache if k <= e)
-                    acc = cache[q]
-                    while q < e:
-                        acc = acc * images[i]
-                        q += 1
-                        cache[q] = acc
-                term = term * cache[e]
+            for image, e in zip(images, m):
+                if e:
+                    term = term * image ** e
             result = result + term
         return result
 
@@ -553,7 +549,7 @@ class Polynomial:
         """Map coefficients into another field (rationals into residues, etc.)."""
         if field == self.ring.field:
             return self
-        return self.ring.with_field(field).from_dict(self.terms)
+        return self.ring.with_field(field)._build(self.terms.items())
 
     def convert_order(self, order: MonomialOrder) -> "Polynomial":
         if order == self.ring.order:
@@ -678,7 +674,8 @@ def parse_polynomial(text: str, nvars=None, field=QQ, ring=None) -> Polynomial:
         if not (kind == "op" and value in "+-"):
             raise ParseError(f"expected '+' or '-', got {value!r}", pos)
 
-    return ring.from_dict(add_terms({}, terms, QQ))
+    # Sum over QQ first, so terms that cancel there never meet a field's check.
+    return ring._build(add_terms({}, terms, QQ).items())
 
 
 def _format_monomial(m: Monomial) -> str:

@@ -14,6 +14,7 @@ sample to another field.  A line and the form it meets must share a field.
 from __future__ import annotations
 
 import enum
+import itertools
 import random
 
 from .errors import DimensionMismatchError, InvalidInputError
@@ -92,22 +93,14 @@ def random_form(rng: random.Random, ring: PolyRing, degree: int) -> Polynomial:
     """A nonzero dense-support random form of the given degree."""
     if degree < 0:
         raise InvalidInputError("degree must be non-negative")
-    monos = _degree_monomials(ring.nvars, degree)
+    n = ring.nvars
+    monos = sorted(tuple(map(c.count, range(n)))
+                   for c in itertools.combinations_with_replacement(range(n), degree))
     while True:
         terms = {m: c for m in monos if (c := rng.randint(*_COEFF_RANGE))}
         f = ring.from_dict(terms)
         if not f.is_zero():
             return f
-
-
-def _degree_monomials(nvars, degree):
-    if nvars == 1:
-        return [(degree,)]
-    out = []
-    for e in range(degree + 1):
-        for rest in _degree_monomials(nvars - 1, degree - e):
-            out.append((e,) + rest)
-    return out
 
 
 def _coeff_row(f: Polynomial):

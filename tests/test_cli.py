@@ -12,7 +12,7 @@ import pytest
 
 import sgrank
 from sgrank.cli import main
-from sgrank.tensor import big_cw
+from sgrank.tensor import GeneralTensor, big_cw
 
 
 def run(capsys, *argv):
@@ -64,9 +64,26 @@ def test_sgr_tensor_file_and_field(tmp_path, capsys):
     assert doc_p["field"] == "Fp:2147483647"
 
 
-def test_sgr_missing_tensor_file(capsys):
-    code, _, err = run(capsys, "sgr", "--tensor", "/nonexistent/t.json")
+@pytest.mark.parametrize("argv, what", [
+    (["sgr", "--tensor", "/nonexistent/t.json"], "tensor"),
+    (["hypergraph", "/nonexistent/e.txt"], "edge"),
+], ids=["tensor", "hypergraph"])
+def test_sgr_missing_tensor_file(capsys, argv, what):
+    code, _, err = run(capsys, *argv)
     assert code == 2
+    assert f"cannot read {what} file" in err
+
+
+def test_general_tensor_needs_gr(tmp_path, capsys):
+    """sgr asks for a symmetric tensor; gr takes a general one and reports no SGR."""
+    path = tmp_path / "general.json"
+    path.write_text(GeneralTensor(3, 2, {(0, 0, 1): 1, (1, 0, 0): 2}).to_json())
+    code, _, err = run(capsys, "sgr", "--tensor", str(path))
+    assert code == 3
+    assert "tensor entries are not symmetric" in err
+    code, out, _ = run(capsys, "gr", "--tensor", str(path), "--json")
+    assert code == 0
+    assert '"sgr": null' in out and '"gr": 1' in out
 
 
 @pytest.mark.parametrize("field, code", [("Fp:2", 3), ("Fp:3", 3), ("Fp:5", 0)])

@@ -26,7 +26,7 @@ from sgrank.groebner import (
 from sgrank.polyring import GREVLEX, LEX, PolyRing, PrimeField, QQ, parse_polynomial
 from sgrank.rank import matrix_rank, singular_ideal
 from sgrank.tensor import big_cw, complete_homogeneous_cubic, sym_matrix_mult
-from sgrank.verify import _random_symmetric_cubic, _textbook_buchberger
+from sgrank.verify import _dimension_bruteforce, _random_symmetric_cubic, _textbook_buchberger
 
 FP = PrimeField(2**31 - 1)
 
@@ -923,17 +923,6 @@ def test_dimension_case_split_example():
     r = PolyRing(4)
     gb = buchberger([P("x0*x2", ring=r), P("x0*x3 + x1*x2", ring=r)])
     assert ideal_dimension(gb) == 2
-
-
-def _dimension_bruteforce(supports, nvars):
-    """Independent oracle: try all 2^nvars variable subsets.  Each support
-    is an int bitmask, bit i standing for x_i."""
-    best = -1
-    for mask in range(1 << nvars):
-        k = mask.bit_count()
-        if k > best and all(s & mask != s for s in supports):
-            best = k
-    return best
 
 
 def test_dimension_against_bruteforce():

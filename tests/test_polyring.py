@@ -356,6 +356,20 @@ def test_parse_repeated_variable_accumulates():
     assert parse_polynomial("x0*x0", nvars=1) == parse_polynomial("x0^2", nvars=1)
 
 
+def test_parse_sums_over_QQ_before_converting():
+    """Terms are summed over QQ, then each sum is converted into the field once."""
+    f7 = PrimeField(7)
+    x1 = parse_polynomial("x1", nvars=2, field=f7)
+    assert parse_polynomial("3*x0 + 4*x0 + x1", field=f7) == x1
+    # 1/7 has no residue mod 7, but its two terms cancel over QQ first
+    assert parse_polynomial("1/7*x0 - 1/7*x0 + x1", field=f7) == x1
+    with pytest.raises(InvalidInputError, match="denominator of 1/7 vanishes modulo 7"):
+        parse_polynomial("1/7*x0 + x1", field=f7)
+    assert parse_polynomial("7*x0 + x1").convert_field(f7) == x1
+    with pytest.raises(InvalidInputError):
+        parse_polynomial("1/14*x0").convert_field(f7)
+
+
 def test_parse_errors_have_positions():
     with pytest.raises(ParseError):
         parse_polynomial("")

@@ -15,6 +15,7 @@ from sgrank.strata import (
     line_tangency,
     linear_form,
     membership_S,
+    random_form,
     restrict_to_line,
     sample_irreducible_sgr2,
     sample_reducible,
@@ -85,6 +86,43 @@ def test_samplers_are_deterministic():
     assert sample_secant_tangential(2, 3, seed=5) == sample_secant_tangential(2, 3, seed=5)
     assert sample_irreducible_sgr2(3, seed=5) == sample_irreducible_sgr2(3, seed=5)
     assert sample_reducible(2, 1, 3, seed=5) == sample_reducible(2, 1, 3, seed=5)
+
+
+def test_sampler_text_is_pinned():
+    """Exact samples for fixed seeds, so a changed draw order shows."""
+    assert str(sample_reducible(3, 2, 3, seed=4)) == (
+        "4*x0^5 + 7*x0^4*x1 + 4*x0^3*x1^2 - x0^2*x1^3 - 4*x0*x1^4 - x1^5 + 13*x0^4*x2"
+        " + 11*x0^3*x1*x2 - 3*x0^2*x1^2*x2 - 4*x0*x1^3*x2 + 4*x1^4*x2 + 28*x0^3*x2^2"
+        " + 16*x0^2*x1*x2^2 + 6*x0*x1^2*x2^2 + 4*x1^3*x2^2 + 19*x0^2*x2^3 + x0*x1*x2^3"
+        " + 28*x1^2*x2^3 + 22*x0*x2^4 + 19*x1*x2^4 - 5*x2^5 + 8*x0^4*x3 - 12*x0^3*x1*x3"
+        " - 15*x0^2*x1^2*x3 + 19*x0*x1^3*x3 + 9*x1^4*x3 + 11*x0^3*x2*x3 + 5*x0^2*x1*x2*x3"
+        " + 37*x0*x1^2*x2*x3 - 20*x1^3*x2*x3 + 19*x0^2*x2^2*x3 + x0*x1*x2^2*x3"
+        " + 17*x1^2*x2^2*x3 + 25*x0*x2^3*x3 + 32*x1*x2^3*x3 + 18*x2^4*x3 + x0^3*x3^2"
+        " + 2*x0^2*x1*x3^2 - 10*x0*x1^2*x3^2 - 23*x1^3*x3^2 - 5*x0^2*x2*x3^2"
+        " - 6*x0*x1*x2*x3^2 - 3*x1^2*x2*x3^2 + 3*x0*x2^2*x3^2 - 19*x1*x2^2*x3^2"
+        " + 12*x2^3*x3^2 - 4*x0^2*x3^3 + 15*x0*x1*x3^3 + 16*x1^2*x3^3 + 3*x0*x2*x3^3"
+        " - 4*x1*x2*x3^3 + 16*x2^2*x3^3 + x0*x3^4 - 12*x1*x3^4 + 5*x2*x3^4 + 2*x3^5"
+    )
+    assert str(sample_reducible(2, 1, 3, seed=5)) == (
+        "-10*x0^3 + 10*x0^2*x1 - 10*x0*x1^2 + 16*x0^2*x2 - 14*x0*x1*x2 + 20*x1^2*x2"
+        " + 8*x0*x2^2 - 12*x1*x2^2 + 19*x0^2*x3 - 5*x0*x1*x3 + 15*x1^2*x3 - 4*x0*x2*x3"
+        " - 29*x1*x2*x3 + 4*x2^2*x3 + 2*x0*x3^2 - 15*x1*x3^2 - 13*x2*x3^2 - 12*x3^3"
+    )
+    assert str(sample_tangential(3, seed=1, d=4)) == (
+        "-45*x0^4 + 138*x0^3*x1 - 119*x0^2*x1^2 + 8*x0*x1^3 + 16*x1^4 - 156*x0^3*x2"
+        " + 349*x0^2*x1*x2 - 224*x0*x1^2*x2 + 48*x1^3*x2 - 158*x0^2*x2^2"
+        " + 232*x0*x1*x2^2 - 112*x1^2*x2^2 - 16*x0*x2^3 + 16*x1*x2^3 + 32*x2^4"
+        " - 48*x0^3*x3 + 118*x0^2*x1*x3 - 90*x0*x1^2*x3 + 24*x1^3*x3 - 94*x0^2*x2*x3"
+        " + 142*x0*x1*x2*x3 - 64*x1^2*x2*x3 - 4*x0*x2^2*x3 - 8*x1*x2^2*x3 + 48*x2^3*x3"
+        " - 53*x0^2*x3^2 + 126*x0*x1*x3^2 - 79*x1^2*x3^2 - 104*x0*x2*x3^2"
+        " + 133*x1*x2*x3^2 - 46*x2^2*x3^2 - 26*x0*x3^3 + 34*x1*x3^3 - 30*x2*x3^3"
+        " - 4*x3^4"
+    )
+    assert str(random_form(random.Random(0), PolyRing(4), 3)) == (
+        "3*x0^3 - x0^2*x1 - 3*x0*x1^2 + 4*x0^2*x2 - x0*x1*x2 + 2*x1^2*x2 + 3*x0*x2^2"
+        " + x1*x2^2 - x2^3 - 4*x0^2*x3 - 3*x0*x1*x3 - x1^2*x3 - 2*x0*x2*x3 + 2*x1*x2*x3"
+        " - 5*x2^2*x3 + 4*x0*x3^2 + 3*x1*x3^2 + x2*x3^2 + x3^3"
+    )
 
 
 def test_tangential_samples_have_rank_one():
