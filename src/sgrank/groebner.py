@@ -994,31 +994,34 @@ def _min_hitting_set_size(supports, nvars: int, tick=None) -> int:
     for s in sorted(set(supports), key=int.bit_count):
         if not any(t & s == t for t in minimal):
             minimal.append(s)
-    return _hitting_search(minimal, 0, nvars, tick)
-
-
-def _hitting_search(uncovered, size, best, tick) -> int:
-    """The branch and bound of _min_hitting_set_size below one node: returns
-    the smaller of ``best`` and the smallest hitting set that extends the
-    node's ``size`` chosen variables.  A plain recursive function, so a
-    search leaves no reference cycle behind."""
-    packed = bound = 0
-    for s in uncovered:
-        if not s & packed:
-            packed |= s
-            bound += 1
-    if size + bound >= best:
-        return best
-    if not uncovered:
-        return size
-    if tick is not None:
-        tick()
-    s = uncovered[0]
-    while s:
-        bit = s & -s
-        s ^= bit
-        best = _hitting_search([t for t in uncovered if not t & bit], size + 1, best, tick)
-    return best
+    # Depth-first over an explicit stack, so the depth (one level per chosen
+    # variable) meets no recursion limit.  A frame holds a node's uncovered
+    # supports, its size plus one and the branch bits still to try; each
+    # child's list is built only when its turn comes, so at most one list per
+    # level is alive.
+    best = nvars
+    stack = []
+    uncovered, size = minimal, 0
+    while True:
+        packed = bound = 0
+        for s in uncovered:
+            if not s & packed:
+                packed |= s
+                bound += 1
+        if size + bound < best:
+            if not uncovered:
+                best = size
+            else:
+                if tick is not None:
+                    tick()
+                stack.append((uncovered, size + 1, uncovered[0]))
+        if not stack:
+            return best
+        parent, size, bits = stack.pop()
+        bit = bits & -bits
+        if bits != bit:
+            stack.append((parent, size, bits ^ bit))
+        uncovered = [t for t in parent if not t & bit]
 
 
 def ideal_dimension(basis: GroebnerBasis, *, poll=None) -> int:

@@ -598,80 +598,60 @@ def parse_polynomial(text: str, nvars=None, field=QQ, ring=None) -> Polynomial:
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty polynomial text")
-
-    if ring is not None:
-        nvars = ring.nvars
-        field = ring.field
-    if nvars is None:
-        maxidx = -1
-        for kind, value, _ in tokens:
-            if kind == "var":
-                maxidx = max(maxidx, int(value[1:]))
-        nvars = maxidx + 1 if maxidx >= 0 else 1
     if ring is None:
+        if nvars is None:
+            nvars = max((int(v[1:]) + 1 for k, v, _ in tokens if k == "var"), default=1)
         ring = PolyRing(nvars, field)
+    nvars = ring.nvars
+    # The end-of-text token: every check below reads a token, never past the end.
+    tokens.append((None, None, len(text)))
+    advance = iter(tokens).__next__
+
+    def var_after_star():
+        tok = advance()
+        if tok[0] != "var":
+            raise ParseError("expected variable after '*'", tok[2])
+        return tok
 
     terms = []
-    i = 0
-    n = len(tokens)
-
-    def peek():
-        return tokens[i] if i < n else (None, None, len(text))
-
-    while i < n:
+    kind, value, pos = advance()
+    while True:
         sign = 1
-        kind, value, pos = tokens[i]
         while kind == "op" and value in "+-":
             if value == "-":
                 sign = -sign
-            i += 1
-            if i >= n:
-                raise ParseError("dangling sign", pos)
-            kind, value, pos = tokens[i]
+            kind, value, pos = advance()
+        if kind is None:  # only signs reach the end here; report the last one
+            raise ParseError("dangling sign", tokens[-2][2])
+        if kind not in ("num", "var"):
+            raise ParseError("expected coefficient or variable", pos)
         coeff = Fraction(sign)
         exps = [0] * nvars
-        saw_factor = False
         if kind == "num":
-            coeff *= Fraction(value)
-            saw_factor = True
-            i += 1
-            kind, value, pos = peek()
+            coeff *= QQ.convert(value)
+            kind, value, pos = advance()
             if kind == "op" and value == "*":
-                i += 1
-                kind, value, pos = peek()
-                if kind != "var":
-                    raise ParseError("expected variable after '*'", pos)
+                kind, value, pos = var_after_star()
         while kind == "var":
             idx = int(value[1:])
             if idx >= nvars:
                 raise ParseError(f"unknown variable {value}", pos)
-            i += 1
             exp = 1
-            kind, value, pos = peek()
+            kind, value, pos = advance()
             if kind == "op" and value == "^":
-                i += 1
-                kind, value, pos = peek()
-                if kind != "num" or "/" in (value or ""):
+                kind, value, pos = advance()
+                if kind != "num" or "/" in value:
                     raise ParseError("expected integer exponent after '^'", pos)
                 exp = int(value)
-                i += 1
-                kind, value, pos = peek()
+                kind, value, pos = advance()
             exps[idx] += exp
-            saw_factor = True
-            if kind == "op" and value == "*":
-                i += 1
-                kind, value, pos = peek()
-                if kind != "var":
-                    raise ParseError("expected variable after '*'", pos)
-                continue
-            break
-        if not saw_factor:
-            raise ParseError("expected coefficient or variable", pos)
+            if kind != "op" or value != "*":
+                break
+            kind, value, pos = var_after_star()
         terms.append((tuple(exps), coeff))
-        kind, value, pos = peek()
         if kind is None:
             break
-        if not (kind == "op" and value in "+-"):
+        if kind != "op" or value not in "+-":
             raise ParseError(f"expected '+' or '-', got {value!r}", pos)
 
     # Sum over QQ first, so terms that cancel there never meet a field's check.

@@ -394,15 +394,15 @@ def parse_hypergraph(text: str) -> Hypergraph:
             raise ParseError(f"line {lineno}: vertex indices are 1-based")
         if len(set(verts)) != len(verts):
             raise ParseError(f"line {lineno}: repeated vertex in edge {verts}")
+        if not edges:
+            d = len(verts)
+        elif len(verts) != d:
+            raise ParseError(
+                f"line {lineno}: non-uniform edge {verts}: expected {d} vertices per edge"
+            )
         edges.append(verts)
     if not edges:
         raise ParseError("no edges found")
-    d = len(edges[0])
-    for lineno_edge in edges:
-        if len(lineno_edge) != d:
-            raise ParseError(
-                f"non-uniform edge {lineno_edge}: expected {d} vertices per edge"
-            )
     n = max(max(e) for e in edges)
     return Hypergraph(n, d, edges)
 

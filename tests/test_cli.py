@@ -201,6 +201,22 @@ def test_dim_singular(capsys):
     assert code == 0 and doc["dim"] == 1 and doc["ambient"] == 2
 
 
+def test_dim_infers_the_widest_generator(capsys):
+    code, out, _ = run(capsys, "dim", "--poly", "x0", "--poly", "x2*x3", "--json")
+    doc = json.loads(out)
+    assert code == 0 and doc["ambient"] == 4 and doc["dim"] == 2
+
+
+@pytest.mark.parametrize("argv, literal", [
+    (("sgr", "--poly", "1/0*x0^3"), "1/0"),
+    (("dim", "--poly", "x0^3 + 2/0"), "2/0"),
+])
+def test_zero_denominator_in_poly_is_parse_error(capsys, argv, literal):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err == f"error: bad rational literal '{literal}'\n"
+
+
 # ---------------------------------------------------------------------------
 # hypergraph
 # ---------------------------------------------------------------------------
@@ -227,6 +243,15 @@ def test_hypergraph_non_uniform(tmp_path, capsys):
     p.write_text("1 2\n1 2 3\n")
     code, _, err = run(capsys, "hypergraph", str(p))
     assert code == 2
+
+
+def test_hypergraph_non_uniform_names_its_line(tmp_path, capsys):
+    # the first bad line wins: the non-uniform edge, not the later junk
+    p = tmp_path / "bad.txt"
+    p.write_text("1 2\n1 2 3\nfoo\n")
+    code, _, err = run(capsys, "hypergraph", str(p))
+    assert code == 2
+    assert err == "error: line 2: non-uniform edge [1, 2, 3]: expected 2 vertices per edge\n"
 
 
 def test_hypergraph_empty_file(tmp_path, capsys):

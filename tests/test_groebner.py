@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -1034,6 +1035,15 @@ def test_dimension_search_leaves_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_dimension_search_depth_meets_no_recursion_limit():
+    # 1,200 disjoint edges x_{2i}*x_{2i+1}: each needs a variable of its own,
+    # so the search chooses 1,200 variables along one branch
+    k = 1200
+    assert k > sys.getrecursionlimit()
+    supports = [0b11 << 2 * i for i in range(k)]
+    assert groebner._min_hitting_set_size(supports, 2 * k) == k
 
 
 def test_dimension_field_and_order_stability():

@@ -386,6 +386,52 @@ def test_parse_errors_have_positions():
         parse_polynomial("3*")
 
 
+@pytest.mark.parametrize("text, kw, message, position", [
+    ("x0 + ", {}, "dangling sign", 3),
+    ("x0 - +", {}, "dangling sign", 5),
+    ("+", {}, "dangling sign", 0),
+    ("*x0", {}, "expected coefficient or variable", 0),
+    ("^2", {}, "expected coefficient or variable", 0),
+    ("x0*3", {}, "expected variable after '*'", 3),
+    ("x0**x1", {}, "expected variable after '*'", 3),
+    ("3*", {}, "expected variable after '*'", 2),
+    ("x0*", {}, "expected variable after '*'", 3),
+    ("x0^", {}, "expected integer exponent after '^'", 3),
+    ("x0^-1", {}, "expected integer exponent after '^'", 3),
+    ("x0^1/2", {}, "expected integer exponent after '^'", 3),
+    ("x0 x1", {}, "expected '+' or '-', got 'x1'", 3),
+    ("2 3", {}, "expected '+' or '-', got '3'", 2),
+    ("x0^2^3", {}, "expected '+' or '-', got '^'", 4),
+    ("x", {}, "unexpected character 'x'", 0),
+    ("x0 &", {}, "unexpected character '&'", 3),
+    ("x5", {"nvars": 2}, "unknown variable x5", 0),
+    ("x0 + x3", {"ring": PolyRing(3)}, "unknown variable x3", 5),
+])
+def test_parse_error_messages_and_positions(text, kw, message, position):
+    with pytest.raises(ParseError) as e:
+        parse_polynomial(text, **kw)
+    assert str(e.value) == f"{message} (at position {position})"
+    assert e.value.position == position
+
+
+@pytest.mark.parametrize("text, nvars, terms", [
+    ("3x0", 1, {(1,): 3}),
+    ("--x1", 2, {(0, 1): 1}),
+    ("2/4*x1 - -x1", 2, {(0, 1): Fraction(3, 2)}),
+    ("7\n-x3", 4, {(0, 0, 0, 0): 7, (0, 0, 0, 1): -1}),
+])
+def test_parse_accepts_edge_forms(text, nvars, terms):
+    f = parse_polynomial(text)
+    assert f.ring.nvars == nvars
+    assert f.terms == terms
+
+
+def test_parse_zero_denominator_is_parse_error():
+    for text in ("1/0*x0^3", "x0^3 + 2/0", "0/0"):
+        with pytest.raises(ParseError, match="bad rational literal"):
+            parse_polynomial(text)
+
+
 def test_format_roundtrip_random():
     rng = random.Random(2)
     for field in (QQ, FP):
