@@ -628,7 +628,10 @@ def parse_polynomial(text: str, nvars=None, field=QQ, ring=None) -> Polynomial:
         coeff = Fraction(sign)
         exps = [0] * nvars
         if kind == "num":
-            coeff *= QQ.convert(value)
+            try:
+                coeff *= QQ.convert(value)
+            except ParseError as exc:  # a zero denominator
+                raise ParseError(str(exc), pos) from None
             kind, value, pos = advance()
             if kind == "op" and value == "*":
                 kind, value, pos = var_after_star()

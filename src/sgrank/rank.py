@@ -10,12 +10,15 @@ The geometric rank of an order-d tensor uses the multilinear form in d-1
 variable groups: the generators are its partial derivatives with respect to
 the last group, giving n+1 polynomials in (d-1)(n+1) variables.
 
-``sgr``, ``gr`` and their ``_details`` run the engine on the whole input and
-are the reference.  ``rank_report`` answers from the rank laws: it splits a
-form into direct summands on disjoint variables, since SGR and GR add up over
-direct sums, and sums the blocks.  A block's flattening rank r (the dimension
-of the span of its partials) is read off its SGR basis, and SGR <= GR <= r,
-so a block with SGR = r has GR = r and builds no GR basis.
+``sgr``, ``gr`` and their ``_details`` run the engine on the whole input, in
+its own variable order, and are the reference.  ``rank_report`` answers from
+the rank laws: it splits a form into direct summands on disjoint variables,
+since SGR and GR add up over direct sums, and sums the blocks.  Each block
+lists its variables by degree (``_variable_order``) before the engine runs:
+the ranks do not depend on the variables' names, but the engine's cost
+does.  A block's flattening rank r (the dimension of the span of its
+partials) is read off its SGR basis, and SGR <= GR <= r, so a block with
+SGR = r has GR = r and builds no GR basis.
 """
 
 from __future__ import annotations
@@ -169,11 +172,13 @@ class RankReport:
     ``sgr`` is an upper bound on the symmetric subrank, which is not computed
     here; ``gr`` is present only when requested or implied by the input.
     ``sgr_basis_size`` and ``gr_basis_size`` are the sizes of the reduced
-    Groebner bases of the singular and the multilinear ideal.  A report that
-    splits its input builds one basis per block, and the blocks' bases
-    together are the reduced basis of the whole ideal.  ``gr_basis_size`` is
-    None when some block read GR off SGR (see ``rank_report``) and so built
-    no GR basis.
+    Groebner bases of the singular and the multilinear ideal, with the
+    variables in the report's order (``_variable_order``), so they can
+    differ from the bases of ``sgr_details`` and ``gr_details``.  A report
+    that splits its input builds one basis per block, and the blocks' bases
+    together are the reduced basis of the whole ideal in that order.
+    ``gr_basis_size`` is None when some block read GR off SGR (see
+    ``rank_report``) and so built no GR basis.
     """
 
     sgr: int | None
@@ -207,14 +212,37 @@ class RankReport:
         }
 
 
+def _variable_order(form: Polynomial) -> list:
+    """The form's variables in the order ``rank_report`` gives them.
+
+    Ascending by the variable's largest exponent in the form, then by the
+    number of terms that contain it; ties keep the input order.  So the
+    variables of highest degree in the most terms come last, where grevlex
+    and lex make them smallest (Brown's degree heuristic for variable
+    orders).  SGR and GR do not depend on how the variables are named, but
+    the engine's basis, and its cost, do: the trace cubic at m=4 builds 161
+    basis elements in its row-major order and 62 in this one.
+    """
+    n = form.ring.nvars
+    top, count = [0] * n, [0] * n
+    for m in form.terms:
+        for i, e in enumerate(m):
+            if e:
+                count[i] += 1
+                top[i] = max(top[i], e)
+    return sorted(range(n), key=lambda i: (top[i], count[i]))
+
+
 def _blocks(form: Polynomial) -> list:
     """The form's direct summands, each in a ring over its own variables.
 
     Two variables are in one block when a monomial joins them, so the blocks
     are the connected components of the variables that occur; a variable in
-    no monomial belongs to none.  A form whose one block holds every
-    variable is returned as it is.  Each block keeps the variables' order,
-    so the monomial order restricts to it.
+    no monomial belongs to none.  Each block lists its variables in
+    ``_variable_order``, and the order restricts to each block, so the
+    blocks' bases are those of the whole form with its variables in that
+    order.  A form whose one block holds every variable, already in that
+    order, is returned as it is.
     """
     n = form.ring.nvars
     comps = []
@@ -228,12 +256,13 @@ def _blocks(form: Polynomial) -> list:
                 rest.append(c)
         rest.append(joined)
         comps = rest
-    if len(comps) == 1 and comps[0] == (1 << n) - 1:
+    ranked = _variable_order(form)
+    if len(comps) == 1 and comps[0] == (1 << n) - 1 and ranked == list(range(n)):
         return [form]
     block_of = {}
     variables = []
     for b, c in enumerate(sorted(comps, key=lambda c: c & -c)):
-        variables.append([i for i in range(n) if c >> i & 1])
+        variables.append([i for i in ranked if c >> i & 1])
         block_of.update((i, b) for i in variables[-1])
     terms = [{} for _ in comps]
     for m, c in form.terms.items():
@@ -259,15 +288,16 @@ def rank_report(obj, compute_gr: bool = False, *, field=None, order=None, poll=N
     """Full report for a symmetric tensor or homogeneous form.
 
     General (non-symmetric) tensors get a GR-only report from ``gr_details``.
-    A symmetric input is split into its direct summands (``_blocks``), and
-    the report sums their values: SGR and GR add up over direct sums, and a
-    variable in no monomial adds nothing to either.  Each block's SGR comes
-    from ``sgr_details``.  With ``compute_gr``, a block whose SGR equals its
-    flattening rank r, the dimension of the span of its partials, has GR = r
-    with no further basis, since SGR <= GR (the source paper) and GR <= r
-    (Kopparty, Moshkovitz & Zuiddam, "Geometric rank of tensors and subrank
-    of matrix multiplication", CCC 2020); only the other blocks run
-    ``gr_details`` on their own tensor.
+    A symmetric input is split into its direct summands (``_blocks``), each
+    with its variables listed by degree, and the report sums their values:
+    SGR and GR add up over direct sums, and a variable in no monomial adds
+    nothing to either.  Each block's SGR comes from ``sgr_details``.  With
+    ``compute_gr``, a block whose SGR equals its flattening rank r, the
+    dimension of the span of its partials, has GR = r with no further basis,
+    since SGR <= GR (the source paper) and GR <= r (Kopparty, Moshkovitz &
+    Zuiddam, "Geometric rank of tensors and subrank of matrix
+    multiplication", CCC 2020); only the other blocks run ``gr_details`` on
+    their own tensor.
     """
     t0 = time.perf_counter()
     if isinstance(obj, GeneralTensor) and not obj.is_symmetric():

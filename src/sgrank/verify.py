@@ -31,7 +31,17 @@ from .polyring import (
     PrimeField,
     parse_polynomial,
 )
-from .rank import gr, gr_details, matrix_rank, rank_report, sgr, sgr_details, singular_ideal
+from .rank import (
+    _as_polynomial,
+    _variable_order,
+    gr,
+    gr_details,
+    matrix_rank,
+    rank_report,
+    sgr,
+    sgr_details,
+    singular_ideal,
+)
 from .strata import (
     ProjectiveLine,
     Tangency,
@@ -44,6 +54,7 @@ from .strata import (
     sample_tangential,
 )
 from .tensor import (
+    Hypergraph,
     SymmetricTensor,
     big_cw,
     complete_homogeneous_cubic,
@@ -281,12 +292,22 @@ _REPORT_BLOCKS = {
 }
 
 
+def _variant(variant):
+    """The field and monomial order of a verify variant: "QQ" in grevlex,
+    "Fp" in grevlex, or "lex" over QQ; None means the input's own."""
+    field = PrimeField(DEFAULT_PRIME) if variant == "Fp" else None
+    return field, LEX if variant == "lex" else None
+
+
 def _case_report_blocks(seed, variant):
     """rank_report, which splits a form into direct summands and reads GR off
     SGR where SGR is the flattening rank, against sgr_details and gr_details
     on the whole form: a direct sum of 1-3 blocks, each under a random
     invertible change of its own variables, plus 0-2 free variables, with
-    every variable then moved to a random place."""
+    every variable then moved to a random place.  SGR, GR and the dimension
+    are compared with the whole form in its input order; the basis sizes
+    with the whole form in the report's variable order, whose basis is the
+    blocks' bases together."""
     rng = random.Random(seed)
     kinds = sorted(_REPORT_BLOCKS)
     names = [kinds[seed % len(kinds)]] + [rng.choice(kinds) for _ in range(rng.randint(0, 2))]
@@ -302,11 +323,15 @@ def _case_report_blocks(seed, variant):
     perm = list(range(n))
     rng.shuffle(perm)
     t = t.apply_matrix([[int(j == perm[i]) for j in range(n)] for i in range(n)])
-    field = PrimeField(DEFAULT_PRIME) if variant == "Fp" else None
-    order = LEX if variant == "lex" else None
+    field, order = _variant(variant)
     rep = rank_report(t, compute_gr=True, field=field, order=order)
-    s, dim, basis = sgr_details(t, field=field, order=order)
-    g, _, gbasis = gr_details(t, field=field, order=order)
+    s, dim, _ = sgr_details(t, field=field, order=order)
+    g = gr(t, field=field, order=order)
+    form = _as_polynomial(t, field=field, order=order)
+    ranked = _variable_order(form)
+    form = Polynomial(form.ring, {tuple(m[i] for i in ranked): c for m, c in form.terms.items()})
+    basis = sgr_details(form)[2]
+    gbasis = gr_details(SymmetricTensor.from_polynomial(form), order=order)[2]
     got = (rep.sgr, rep.gr, rep.sing_dim_affine, rep.sgr_basis_size)
     want = (s, g, n - s, len(basis))
     # a report that built every block's GR basis has the whole one's size
@@ -315,6 +340,59 @@ def _case_report_blocks(seed, variant):
         f"{' + '.join(names)} + {free} free: report (sgr, gr, dim, basis) = {got}, "
         f"plain engine {want}; GR basis {rep.gr_basis_size} against {len(gbasis)}"
     )
+
+
+def _random_sparse_cubic(rng: random.Random, n: int) -> SymmetricTensor:
+    """A cubic in n variables with 2 to n + 2 random monomials."""
+    picks = rng.sample(list(itertools.combinations_with_replacement(range(n), 3)),
+                       rng.randint(2, n + 2))
+    return SymmetricTensor(3, n, {idx: rng.choice((-3, -2, -1, 1, 2, 3)) for idx in picks})
+
+
+def _random_hypergraph(rng: random.Random, n: int) -> Hypergraph:
+    """A 3-uniform hypergraph on n vertices with 2 to n + 2 random edges."""
+    edges = rng.sample(list(itertools.combinations(range(1, n + 1), 3)), rng.randint(2, n + 2))
+    return Hypergraph(n, 3, edges)
+
+
+# Sparse forms whose variables differ in their largest exponent or in the
+# number of terms that hold them, so rank_report mostly lists them in an
+# order of its own; a hypergraph's form is multilinear, so it is ordered by
+# vertex degree.  Each kind maps the arguments of a case to its form.
+_ORDER_FORMS = {
+    "trace": sym_matrix_mult,
+    "big_cw": lambda q, n: big_cw(q, n).to_polynomial(),
+    "small_cw": lambda q, n: small_cw(q, n).to_polynomial(),
+    "max_compressibility": lambda q, n: max_compressibility(q, n).to_polynomial(),
+    "normal_form": irreducible_sgr2_cubic,
+    "sparse cubic": lambda seed: _random_sparse_cubic(
+        random.Random(seed), 3 + seed % 3).to_polynomial(),
+    "hypergraph": lambda seed: hypergraph_tensor(
+        _random_hypergraph(random.Random(seed), 5 + seed % 2)).to_polynomial(),
+}
+_ORDER_NAMED = (
+    ("trace", (2,)),
+    ("big_cw", (2, 3)), ("big_cw", (3, 4)),
+    ("small_cw", (2, 2)), ("small_cw", (3, 3)),
+    ("max_compressibility", (2, 2)), ("max_compressibility", (3, 4)),
+    ("normal_form", (2, 1)), ("normal_form", (2, 2)), ("normal_form", (3, 1)),
+    ("normal_form", (4, 1)),
+)
+
+
+def _case_report_order(kind, args, variant, compute_gr):
+    """rank_report, which lists each block's variables in its own order
+    (rank._variable_order), against sgr_details and gr_details with the
+    variables in the input order: SGR, GR and the dimension agree."""
+    form = _ORDER_FORMS[kind](*args)
+    field, order = _variant(variant)
+    rep = rank_report(form, compute_gr=compute_gr, field=field, order=order)
+    s, dim, _ = sgr_details(form, field=field, order=order)
+    g = gr(SymmetricTensor.from_polynomial(form), field=field, order=order) if compute_gr else None
+    got, want = (rep.sgr, rep.gr, rep.sing_dim_affine), (s, g, dim)
+    moved = _variable_order(form) != list(range(form.ring.nvars))
+    return got == want, (f"report (sgr, gr, dim) = {got}, input order {want}; "
+                         f"variables {'reordered' if moved else 'kept in input order'}")
 
 
 def _case_scaling(seed):
@@ -881,6 +959,19 @@ def suite_rank_properties():
         for variant in ("QQ", "Fp", "lex"):
             cases.append(Case(f"report by blocks vs plain engine ({variant}) seed={seed}",
                               _case_report_blocks, (seed, variant)))
+    # GR is compared too, but not on the trace cubic in lex at m=3 or over
+    # Fp at m=4, where the input-order GR engine takes 16 s and more than
+    # six minutes; the hypergraphs skip lex, where it took 21 s for the 20
+    variants = ("QQ", "Fp", "lex")
+    order_cases = [(kind, args, v, True) for kind, args in _ORDER_NAMED for v in variants]
+    order_cases += [("trace", (3,), v, v != "lex") for v in variants]
+    order_cases.append(("trace", (4,), "Fp", False))
+    order_cases += [("sparse cubic", (seed,), v, True) for seed in range(30) for v in variants]
+    order_cases += [("hypergraph", (seed,), v, True) for seed in range(20) for v in ("QQ", "Fp")]
+    for kind, args, variant, with_gr in order_cases:
+        cases.append(Case(f"report in its variable order vs input order ({variant}"
+                          f"{'' if with_gr else ', no GR'}): {kind}{list(args)}",
+                          _case_report_order, (kind, args, variant, with_gr)))
     for seed in range(10):
         cases.append(Case(f"scaling seed={seed}", _case_scaling, (seed,)))
     return cases

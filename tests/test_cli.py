@@ -214,7 +214,8 @@ def test_dim_infers_the_widest_generator(capsys):
 def test_zero_denominator_in_poly_is_parse_error(capsys, argv, literal):
     code, _, err = run(capsys, *argv)
     assert code == 2
-    assert err == f"error: bad rational literal '{literal}'\n"
+    position = argv[2].index(literal)  # 0 and 7
+    assert err == f"error: bad rational literal '{literal}' (at position {position})\n"
 
 
 # ---------------------------------------------------------------------------

@@ -427,9 +427,13 @@ def test_parse_accepts_edge_forms(text, nvars, terms):
 
 
 def test_parse_zero_denominator_is_parse_error():
-    for text in ("1/0*x0^3", "x0^3 + 2/0", "0/0"):
-        with pytest.raises(ParseError, match="bad rational literal"):
+    # the position is the literal's offset, as for every other grammar error
+    for text, literal, position in (("1/0*x0^3", "1/0", 0), ("x0^3 + 2/0", "2/0", 7),
+                                    ("0/0", "0/0", 0)):
+        with pytest.raises(ParseError) as e:
             parse_polynomial(text)
+        assert str(e.value) == f"bad rational literal '{literal}' (at position {position})"
+        assert e.value.position == position
 
 
 def test_format_roundtrip_random():

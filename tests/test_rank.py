@@ -401,27 +401,49 @@ def test_flattening_rank_is_read_off_the_singular_basis():
 
 
 def test_report_splits_a_direct_sum_into_blocks():
-    # x0, x2 and x3 in two blocks, x1 and x4 in none; each block keeps the
-    # order of its variables
+    # x0, x2 and x3 in two blocks, x1 and x4 in none; each block lists its
+    # variables by their largest exponent, so x2 (exponent 1) comes before
+    # x0 (exponent 2)
     f = parse_polynomial("3*x0^2*x2 + 2*x3^3", nvars=5)
+    assert rank._variable_order(f) == [1, 4, 2, 0, 3]
     blocks = rank._blocks(f)
-    assert [(b.ring.nvars, b.terms) for b in blocks] == [(2, {(2, 1): 3}), (1, {(3,): 2})]
+    assert [(b.ring.nvars, b.terms) for b in blocks] == [(2, {(1, 2): 3}), (1, {(3,): 2})]
     connected = complete_homogeneous_cubic(2).to_polynomial()
     assert rank._blocks(connected) == [connected]
     assert rank._blocks(connected)[0] is connected
     tens = SymmetricTensor.from_polynomial(f)
+    # the report's bases are those of the whole form in its variable order
+    # x1, x4, x2, x0, x3
+    reordered = parse_polynomial("3*x2*x3^2 + 2*x4^3")
     for order in (GREVLEX, LEX):
         rep = rank_report(tens, compute_gr=True, order=order)
-        s, dim, basis = sgr_details(f, order=order)
+        s, dim, _ = sgr_details(f, order=order)
         assert (rep.sgr, rep.gr, rep.sing_dim_affine) == (s, gr(tens), dim) == (2, 3, 3)
-        assert rep.sgr_basis_size == len(basis)
+        assert rep.sgr_basis_size == len(sgr_details(reordered, order=order)[2])
         assert rep.gr_basis_size is None  # 2*x3^3 has SGR 1 = r
         # the W-state x0^2*x2 alone (SGR 1 < r = 2) builds its GR basis,
-        # whose size is the whole multilinear ideal's
+        # whose size is the whole multilinear ideal's in the order x1, x3,
+        # x2, x0
         w = parse_polynomial("3*x0^2*x2", nvars=4).convert_order(order)
         rep = rank_report(w, compute_gr=True)
-        gbasis = gr_details(SymmetricTensor.from_polynomial(w))[2]
+        w_reordered = parse_polynomial("3*x2*x3^2", nvars=4)
+        gbasis = gr_details(SymmetricTensor.from_polynomial(w_reordered))[2]
         assert (rep.gr, rep.gr_basis_size) == (2, len(gbasis))
+
+
+def test_report_lists_the_trace_cubic_by_degree():
+    # tr(X^3) at m=3: the off-diagonal entries (exponent 1) keep their input
+    # order, and the diagonal ones (exponent 3) come last
+    f = sym_matrix_mult(3)
+    ranked = [1, 2, 3, 5, 6, 7, 0, 4, 8]
+    assert rank._variable_order(f) == ranked
+    [block] = rank._blocks(f)
+    assert block.terms == {tuple(m[i] for i in ranked): c for m, c in f.terms.items()}
+    assert rank_report(f).sgr == sgr(f) == 5
+    assert rank_report(f, field=FP).sgr == sgr(f, field=FP) == 5
+    # at m=4 the input order builds 161 basis elements, this order 62
+    m4 = sym_matrix_mult(4).convert_field(FP)
+    assert rank_report(m4).sgr_basis_size == 62
 
 
 @pytest.fixture
