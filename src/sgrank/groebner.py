@@ -35,32 +35,39 @@ smallest hitting set of the lead supports.  The supports are int bitmasks,
 and the exact branch and bound over them prunes with the packing bound, a
 greedy count of uncovered supports that share no variable.
 
-A square homogeneous system stops reducing a degree once its lead ideal is
-complete there: Hilbert-driven Buchberger (Traverso, "Hilbert functions and
-the Buchberger algorithm", JSC 1996) with a bound that costs nothing.  Let
-the generators be n nonzero homogeneous forms of degrees d_1, ..., d_n in n
-variables, and CI(t) = [z^t] prod_i (1 + z + ... + z^(d_i - 1)) the Hilbert
-function of a complete intersection of those degrees.  The rank of the
-degree-t Macaulay map of a tuple of forms is largest on a nonempty Zariski
-open set of tuples over the algebraic closure, which leaves every rank as it
-is; the regular sequences, which all have Hilbert function CI, are another
-such set, and the two meet.  So no ideal of n forms of these
-degrees has a larger degree-t part than a complete intersection: HF(R/I)(t)
->= CI(t), the easy direction of Froeberg's inequality ("An inequality for
-Hilbert series of graded algebras", Math. Scand. 1985).  count_t, the number
-of degree-t monomials outside the current lead ideal, is at least HF(R/I)(t),
-so count_t = CI(t) means the leads already span LT(I)_t: a pending degree-t
-S-polynomial lies in I_t, its remainder has no term in LT(I)_t, and it is
-zero.  The pair loop drops such pairs unreduced, and the basis and every
-reduction it does make are those of the full run.  It keeps the standard
-monomials of the degree it is in.  Those of degree t + 1 are the monomials
-that are not leads and whose degree-t divisors are all standard, each built
-once from its quotient by its largest variable; each new element removes
-its own lead.  The first degree that ends above CI(t) shows the system is
-not a complete intersection, and tracking stops there for good.  Only
-square systems are tracked: for n forms in 2n variables, as in a GR ideal,
-the analogous bound never reaches 0, and tracking them slowed a batch of
-small SGR and GR runs by about 10%.
+A homogeneous system of no more forms than variables stops reducing a degree
+once its lead ideal is complete there: Hilbert-driven Buchberger (Traverso,
+"Hilbert functions and the Buchberger algorithm", JSC 1996) with a bound that
+costs little.  Let the generators be k nonzero homogeneous forms of degrees
+d_1, ..., d_k in N >= k variables, and CI(t) = [z^t] prod_i (1 - z^(d_i)) /
+(1 - z)^N the Hilbert function of a complete intersection of those degrees.
+For k = N it is a polynomial, prod_i (1 + z + ... + z^(d_i - 1)); for k < N
+it never reaches 0, so it is computed for each t, as a sum of binomials.
+The rank of the degree-t Macaulay map of a tuple of forms is largest on a
+nonempty Zariski open set of tuples over the algebraic closure, which leaves
+every rank as it is; the regular sequences, such as x_1^(d_1), ...,
+x_k^(d_k) and all with Hilbert function CI, are another such set, and the
+two meet.  So no ideal of k forms of these degrees has a larger degree-t
+part than a complete intersection: HF(R/I)(t) >= CI(t), the easy direction
+of Froeberg's inequality ("An inequality for Hilbert series of graded
+algebras", Math. Scand. 1985).  count_t, the number of degree-t monomials
+outside the current lead ideal, is at least HF(R/I)(t), so count_t = CI(t)
+means the leads already span LT(I)_t: a pending degree-t S-polynomial lies
+in I_t, its remainder has no term in LT(I)_t, and it is zero.  The pair loop
+drops such pairs unreduced, and the basis and every reduction it does make
+are those of the full run.  It keeps the standard monomials of the degree it
+is in.  Those of degree t + 1 are the monomials that are not leads and whose
+degree-t divisors are all standard, each built once from its quotient by its
+largest variable; each new element removes its own lead.  The first degree
+that ends above CI(t) shows the system is not a complete intersection, and
+tracking stops there for good.  So does one cost rule: before degree t + 1
+is built, tracking stops when CI(t + 1), which its standard monomials are at
+least, exceeds the tail terms of the pairs still queued (the two tails of
+each, the pair in hand included), since building them would then cost more
+than reducing every pair left.  On the GR ideal of <4,4,4>, 16 bilinear forms
+in 32 variables, the rule stops after degree 1; without it the run built
+1.55 million standard monomials of degree 6.  More forms than variables, or
+a form that is not homogeneous, are not tracked.
 
 Internally each exponent vector is packed into one Python int, after Monagan
 & Pearce, "Polynomial division using dynamic arrays, heaps, and packed
@@ -117,7 +124,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import chain
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from .errors import ComputationTimeout, DimensionMismatchError, InvalidInputError
 from .polyring import (
@@ -662,10 +669,12 @@ def buchberger(generators, *, poll=None, poll_every=8) -> GroebnerBasis:
     The reduced basis does not depend on this order; ``pairs_done`` and
     ``pairs_left`` do.
 
-    When the nonzero generators are ``ring.nvars`` homogeneous forms, a pair
-    of degree t is dropped unreduced once the degree-t monomials outside the
-    lead ideal are as few as in a complete intersection of the generators'
-    degrees (the module docstring has the proof that it reduces to zero).
+    When the nonzero generators are at most ``ring.nvars`` homogeneous
+    forms, a pair of degree t is dropped unreduced once the degree-t
+    monomials outside the lead ideal are as few as in a complete
+    intersection of the generators' degrees (the module docstring has the
+    proof that it reduces to zero, and the rule that stops the count where
+    it would cost more than it saves).
     ``GBStats.pairs_done`` counts the pairs reduced and
     ``GBStats.pairs_skipped`` those dropped; both count toward the
     ``poll_every`` cadence, so a run that skips polls as often as one that
@@ -725,21 +734,26 @@ def _chain_criterion(mh: int, lcm_h: dict, leads, pk: _Packing) -> list:
 
 
 def _hilbert_bound(ideal: Ideal):
-    """The Hilbert function of a complete intersection of the generators'
-    degrees, [z^t] prod_i (1 + z + ... + z^(d_i - 1)) as a list indexed by t
-    and zero beyond its end, when the generators are ``ring.nvars``
-    homogeneous forms; None for any other system, which is not tracked."""
+    """The Hilbert function t -> CI(t) of a complete intersection of the
+    generators' degrees d_i in the ring's N variables, [z^t] prod_i (1 -
+    z^(d_i)) / (1 - z)^N, when the generators are k <= N homogeneous forms;
+    None for any other system, which is not tracked.  CI(t) is the sum over
+    the numerator's terms c z^e, e <= t, of c times the number of degree-(t -
+    e) monomials, C(t - e + N - 1, N - 1); for k < N it never reaches 0."""
     gens = ideal.generators
-    if len(gens) != ideal.ring.nvars or not all(g.is_homogeneous() for g in gens):
+    nvars = ideal.ring.nvars
+    if len(gens) > nvars or not all(g.is_homogeneous() for g in gens):
         return None
-    ci = [1]
+    numerator = {0: 1}  # prod_i (1 - z^(d_i)) as {e: c}
     for g in gens:
         d = g.total_degree()
-        out = [0] * (len(ci) + d - 1)
-        for t, c in enumerate(ci):
-            for k in range(t, t + d):
-                out[k] += c
-        ci = out
+        out = dict(numerator)
+        for e, c in numerator.items():
+            out[e + d] = out.get(e + d, 0) - c
+        numerator = {e: c for e, c in out.items() if c}
+
+    def ci(t):
+        return sum(c * comb(t - e + nvars - 1, nvars - 1) for e, c in numerator.items() if e <= t)
     return ci
 
 
@@ -909,17 +923,14 @@ def _buchberger(ideal: Ideal, pk: _Packing, poll, poll_every) -> GroebnerBasis:
             update(_entry(h, pk))
 
     # The Hilbert bound (module docstring): std holds the standard monomials
-    # of degree std_degree while a square homogeneous system is tracked, and
-    # the pairs of degree full_degree all reduce to zero.
-    bound = _hilbert_bound(ideal)
-    std = None if bound is None else {0: ()}  # 1 is the one degree-0 monomial
+    # of degree std_degree while a homogeneous system of at most nvars forms
+    # is tracked, and the pairs of degree full_degree all reduce to zero.
+    ci = _hilbert_bound(ideal)
+    std = None if ci is None else {0: ()}  # 1 is the one degree-0 monomial
     std_degree = 0
     full_degree = -1
     nvars = pk.ring.nvars
     units = [pk.pack(tuple(int(i == k) for i in range(nvars))) for k in range(nvars)]
-
-    def ci(t):
-        return bound[t] if t < len(bound) else 0
 
     memo_degree = 0
     while pairs:
@@ -933,13 +944,21 @@ def _buchberger(ideal: Ideal, pk: _Packing, poll, poll_every) -> GroebnerBasis:
             # lead ideal is final below d.
             memo.clear()
             memo_degree = d
-            while std is not None and std_degree < d:
-                if len(std) > ci(std_degree):
-                    std = None  # a final count above the bound: not a complete intersection
-                    break
-                std_degree += 1
-                std = _next_standard(
-                    std, {leads[k] for k in active if degree(leads[k]) == std_degree}, units, tick)
+            if std is not None and std_degree < d:
+                # The tail terms of the pairs left to reduce, this one included.
+                left = sum(len(entries[a][2]) + len(entries[b][2])
+                           for a, b in chain(pairs, ((i, j),)))
+                while std_degree < d:
+                    # A final count above the bound: not a complete intersection.
+                    # More standard monomials to build than tail terms left to
+                    # reduce: building them costs more than the skip can save.
+                    if len(std) > ci(std_degree) or ci(std_degree + 1) > left:
+                        std = None
+                        break
+                    std_degree += 1
+                    std = _next_standard(
+                        std, {leads[k] for k in active if degree(leads[k]) == std_degree},
+                        units, tick)
             if std is not None and len(std) == ci(d):
                 full_degree = d
         if d == full_degree:

@@ -20,7 +20,7 @@ from typing import Callable
 
 from . import groebner
 from .errors import InvalidInputError
-from .groebner import buchberger, ideal_dimension, normal_form, s_polynomial
+from .groebner import Ideal, buchberger, ideal_dimension, normal_form, s_polynomial
 from .polyring import (
     DEFAULT_PRIME,
     GREVLEX,
@@ -33,6 +33,7 @@ from .polyring import (
 )
 from .rank import (
     _as_polynomial,
+    _multilinear_generators,
     _variable_order,
     gr,
     gr_details,
@@ -679,14 +680,21 @@ def _random_polynomial(rng: random.Random, ring: PolyRing) -> Polynomial:
 _FULL_REWRITE_SEEDS = (12, 86, 112, 192)
 
 
+def _gr_ideal(t: SymmetricTensor) -> list:
+    """The generators of the GR ideal of a symmetric cubic tensor: n bilinear
+    forms in 2n variables."""
+    return _multilinear_generators(t.to_general())[1]
+
+
 @functools.cache
 def _textbook_systems():
     """The systems of the textbook cross-check, name -> (generators over QQ
     in grevlex, skips).  The singular ideal of each engine form comes first,
-    with skips None.  Then come square homogeneous systems, where the engine
-    tracks the complete-intersection Hilbert bound; skips says whether pairs
-    must be skipped on one (True), must not be (False), or may be (None).
-    Built once per process."""
+    with skips None.  Then come homogeneous systems of k <= N forms in N
+    variables, where the engine tracks the complete-intersection Hilbert
+    bound, GR ideals (k = N / 2) among them, and systems it does not track;
+    skips says whether pairs must be skipped on one (True), must not be
+    (False), or may be (None).  Built once per process."""
     systems = {name: (list(singular_ideal(f)), None) for name, f in _engine_forms().items()}
     rng = random.Random(1996)
     r4 = PolyRing(4)
@@ -711,7 +719,26 @@ def _textbook_systems():
         [_random_form(rng, r4, d, lambda m: m[3] < d) for d in (2, 3, 2, 3)], None)
     g = [_random_form(rng, r4, 2) for _ in range(3)]
     systems["linearly dependent generators"] = ([*g, g[0] + g[1] * 3], None)
-    systems["a zero generator"] = ([*g, r4.zero()], False)
+    # Three forms in 4 variables once the zero is dropped: tracked.
+    systems["a zero generator"] = ([*g, r4.zero()], True)
+    # GR ideals.  Those of the CW tensors and the W state are not complete
+    # intersections (their GR is below n).  The sparse normal form is one,
+    # but its few tail terms stop the tracking before degree 2 is built; a
+    # dense change of variables, as a rank_report block gets in the
+    # benchmark, keeps it.
+    for name, t in (("big_cw[2,3]", big_cw(2, 3)), ("small_cw[2,2]", small_cw(2, 2)),
+                    ("w_state", w_state(1))):
+        systems[f"GR ideal of {name}"] = (_gr_ideal(t), None)
+    rng = random.Random(2020)
+    normal = SymmetricTensor.from_polynomial(irreducible_sgr2_cubic(3))
+    systems["GR ideal of normal_form[3], changed variables"] = (
+        _gr_ideal(normal.apply_matrix(_random_invertible_matrix(rng, 4))), True)
+    dense = SymmetricTensor.from_polynomial(_random_form(rng, r4, 3))
+    systems["GR ideal of a dense cubic in 4 vars"] = (_gr_ideal(dense), True)
+    for k in (2, 3):
+        systems[f"{k} quadrics in 4 vars"] = ([_random_form(rng, r4, 2) for _ in range(k)], True)
+    # More forms than variables: not tracked.
+    systems["5 forms in 4 vars"] = ([_random_form(rng, r4, d) for d in (2, 2, 2, 3, 3)], False)
     # Not homogeneous, so not tracked: no pair may be skipped.
     for seed in _FULL_REWRITE_SEEDS:
         seeded = random.Random(seed)
@@ -730,6 +757,7 @@ _TEXTBOOK_SLOW = {
     ("h3 in 6 vars", "QQ"),
     ("h3 in 6 vars", "lex"),
     ("dense cubic in 5 vars", "lex"),
+    ("GR ideal of a dense cubic in 4 vars", "lex"),  # agrees, in 30-35 s
 }
 
 
@@ -792,41 +820,49 @@ def _standard_count(leads, nvars, t) -> int:
     )
 
 
-def _complete_intersection_hf(degrees, t) -> int:
+def _complete_intersection_hf(degrees, nvars, t) -> int:
     """The Hilbert function at t of a complete intersection of the given
-    degrees, counted as the degree-t monomials that x_i^(d_i) leave
-    standard: exponents a with a_i < d_i summing to t."""
-    return sum(1 for a in itertools.product(*(range(d) for d in degrees)) if sum(a) == t)
+    degrees in nvars >= len(degrees) variables, counted as the degree-t
+    monomials that x_i^(d_i) leave standard: exponents a with a_i < d_i for
+    the first len(degrees) variables, any a_i for the rest, summing to t."""
+    ranges = [range(d) for d in degrees] + [range(t + 1)] * (nvars - len(degrees))
+    return sum(1 for a in itertools.product(*ranges) if sum(a) == t)
 
 
 def _case_hilbert_bound(seed):
-    """On a random square homogeneous system, degenerate ones included (a
-    generator that is a combination of others, a common factor, a common
-    zero), the final lead ideal leaves at least CI(t) standard monomials in
-    every degree t up to the top basis degree + 1: the bound the engine's
-    skip rests on."""
+    """On a random homogeneous system of k <= n forms in n variables, square
+    for seeds below 40, degenerate ones included (a generator that is a
+    combination of others, a common factor, a common zero), the final lead
+    ideal leaves at least CI(t) standard monomials in every degree t up to
+    the top basis degree + 1: the bound the engine's skip rests on.  The
+    engine's closed form of CI(t) matches the count here in those degrees."""
     rng = random.Random(seed)
     n = rng.randint(2, 4)
+    k = n if seed < 40 else rng.randint(1, n - 1)
     field = PrimeField(DEFAULT_PRIME) if seed % 2 else QQ
     ring = PolyRing(n, field, LEX if seed % 3 == 0 else GREVLEX)
     kind = ("generic", "combination", "common factor", "common zero")[seed % 4]
-    degrees = [rng.randint(1, 3) for _ in range(n)]
+    degrees = [rng.randint(1, 3) for _ in range(k)]
     if kind == "combination":
-        degrees = [degrees[0]] * n
+        degrees = [degrees[0]] * k
     gens = []
     for d in degrees:
         g = _random_form(rng, ring, d, None if kind != "common zero" else lambda m, d=d: m[0] < d)
         if kind == "common factor" and d > 1:
             g = _random_form(rng, ring, 1) * _random_form(rng, ring, d - 1)
         gens.append(g if not g.is_zero() else ring.from_dict({(d,) + (0,) * (n - 1): 1}))
-    if kind == "combination":
-        gens[-1] = gens[0] * 2 if n == 2 else gens[0] + gens[1]
+    if kind == "combination" and k > 1:
+        gens[-1] = gens[0] * 2 if k == 2 else gens[0] + gens[1]
     leads = buchberger(gens).leading_monomials()
     top = max(map(sum, leads))
-    low = [t for t in range(top + 2)
-           if _standard_count(leads, n, t) < _complete_intersection_hf(degrees, t)]
-    return not low, (f"{kind}, degrees {degrees}: "
-                     + (f"count below CI(t) at t={low}" if low else f"count >= CI(t) for t <= {top + 1}"))
+    bound = [_complete_intersection_hf(degrees, n, t) for t in range(top + 2)]
+    ci = groebner._hilbert_bound(Ideal(gens))
+    same = [ci(t) for t in range(top + 2)] == bound
+    low = [t for t in range(top + 2) if _standard_count(leads, n, t) < bound[t]]
+    return same and not low, (
+        f"{kind}, {k} forms in {n} vars, degrees {degrees}: "
+        + (f"count below CI(t) at t={low}" if low else f"count >= CI(t) for t <= {top + 1}")
+        + ("" if same else "; the engine's CI(t) differs"))
 
 
 def _shortcut_disagreements(nvars, terms):
@@ -1036,8 +1072,8 @@ def suite_engine():
                 cases.append(Case(f"textbook Buchberger ({variant}): {name}",
                                   _case_textbook, (name, variant)))
     cases.append(Case("full tail rewrite on non-homogeneous systems", _case_full_tail_rewrite, ()))
-    for seed in range(40):
-        cases.append(Case(f"Hilbert bound on a square system seed={seed}",
+    for seed in range(80):
+        cases.append(Case(f"Hilbert bound on k <= n forms seed={seed}",
                           _case_hilbert_bound, (seed,)))
     for seed in range(30):
         cases.append(Case(f"monomial shortcut vs textbook seed={seed}",

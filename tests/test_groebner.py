@@ -25,9 +25,14 @@ from sgrank.groebner import (
     s_polynomial,
 )
 from sgrank.polyring import GREVLEX, LEX, PolyRing, PrimeField, QQ, parse_polynomial
-from sgrank.rank import matrix_rank, singular_ideal
-from sgrank.tensor import big_cw, complete_homogeneous_cubic, sym_matrix_mult
-from sgrank.verify import _dimension_bruteforce, _random_symmetric_cubic, _textbook_buchberger
+from sgrank.rank import gr_details, matrix_rank, singular_ideal
+from sgrank.tensor import GeneralTensor, big_cw, complete_homogeneous_cubic, sym_matrix_mult
+from sgrank.verify import (
+    _dimension_bruteforce,
+    _random_symmetric_cubic,
+    _textbook_buchberger,
+    _textbook_systems,
+)
 
 FP = PrimeField(2**31 - 1)
 
@@ -524,15 +529,19 @@ def _digest(gb):
     return hashlib.sha256("\n".join(map(str, gb)).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("form", [
-    lambda: complete_homogeneous_cubic(5).to_polynomial(),
-    lambda: complete_homogeneous_cubic(7).to_polynomial(),
-    lambda: _random_symmetric_cubic(random.Random(4), 4).to_polynomial(),  # dense, 5 variables
-], ids=["h3-5", "h3-7", "random-cubic-5-vars"])
-def test_skipped_pairs_reduce_to_zero(form, monkeypatch):
+@pytest.mark.parametrize("system", [
+    lambda: singular_ideal(complete_homogeneous_cubic(5).to_polynomial()),
+    lambda: singular_ideal(complete_homogeneous_cubic(7).to_polynomial()),
+    # dense, 5 variables
+    lambda: singular_ideal(_random_symmetric_cubic(random.Random(4), 4).to_polynomial()),
+    # GR ideals, 4 bilinear forms in 8 variables: complete intersections
+    lambda: _textbook_systems()["GR ideal of a dense cubic in 4 vars"][0],
+    lambda: _textbook_systems()["GR ideal of normal_form[3], changed variables"][0],
+], ids=["h3-5", "h3-7", "random-cubic-5-vars", "gr-dense-cubic-4-vars", "gr-normal-form-3"])
+def test_skipped_pairs_reduce_to_zero(system, monkeypatch):
     # the pairs the Hilbert bound drops are exactly pairs the full run reduces
     # to zero: same basis, and every dropped pair is one fewer reduced
-    gens = list(singular_ideal(form()))
+    gens = list(system())
     gb, stats = _final_stats(gens)
     monkeypatch.setattr(groebner, "_hilbert_bound", lambda ideal: None)
     plain, plain_stats = _final_stats(gens)
@@ -685,22 +694,48 @@ def test_poll_stops_a_run_while_it_skips():
         assert calls == seen[:k + 1]
 
 
+def _bound_values(gens, top):
+    """CI(0), ..., CI(top - 1) of the generators' Hilbert bound."""
+    ci = groebner._hilbert_bound(Ideal(gens))
+    return [ci(t) for t in range(top)]
+
+
 def test_hilbert_bound_of_square_homogeneous_systems():
     r = PolyRing(4)
     quadrics = list(singular_ideal(complete_homogeneous_cubic(3).to_polynomial()))
-    assert groebner._hilbert_bound(Ideal(quadrics)) == [1, 4, 6, 4, 1]
+    assert _bound_values(quadrics, 7) == [1, 4, 6, 4, 1, 0, 0]
     # degrees 2 and 3: (1 + z)(1 + z + z^2); a linear form adds a factor 1
     r2 = PolyRing(2)
-    assert groebner._hilbert_bound(Ideal([P("x0^2", ring=r2), P("x0*x1^2", ring=r2)])) == [1, 2, 2, 1]
+    assert _bound_values([P("x0^2", ring=r2), P("x0*x1^2", ring=r2)], 6) == [1, 2, 2, 1, 0, 0]
     r3 = PolyRing(3)
     mixed = [P("x0 - x2", ring=r3), P("x1^2", ring=r3), P("x2^3 + x0*x1*x2", ring=r3)]
-    assert groebner._hilbert_bound(Ideal(mixed)) == [1, 2, 2, 1]
-    # any other shape is not tracked: fewer forms than variables (a zero
-    # generator is dropped), a form that is not homogeneous, more forms
-    assert groebner._hilbert_bound(Ideal(quadrics[:3])) is None
-    assert groebner._hilbert_bound(Ideal([*quadrics[:3], r.zero()])) is None
+    assert _bound_values(mixed, 6) == [1, 2, 2, 1, 0, 0]
+    # fewer forms than variables (a zero generator is dropped): three
+    # quadrics in 4 variables give (1 + z)^3 / (1 - z), which never reaches 0
+    assert _bound_values(quadrics[:3], 6) == [1, 4, 7, 8, 8, 8]
+    assert _bound_values([*quadrics[:3], r.zero()], 6) == [1, 4, 7, 8, 8, 8]
+    # any other shape is not tracked: a form that is not homogeneous, more
+    # forms than variables
     assert groebner._hilbert_bound(Ideal([*quadrics[:3], P("x3^2 + x0", ring=r)])) is None
     assert groebner._hilbert_bound(Ideal([*quadrics, P("x0*x1", ring=r)])) is None
+
+
+def test_tracking_stops_before_the_standard_monomials_outgrow_the_pairs(monkeypatch):
+    # the GR ideal of <3,3,3> is 9 bilinear forms in 18 variables; its
+    # first pairs hold fewer tail terms than the 162 = CI(2) standard
+    # monomials of degree 2, so tracking stops after degree 1.  Without that
+    # rule the sizes run 18, 162, 996, 4515, 16758 and the bound never meets
+    # the count.
+    m = 3
+    t = GeneralTensor(3, m * m, {(i * m + j, j * m + k, k * m + i): 1
+                                 for i in range(m) for j in range(m) for k in range(m)})
+    sizes = []
+    build = groebner._next_standard
+    monkeypatch.setattr(groebner, "_next_standard",
+                        lambda *a: sizes.append(len(out := build(*a))) or out)
+    g, _, basis = gr_details(t)
+    assert (g, len(basis)) == (7, 60)
+    assert sizes == [18]
 
 
 @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
