@@ -26,7 +26,7 @@ from .strata import (
     sample_secant_tangential,
     sample_tangential,
 )
-from .tensor import GeneralTensor, hypergraph_tensor, parse_hypergraph, tensor_from_json
+from .tensor import hypergraph_tensor, parse_hypergraph, tensor_from_json
 from . import verify as verify_mod
 from .rank import sgr as compute_sgr
 
@@ -37,16 +37,16 @@ EXIT_PRECONDITION = 3
 EXIT_TIMEOUT = 4
 
 
-def _field_and_order(args):
-    """Reject a ``--timeout`` that is not > 0, then return the run's field and order.
+def _field(args):
+    """Reject a ``--timeout`` that is not > 0, then return the run's field.
 
-    The conversions stay out of argparse ``type=``: argparse does not catch
+    The conversion stays out of argparse ``type=``: argparse does not catch
     ParseError, so a bad ``--field`` would end in a traceback, not exit 2.
     """
     field = parse_field(args.field)
     if not args.timeout > 0:  # NaN too
         raise InvalidInputError("timeout must be positive")
-    return field, order_by_name(getattr(args, "order", "grevlex"))
+    return field
 
 
 def _add_common(p):
@@ -57,9 +57,8 @@ def _add_common(p):
 
 
 def _add_engine_flags(p):
-    """_add_common plus --order and -v; sample reads neither, verify none of them."""
+    """_add_common plus -v, which sample does not read; verify reads none of them."""
     _add_common(p)
-    p.add_argument("--order", default="grevlex", choices=["grevlex", "lex"], help="monomial order")
     p.add_argument("-v", "--verbose", action="count", default=0, help="print extra diagnostics")
 
 
@@ -110,23 +109,21 @@ def _emit_report(report: RankReport, args, annotation=None):
 
 def cmd_rank(args) -> int:
     """``sgr`` and ``gr``; a general tensor must be symmetric when only SGR is asked."""
-    field, order = _field_and_order(args)
+    field = _field(args)
     obj = _load_input(args)
-    if isinstance(obj, GeneralTensor) and not args.compute_gr:
-        obj = obj.to_symmetric()
     poll = deadline_poll(args.timeout)
-    report = rank_report(obj, compute_gr=args.compute_gr, field=field, order=order, poll=poll)
+    report = rank_report(obj, compute_gr=args.compute_gr, field=field, poll=poll)
     _emit_report(report, args)
     return EXIT_OK
 
 
 def cmd_dim(args) -> int:
-    field, order = _field_and_order(args)
+    field = _field(args)
     t0 = time.perf_counter()
     nvars = args.nvars
     if nvars is None:
         nvars = max(parse_polynomial(text).ring.nvars for text in args.poly)
-    ring = PolyRing(nvars, field, order)
+    ring = PolyRing(nvars, field, order_by_name(args.order))
     polys = [parse_polynomial(text, ring=ring) for text in args.poly]
     if args.singular:
         if len(polys) != 1:
@@ -158,11 +155,11 @@ def cmd_dim(args) -> int:
 
 
 def cmd_hypergraph(args) -> int:
-    field, order = _field_and_order(args)
+    field = _field(args)
     hg = parse_hypergraph(_read(args.edges, "edge"))
     tensor = hypergraph_tensor(hg)
     poll = deadline_poll(args.timeout)
-    report = rank_report(tensor, compute_gr=args.gr, field=field, order=order, poll=poll)
+    report = rank_report(tensor, compute_gr=args.gr, field=field, poll=poll)
     annotation = (f"symmetric subrank of the hypergraph tensor <= {report.sgr} "
                   f"(vertices={hg.n}, uniformity={hg.uniformity}, edges={len(hg.edges)})")
     _emit_report(report, args, annotation=None if args.json else annotation)
@@ -189,7 +186,7 @@ _SAMPLE_KINDS = ("tangential", "secant", "c_ir", "irreducible", "reducible")
 
 
 def cmd_sample(args) -> int:
-    field, _ = _field_and_order(args)
+    field = _field(args)
     kind = args.kind
     n = args.n
     meta = {"kind": kind, "n": n, "seed": args.seed}
@@ -284,6 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nvars", type=int, default=None)
     p.add_argument("--singular", action="store_true",
                    help="use the partial-derivative ideal of the single given form")
+    p.add_argument("--order", default="grevlex", choices=["grevlex", "lex"],
+                   help="monomial order of the basis (default grevlex)")
     _add_engine_flags(p)
     p.set_defaults(func=cmd_dim)
 

@@ -18,11 +18,10 @@ reduced in full.  Within one lcm degree, pairs go in ascending total degree of
 their two multipliers, lcm / lm_i and lcm / lm_j, that is largest lead gcd
 first, then by the order key of the lcm and by index.  The pairs whose leads
 overlap most reduce first, the nonzero remainders come early in each degree,
-and the Hilbert bound below then drops more of the rest: on h3 in 8 variables
-over the rationals the run reduces 302 pairs, not 624 as in lcm-key order
-("One sugar cube, please", Giovini, Mora, Niesi, Robbiano & Traverso, ISSAC
-1991, shows how much the selection strategy matters).  Neither the criteria
-nor the skip depend on the order within a degree.  When every generator is a
+and the Hilbert bound below then drops more of the rest ("One sugar cube,
+please", Giovini, Mora, Niesi, Robbiano & Traverso, ISSAC 1991, shows how
+much the selection strategy matters).  Neither the criteria nor the skip
+depend on the order within a degree.  When every generator is a
 single term, every S-polynomial is zero, and the seed step and the pair loop
 are skipped: the basis is the minimal generators, made monic, which one pass
 over the key-sorted generators keeps.  A reduction step uses the basis
@@ -478,10 +477,9 @@ def _reduce_rational(terms: dict, find, pk: _Packing, tick) -> dict:
         m = -pop(heap) ^ mask
         if tick is not None and not (pops := pops + 1) & 1023:  # every 1,024 pops
             tick()
-        entry = work.pop(m, None)
-        if entry is None:
-            continue
-        num, den = entry
+        # A cancelled term stays in work as (0, den), and every new term is
+        # below m, so each monomial is pushed once and is still in work.
+        num, den = work.pop(m)
         if not num:
             continue
         g = gcd(num, den)
@@ -861,7 +859,6 @@ def _buchberger(ideal: Ideal, pk: _Packing, poll, poll_every) -> GroebnerBasis:
 
     def update(entry):
         """Gebauer-Moeller update with a new entry; keeps every tail reduced."""
-        nonlocal by_key
         ih = len(entries)
         mh = entry[0]
         kh = pkey(mh)
@@ -885,7 +882,7 @@ def _buchberger(ideal: Ideal, pk: _Packing, poll, poll_every) -> GroebnerBasis:
         # Phase 3: retire basis elements whose lead became divisible.
         survivors = [ig for ig in active if (leads[ig] - mh) & guard]
         active[:] = survivors + [ih]  # ih is the newest, so the largest index
-        by_key = [(leads[k], k) for k in sorted(active, key=keys.__getitem__)]
+        by_key[:] = [(leads[k], k) for k in sorted(active, key=keys.__getitem__)]
         # Phase 4: rewrite each tail with a term that mh divides (no survivor's
         # lead is one).  The lead stays, and with it every pair criterion.  A
         # lead below mh is skipped: its tail lies below it, and no multiple
@@ -923,12 +920,12 @@ def _buchberger(ideal: Ideal, pk: _Packing, poll, poll_every) -> GroebnerBasis:
             update(_entry(h, pk))
 
     # The Hilbert bound (module docstring): std holds the standard monomials
-    # of degree std_degree while a homogeneous system of at most nvars forms
-    # is tracked, and the pairs of degree full_degree all reduce to zero.
+    # of degree memo_degree while a homogeneous system of at most nvars forms
+    # is tracked, full is CI(memo_degree), and the pairs of that degree all
+    # reduce to zero once len(std) == full.
     ci = _hilbert_bound(ideal)
     std = None if ci is None else {0: ()}  # 1 is the one degree-0 monomial
-    std_degree = 0
-    full_degree = -1
+    full = 1  # CI(0)
     nvars = pk.ring.nvars
     units = [pk.pack(tuple(int(i == k) for i in range(nvars))) for k in range(nvars)]
 
@@ -943,25 +940,23 @@ def _buchberger(ideal: Ideal, pk: _Packing, poll, poll_every) -> GroebnerBasis:
             # monomials of lower degree recur only in tail rewrites, and the
             # lead ideal is final below d.
             memo.clear()
-            memo_degree = d
-            if std is not None and std_degree < d:
+            if std is not None:
                 # The tail terms of the pairs left to reduce, this one included.
                 left = sum(len(entries[a][2]) + len(entries[b][2])
                            for a, b in chain(pairs, ((i, j),)))
-                while std_degree < d:
+                for t in range(memo_degree, d):
                     # A final count above the bound: not a complete intersection.
                     # More standard monomials to build than tail terms left to
                     # reduce: building them costs more than the skip can save.
-                    if len(std) > ci(std_degree) or ci(std_degree + 1) > left:
+                    if len(std) > ci(t) or ci(t + 1) > left:
                         std = None
                         break
-                    std_degree += 1
                     std = _next_standard(
-                        std, {leads[k] for k in active if degree(leads[k]) == std_degree},
+                        std, {leads[k] for k in active if degree(leads[k]) == t + 1},
                         units, tick)
-            if std is not None and len(std) == ci(d):
-                full_degree = d
-        if d == full_degree:
+                full = ci(d)
+            memo_degree = d
+        if std is not None and len(std) == full:
             pairs_skipped += 1
             h = None
         else:
@@ -976,11 +971,8 @@ def _buchberger(ideal: Ideal, pk: _Packing, poll, poll_every) -> GroebnerBasis:
             update(entry)
             if std is not None:
                 del std[entry[0]]  # its lead leaves the standard monomials
-                if len(std) == ci(d):
-                    full_degree = d
 
-    final = sorted(active, key=keys.__getitem__, reverse=True)
-    return GroebnerBasis(pk, [entries[i] for i in final])
+    return GroebnerBasis(pk, [entries[k] for _, k in reversed(by_key)])
 
 
 def ideal_membership(f: Polynomial, basis) -> bool:

@@ -10,13 +10,16 @@ The geometric rank of an order-d tensor uses the multilinear form in d-1
 variable groups: the generators are its partial derivatives with respect to
 the last group, giving n+1 polynomials in (d-1)(n+1) variables.
 
-``sgr``, ``gr`` and their ``_details`` run the engine on the whole input, in
-its own variable order, and are the reference.  ``rank_report`` answers from
-the rank laws: it splits a form into direct summands on disjoint variables,
-since SGR and GR add up over direct sums, and sums the blocks.  Each block
-lists its variables by degree (``_variable_order``) before the engine runs:
-the ranks do not depend on the variables' names, but the engine's cost
-does.  A block's flattening rank r (the dimension of the span of its
+Every engine run here is in grevlex: a form from a lex ring is converted
+first.  R/I has the dimension of R/LT(I) in every monomial order (Kredel &
+Weispfenning, JSC 1988), so the order changes what a rank costs, never its
+value.  ``sgr``, ``gr`` and their ``_details`` run the engine on the whole
+input, in its own variable order, and are the reference.  ``rank_report``
+answers from the rank laws: it splits a form into direct summands on
+disjoint variables, since SGR and GR add up over direct sums, and sums the
+blocks.  Each block lists its variables by degree (``_variable_order``)
+before the engine runs: the ranks do not depend on the variables' names,
+but the engine's cost does.  A block's flattening rank r (the dimension of the span of its
 partials) is read off its SGR basis, and SGR <= GR <= r, so a block with
 SGR = r has GR = r and builds no GR basis.
 """
@@ -32,7 +35,7 @@ from .polyring import GREVLEX, QQ, PolyRing, Polynomial
 from .tensor import GeneralTensor, SymmetricTensor
 
 
-def _as_polynomial(obj, field=None, order=None) -> Polynomial:
+def _as_polynomial(obj, field=None) -> Polynomial:
     if isinstance(obj, SymmetricTensor):
         if field is not None:
             obj = obj.with_field(field)
@@ -41,7 +44,7 @@ def _as_polynomial(obj, field=None, order=None) -> Polynomial:
         poly = obj if field is None else obj.convert_field(field)
     else:
         raise InvalidInputError(f"expected a polynomial or symmetric tensor, got {type(obj)!r}")
-    return poly if order is None else poly.convert_order(order)
+    return poly.convert_order(GREVLEX)
 
 
 def _form_degree(form: Polynomial) -> int:
@@ -70,20 +73,20 @@ def singular_ideal(form: Polynomial) -> Ideal:
     return Ideal([form.partial_derivative(i) for i in range(form.ring.nvars)])
 
 
-def sgr(obj, *, field=None, order=None, poll=None) -> int:
+def sgr(obj, *, field=None, poll=None) -> int:
     """Symmetric geometric rank of a symmetric tensor or homogeneous form."""
-    return sgr_details(obj, field=field, order=order, poll=poll)[0]
+    return sgr_details(obj, field=field, poll=poll)[0]
 
 
-def sgr_details(obj, *, field=None, order=None, poll=None):
-    """(sgr, affine dimension of the singular locus, Groebner basis)."""
-    form = _as_polynomial(obj, field=field, order=order)
+def sgr_details(obj, *, field=None, poll=None):
+    """(sgr, affine dimension of the singular locus, grevlex Groebner basis)."""
+    form = _as_polynomial(obj, field=field)
     basis = buchberger(singular_ideal(form), poll=poll)
     dim = ideal_dimension(basis, poll=poll)
     return form.ring.nvars - dim, dim, basis
 
 
-def _multilinear_generators(t: GeneralTensor, order=GREVLEX):
+def _multilinear_generators(t: GeneralTensor):
     """Partial derivatives of the multilinear form w.r.t. the last group.
 
     Generator j collects the entries whose last index is j, as a multilinear
@@ -92,7 +95,7 @@ def _multilinear_generators(t: GeneralTensor, order=GREVLEX):
     d = t.order
     m = t.dim
     nvars = (d - 1) * m
-    ring = PolyRing(nvars, t.field, order)
+    ring = PolyRing(nvars, t.field)
     gens = [dict() for _ in range(m)]
     for idx, val in t.entries.items():
         # each group has its own variables, so distinct entries in one
@@ -104,12 +107,12 @@ def _multilinear_generators(t: GeneralTensor, order=GREVLEX):
     return ring, [Polynomial(ring, g) for g in gens if g]
 
 
-def gr(obj, *, field=None, order=None, poll=None) -> int:
+def gr(obj, *, field=None, poll=None) -> int:
     """Geometric rank of a tensor of order at least 2."""
-    return gr_details(obj, field=field, order=order, poll=poll)[0]
+    return gr_details(obj, field=field, poll=poll)[0]
 
 
-def gr_details(obj, *, field=None, order=None, poll=None):
+def gr_details(obj, *, field=None, poll=None):
     if isinstance(obj, SymmetricTensor):
         t = obj.to_general()
     elif isinstance(obj, GeneralTensor):
@@ -122,7 +125,7 @@ def gr_details(obj, *, field=None, order=None, poll=None):
         raise InvalidInputError("geometric rank of the zero tensor is undefined")
     if t.order < 2:
         raise InvalidInputError("geometric rank needs order at least 2")
-    ring, gens = _multilinear_generators(t, order or GREVLEX)
+    ring, gens = _multilinear_generators(t)
     basis = buchberger(Ideal(gens), poll=poll)
     dim = ideal_dimension(basis, poll=poll)
     return ring.nvars - dim, dim, basis
@@ -170,7 +173,7 @@ class RankReport:
     """Computed ranks plus the varieties' dimensions and run metadata.
 
     ``sgr`` is an upper bound on the symmetric subrank, which is not computed
-    here; ``gr`` is present only when requested or implied by the input.
+    here; ``gr`` is present only when requested.
     ``sgr_basis_size`` and ``gr_basis_size`` are the sizes of the reduced
     Groebner bases of the singular and the multilinear ideal, with the
     variables in the report's order (``_variable_order``), so they can
@@ -218,10 +221,10 @@ def _variable_order(form: Polynomial) -> list:
     Ascending by the variable's largest exponent in the form, then by the
     number of terms that contain it; ties keep the input order.  So the
     variables of highest degree in the most terms come last, where grevlex
-    and lex make them smallest (Brown's degree heuristic for variable
-    orders).  SGR and GR do not depend on how the variables are named, but
-    the engine's basis, and its cost, do: the trace cubic at m=4 builds 161
-    basis elements in its row-major order and 62 in this one.
+    makes them smallest (Brown's degree heuristic for variable orders).  SGR
+    and GR do not depend on how the variables are named, but the engine's
+    basis, and its cost, do: the trace cubic at m=4 builds 161 basis
+    elements in its row-major order and 62 in this one.
     """
     n = form.ring.nvars
     top, count = [0] * n, [0] * n
@@ -268,8 +271,8 @@ def _blocks(form: Polynomial) -> list:
     for m, c in form.terms.items():
         b = block_of[next(i for i, e in enumerate(m) if e)]
         terms[b][tuple(m[i] for i in variables[b])] = c
-    field, order = form.ring.field, form.ring.order
-    return [Polynomial(PolyRing(len(v), field, order), t) for v, t in zip(variables, terms)]
+    field = form.ring.field
+    return [Polynomial(PolyRing(len(v), field), t) for v, t in zip(variables, terms)]
 
 
 def _flattening_rank(basis, degree: int) -> int:
@@ -284,12 +287,14 @@ def _flattening_rank(basis, degree: int) -> int:
     return sum(1 for lm in basis.leading_monomials() if sum(lm) == degree - 1)
 
 
-def rank_report(obj, compute_gr: bool = False, *, field=None, order=None, poll=None) -> RankReport:
+def rank_report(obj, compute_gr: bool = False, *, field=None, poll=None) -> RankReport:
     """Full report for a symmetric tensor or homogeneous form.
 
-    General (non-symmetric) tensors get a GR-only report from ``gr_details``.
-    A symmetric input is split into its direct summands (``_blocks``), each
-    with its variables listed by degree, and the report sums their values:
+    A general tensor is made symmetric first, which raises when its entries
+    are not, unless GR is asked for: a non-symmetric one then gets a GR-only
+    report from ``gr_details``.  A symmetric input is split into its direct
+    summands (``_blocks``), each with its variables listed by degree, and the
+    report sums their values:
     SGR and GR add up over direct sums, and a variable in no monomial adds
     nothing to either.  Each block's SGR comes from ``sgr_details``.  With
     ``compute_gr``, a block whose SGR equals its flattening rank r, the
@@ -300,20 +305,19 @@ def rank_report(obj, compute_gr: bool = False, *, field=None, order=None, poll=N
     their own tensor.
     """
     t0 = time.perf_counter()
-    if isinstance(obj, GeneralTensor) and not obj.is_symmetric():
-        g, gdim, gbasis = gr_details(obj, field=field, order=order, poll=poll)
-        ms = (time.perf_counter() - t0) * 1000.0
-        fld = field if field is not None else obj.field
-        return RankReport(
-            sgr=None, gr=g, sing_dim_affine=None,
-            ambient=obj.dim, field=fld.name, ms=round(ms, 3),
-            gr_basis_size=len(gbasis),
-        )
-
     if isinstance(obj, GeneralTensor):
+        if compute_gr and not obj.is_symmetric():
+            g, _, gbasis = gr_details(obj, field=field, poll=poll)
+            ms = (time.perf_counter() - t0) * 1000.0
+            fld = field if field is not None else obj.field
+            return RankReport(
+                sgr=None, gr=g, sing_dim_affine=None,
+                ambient=obj.dim, field=fld.name, ms=round(ms, 3),
+                gr_basis_size=len(gbasis),
+            )
         obj = obj.to_symmetric()
 
-    form = _as_polynomial(obj, field=field, order=order)
+    form = _as_polynomial(obj, field=field)
     degree = _form_degree(form)
     s = ssize = 0
     g = 0 if compute_gr else None
@@ -329,7 +333,7 @@ def rank_report(obj, compute_gr: bool = False, *, field=None, order=None, poll=N
             gsizes.append(None)
         else:
             tens = SymmetricTensor.from_polynomial(block)
-            g_b, _, gbasis = gr_details(tens, order=order, poll=poll)
+            g_b, _, gbasis = gr_details(tens, poll=poll)
             g += g_b
             gsizes.append(len(gbasis))
     gsize = sum(gsizes) if compute_gr and None not in gsizes else None

@@ -9,9 +9,9 @@ each keeps only its canonical index form and its own operations.  Tensor
 sums go through :func:`sgrank.polyring.add_terms`.
 
 The named constructors build over QQ, and forms come out in grevlex.  Another
-field or order is chosen once, at the rank entry points (``sgr``, ``gr``,
-``rank_report``), or by ``with_field``/``convert_field`` and
-``convert_order``.
+field is chosen once, at the rank entry points (``sgr``, ``gr``,
+``rank_report``), or by ``with_field``/``convert_field``.  The rank entry
+points run in grevlex; ``convert_order`` puts a form in lex for the engine.
 """
 
 from __future__ import annotations

@@ -294,10 +294,8 @@ _REPORT_BLOCKS = {
 
 
 def _variant(variant):
-    """The field and monomial order of a verify variant: "QQ" in grevlex,
-    "Fp" in grevlex, or "lex" over QQ; None means the input's own."""
-    field = PrimeField(DEFAULT_PRIME) if variant == "Fp" else None
-    return field, LEX if variant == "lex" else None
+    """The field of a verify variant, "QQ" or "Fp"; None means the input's own."""
+    return PrimeField(DEFAULT_PRIME) if variant == "Fp" else None
 
 
 def _case_report_blocks(seed, variant):
@@ -324,15 +322,15 @@ def _case_report_blocks(seed, variant):
     perm = list(range(n))
     rng.shuffle(perm)
     t = t.apply_matrix([[int(j == perm[i]) for j in range(n)] for i in range(n)])
-    field, order = _variant(variant)
-    rep = rank_report(t, compute_gr=True, field=field, order=order)
-    s, dim, _ = sgr_details(t, field=field, order=order)
-    g = gr(t, field=field, order=order)
-    form = _as_polynomial(t, field=field, order=order)
+    field = _variant(variant)
+    rep = rank_report(t, compute_gr=True, field=field)
+    s, dim, _ = sgr_details(t, field=field)
+    g = gr(t, field=field)
+    form = _as_polynomial(t, field=field)
     ranked = _variable_order(form)
     form = Polynomial(form.ring, {tuple(m[i] for i in ranked): c for m, c in form.terms.items()})
     basis = sgr_details(form)[2]
-    gbasis = gr_details(SymmetricTensor.from_polynomial(form), order=order)[2]
+    gbasis = gr_details(SymmetricTensor.from_polynomial(form))[2]
     got = (rep.sgr, rep.gr, rep.sing_dim_affine, rep.sgr_basis_size)
     want = (s, g, n - s, len(basis))
     # a report that built every block's GR basis has the whole one's size
@@ -372,7 +370,7 @@ _ORDER_FORMS = {
         _random_hypergraph(random.Random(seed), 5 + seed % 2)).to_polynomial(),
 }
 _ORDER_NAMED = (
-    ("trace", (2,)),
+    ("trace", (2,)), ("trace", (3,)),
     ("big_cw", (2, 3)), ("big_cw", (3, 4)),
     ("small_cw", (2, 2)), ("small_cw", (3, 3)),
     ("max_compressibility", (2, 2)), ("max_compressibility", (3, 4)),
@@ -386,10 +384,10 @@ def _case_report_order(kind, args, variant, compute_gr):
     (rank._variable_order), against sgr_details and gr_details with the
     variables in the input order: SGR, GR and the dimension agree."""
     form = _ORDER_FORMS[kind](*args)
-    field, order = _variant(variant)
-    rep = rank_report(form, compute_gr=compute_gr, field=field, order=order)
-    s, dim, _ = sgr_details(form, field=field, order=order)
-    g = gr(SymmetricTensor.from_polynomial(form), field=field, order=order) if compute_gr else None
+    field = _variant(variant)
+    rep = rank_report(form, compute_gr=compute_gr, field=field)
+    s, dim, _ = sgr_details(form, field=field)
+    g = gr(SymmetricTensor.from_polynomial(form), field=field) if compute_gr else None
     got, want = (rep.sgr, rep.gr, rep.sing_dim_affine), (s, g, dim)
     moved = _variable_order(form) != list(range(form.ring.nvars))
     return got == want, (f"report (sgr, gr, dim) = {got}, input order {want}; "
@@ -607,10 +605,13 @@ def _case_cross_field(name):
 
 
 def _case_cross_order(name):
-    f = _engine_forms()[name]
-    s_g = sgr(f)
-    s_l = sgr(f, order=LEX)
-    return s_g == s_l, f"sgr={s_g} grevlex, {s_l} lex"
+    """The dimension read off the lex basis of an engine form's singular
+    ideal equals the one off the grevlex basis: a check of the lex layout
+    and of ideal_dimension on lex leads."""
+    gens = list(singular_ideal(_engine_forms()[name]))
+    d_g = ideal_dimension(buchberger(gens))
+    d_l = ideal_dimension(buchberger(_in_variant(gens, "lex")))
+    return d_g == d_l, f"dim={d_g} grevlex, {d_l} lex"
 
 
 def _textbook_buchberger(generators):
@@ -918,9 +919,11 @@ def _case_edge_shortcut(nvars, width):
 
 
 def _case_cross_gr(name):
+    """GR over QQ and Fp, and GR read off the lex basis of the same ideal."""
     t = {"w_state": w_state(1), "big_cw[2,3]": big_cw(2, 3)}[name]
     g_g = gr(t)
-    g_l = gr(t, order=LEX)
+    gens = _in_variant(_gr_ideal(t), "lex")
+    g_l = gens[0].ring.nvars - ideal_dimension(buchberger(gens))
     g_p = gr(t, field=PrimeField(DEFAULT_PRIME))
     return g_g == g_l == g_p, f"gr={g_g} grevlex/QQ, {g_l} lex, {g_p} Fp"
 
@@ -991,19 +994,17 @@ def suite_rank_properties():
         cases.append(Case(f"sgr<=gr seed={seed}", _case_sgr_leq_gr, (seed,)))
     for seed in range(30):
         cases.append(Case(f"gr<=flattening rank seed={seed}", _case_gr_leq_flattening, (seed,)))
+    variants = ("QQ", "Fp")
     for seed in range(40):
-        for variant in ("QQ", "Fp", "lex"):
+        for variant in variants:
             cases.append(Case(f"report by blocks vs plain engine ({variant}) seed={seed}",
                               _case_report_blocks, (seed, variant)))
-    # GR is compared too, but not on the trace cubic in lex at m=3 or over
-    # Fp at m=4, where the input-order GR engine takes 16 s and more than
-    # six minutes; the hypergraphs skip lex, where it took 21 s for the 20
-    variants = ("QQ", "Fp", "lex")
+    # GR is compared too, but not on the trace cubic over Fp at m=4, where
+    # the input-order GR engine takes more than six minutes
     order_cases = [(kind, args, v, True) for kind, args in _ORDER_NAMED for v in variants]
-    order_cases += [("trace", (3,), v, v != "lex") for v in variants]
     order_cases.append(("trace", (4,), "Fp", False))
     order_cases += [("sparse cubic", (seed,), v, True) for seed in range(30) for v in variants]
-    order_cases += [("hypergraph", (seed,), v, True) for seed in range(20) for v in ("QQ", "Fp")]
+    order_cases += [("hypergraph", (seed,), v, True) for seed in range(20) for v in variants]
     for kind, args, variant, with_gr in order_cases:
         cases.append(Case(f"report in its variable order vs input order ({variant}"
                           f"{'' if with_gr else ', no GR'}): {kind}{list(args)}",

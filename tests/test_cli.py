@@ -207,6 +207,27 @@ def test_dim_infers_the_widest_generator(capsys):
     assert code == 0 and doc["ambient"] == 4 and doc["dim"] == 2
 
 
+def test_dim_order_picks_the_basis_it_prints(capsys):
+    gens = ("--poly", "x0^2 - x1", "--poly", "x0*x2 - 1")
+    code, out, _ = run(capsys, "dim", *gens, "--order", "lex", "-v")
+    assert code == 0 and "affine dimension: 1" in out
+    assert "basis size: 2\n  x0 - x1*x2\n  x1*x2^2 - 1\n" in out
+    code, out, _ = run(capsys, "dim", *gens, "-v")
+    assert code == 0 and "affine dimension: 1" in out
+    assert "basis size: 3\n  x0^2 - x1\n  x0*x2 - 1\n  x1*x2 - x0\n" in out
+
+
+@pytest.mark.parametrize("command", [["sgr", "--poly", "x0^3"], ["gr", "--poly", "x0^3"],
+                                     ["hypergraph", "edges.txt"]],
+                         ids=["sgr", "gr", "hypergraph"])
+def test_rank_commands_take_no_order(capsys, command):
+    # a rank does not depend on the monomial order, so only dim offers one
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--order", "lex"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --order lex" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, literal", [
     (("sgr", "--poly", "1/0*x0^3"), "1/0"),
     (("dim", "--poly", "x0^3 + 2/0"), "2/0"),

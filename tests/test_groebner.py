@@ -26,7 +26,13 @@ from sgrank.groebner import (
 )
 from sgrank.polyring import GREVLEX, LEX, PolyRing, PrimeField, QQ, parse_polynomial
 from sgrank.rank import gr_details, matrix_rank, singular_ideal
-from sgrank.tensor import GeneralTensor, big_cw, complete_homogeneous_cubic, sym_matrix_mult
+from sgrank.tensor import (
+    GeneralTensor,
+    SymmetricTensor,
+    big_cw,
+    complete_homogeneous_cubic,
+    sym_matrix_mult,
+)
 from sgrank.verify import (
     _dimension_bruteforce,
     _random_symmetric_cubic,
@@ -466,10 +472,11 @@ def test_poll_stops_a_monomial_ideal():
     assert len(gb) == 330 and {sum(m) for m in gb.leading_monomials()} == {4}
 
 
-def test_poll_fires_inside_one_long_reduction():
+@pytest.mark.parametrize("field", [QQ, FP], ids=["QQ", "Fp"])
+def test_poll_fires_inside_one_long_reduction(field):
     # x0^5000 takes 5000 steps to reduce by x0 - x1, with no pair and no
     # rewrite to poll between them
-    r = PolyRing(2)
+    r = PolyRing(2, field)
     seen = []
 
     def poll(stats):
@@ -738,6 +745,33 @@ def test_tracking_stops_before_the_standard_monomials_outgrow_the_pairs(monkeypa
     assert sizes == [18]
 
 
+def test_poll_fires_while_the_standard_monomials_are_built(monkeypatch):
+    # the GR ideal of a dense cubic in 5 variables builds 1,177 candidate
+    # standard monomials at degree 5 and 2,320 at degree 6, enough to poll
+    # inside one build; the poll raises only there
+    n = 5
+    rng = random.Random(2)
+    f = P(" + ".join(f"{rng.randint(-9, 9) or 1}*" + "*".join(f"x{i}" for i in c)
+                     for c in itertools.combinations_with_replacement(range(n), 3)))
+    building = []
+    build = groebner._next_standard
+
+    def next_standard(*args):
+        building.append(True)
+        out = build(*args)
+        building.pop()
+        return out
+
+    def poll(stats):
+        if building:
+            raise ComputationTimeout("stop")
+
+    monkeypatch.setattr(groebner, "_next_standard", next_standard)
+    with pytest.raises(ComputationTimeout):
+        gr_details(SymmetricTensor.from_polynomial(f), poll=poll)
+    assert building == [True]
+
+
 @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
 def test_next_standard_lists_the_standard_monomials(order):
     # built degree by degree, the standard monomials are exactly the
@@ -841,7 +875,8 @@ def test_pack_overflow_is_detected():
     assert pk.degree(pk.lcm(a, pk.pack((0, 27, 0)))) == pk.top
 
 
-def test_lex_overflow_widens(monkeypatch):
+@pytest.mark.parametrize("field", [QQ, FP], ids=["QQ", "Fp"])
+def test_lex_overflow_widens(monkeypatch, field):
     # the input fits 8-bit fields, the basis (x1^400) does not
     widths = []
 
@@ -853,13 +888,18 @@ def test_lex_overflow_widens(monkeypatch):
             super().__init__(ring, width)
 
     monkeypatch.setattr(groebner, "_Packing", RecordingPacking)
-    r = PolyRing(3, order=LEX)
+    r = PolyRing(3, field, LEX)
     gb = buchberger([P("x0 - x1^100", ring=r), P("x0^4 - x2", ring=r)])
     assert set(gb) == {P("x0 - x1^100", ring=r), P("x1^400 - x2", ring=r)}
     assert widths == [8, 16]
     # a remainder that outgrows the fields while dividing
     del widths[:]
     assert normal_form(P("x0^3", ring=r), [P("x0 - x1^100", ring=r)]) == P("x1^300", ring=r)
+    assert widths == [8, 16]
+    # an S-polynomial that outgrows them: x2 times x2^127
+    del widths[:]
+    gb = buchberger([P("x0*x1 - x2^127", ring=r), P("x0*x2", ring=r)])
+    assert list(gb) == [P("x0*x1 - x2^127", ring=r), P("x0*x2", ring=r), P("x2^128", ring=r)]
     assert widths == [8, 16]
 
 

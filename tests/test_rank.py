@@ -1,5 +1,6 @@
 """SGR/GR computations, matrix rank and rank reports."""
 
+import dataclasses
 import itertools
 import json
 import random
@@ -149,7 +150,7 @@ def test_sgr_field_override():
     # constructors build over QQ; the rank entry points choose the field
     t = big_cw(2, 3)
     assert sgr(t, field=FP) == sgr(t) == 2
-    assert sgr(t, order=LEX) == 2
+    assert sgr(t.to_polynomial().convert_order(LEX)) == 2
     assert gr(t, field=FP) == 3
     assert sgr(sym_matrix_mult(3), field=FP) == sgr(sym_matrix_mult(3)) == 5
     with pytest.raises(InvalidInputError):
@@ -350,7 +351,26 @@ def test_report_json_schema():
 def test_report_general_tensor_gr_only():
     t = GeneralTensor(3, 2, {(0, 0, 1): 1, (1, 0, 0): 2})  # not symmetric
     rep = rank_report(t, compute_gr=True)
-    assert rep.sgr is None and rep.gr is not None
+    assert rep.sgr is None and rep.gr == gr(t) == 1
+    assert rep.bound_chain() == "GR = 1"
+    # SGR alone needs symmetric entries, and the report computes no GR
+    # that was not asked for
+    with pytest.raises(InvalidInputError, match="tensor entries are not symmetric"):
+        rank_report(t)
+
+
+@pytest.mark.parametrize("compute_gr", [False, True])
+def test_report_makes_a_symmetric_general_tensor_symmetric(compute_gr):
+    t = big_cw(2, 3)
+    want = rank_report(t, compute_gr=compute_gr)
+    got = rank_report(t.to_general(), compute_gr=compute_gr)
+    assert dataclasses.replace(got, ms=want.ms) == want
+
+
+@pytest.mark.parametrize("entry", [sgr, sgr_details, gr, gr_details, rank_report])
+def test_rank_functions_take_no_order(entry):
+    with pytest.raises(TypeError):
+        entry(big_cw(2, 3), order=LEX)
 
 
 def test_report_invariants_on_random_inputs():
@@ -394,7 +414,7 @@ def test_flattening_rank_is_read_off_the_singular_basis():
         s, _, basis = sgr_details(f)
         r = rank._flattening_rank(basis, d)
         assert r == _partials_rank(f), str(f)
-        g = gr(SymmetricTensor.from_polynomial(f), order=order)
+        g = gr(SymmetricTensor.from_polynomial(f))
         assert s <= g <= r, str(f)
         below += r < n
     assert below >= 10
@@ -416,10 +436,10 @@ def test_report_splits_a_direct_sum_into_blocks():
     # x1, x4, x2, x0, x3
     reordered = parse_polynomial("3*x2*x3^2 + 2*x4^3")
     for order in (GREVLEX, LEX):
-        rep = rank_report(tens, compute_gr=True, order=order)
-        s, dim, _ = sgr_details(f, order=order)
+        rep = rank_report(f.convert_order(order), compute_gr=True)
+        s, dim, _ = sgr_details(f.convert_order(order))
         assert (rep.sgr, rep.gr, rep.sing_dim_affine) == (s, gr(tens), dim) == (2, 3, 3)
-        assert rep.sgr_basis_size == len(sgr_details(reordered, order=order)[2])
+        assert rep.sgr_basis_size == len(sgr_details(reordered)[2])
         assert rep.gr_basis_size is None  # 2*x3^3 has SGR 1 = r
         # the W-state x0^2*x2 alone (SGR 1 < r = 2) builds its GR basis,
         # whose size is the whole multilinear ideal's in the order x1, x3,
@@ -458,6 +478,19 @@ def buchberger_calls(monkeypatch):
 
     monkeypatch.setattr(rank, "buchberger", buchberger)
     return calls
+
+
+def test_report_on_a_lex_form_runs_in_grevlex(buchberger_calls):
+    # x0^2*x2 and x1*x4^2 are W-states (SGR 1 < r = 2), so each builds a GR
+    # basis; x3^3 reads GR off SGR
+    f = parse_polynomial("3*x0^2*x2 + 2*x3^3 + x1*x4^2")
+    want = rank_report(f, compute_gr=True)
+    del buchberger_calls[:]
+    got = rank_report(f.convert_order(LEX), compute_gr=True)
+    assert dataclasses.replace(got, ms=want.ms) == want
+    assert (got.sgr, got.gr) == (3, 5)
+    assert [ideal.ring.nvars for ideal in buchberger_calls] == [2, 4, 2, 4, 1]
+    assert {ideal.ring.order for ideal in buchberger_calls} == {GREVLEX}
 
 
 def test_report_reads_gr_off_sgr_with_one_basis(buchberger_calls):
