@@ -92,8 +92,10 @@ def _emit_report(report: RankReport, args, annotation=None):
         print(f"singular ideal basis size: {report.sgr_basis_size}")
     if report.gr is not None and args.verbose:
         if report.gr_basis_size is None:
-            print("multilinear ideal: not built for every block, "
-                  "GR read off SGR = flattening rank where they are equal")
+            print("multilinear ideal: not completed for every block; GR read off SGR = "
+                  "flattening rank, or proved equal to its upper bound (the flattening "
+                  "rank, or the degree of a form with a linear factor) before the basis "
+                  "completed")
         else:
             print(f"multilinear ideal basis size: {report.gr_basis_size}")
     chain = report.bound_chain()

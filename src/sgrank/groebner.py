@@ -119,11 +119,12 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import chain
 from math import comb, gcd, lcm
+from typing import Callable
 
 from .errors import ComputationTimeout, DimensionMismatchError, InvalidInputError
 from .polyring import (
@@ -142,12 +143,24 @@ class GBStats:
     ``pairs_done`` counts the S-pairs reduced so far and ``pairs_skipped``
     the pairs dropped unreduced because the Hilbert bound proved them zero
     (see buchberger()); ``pairs_left`` counts the live pairs still queued.
+
+    The poll that comes when the pair degree rises, before the first pair
+    of the new degree is reduced, also carries that ``pair_degree`` and
+    ``lead_supports``, a function that returns the support of each lead of
+    the basis so far as an int bitmask (bit i for x_i).  Every other poll
+    has 0 and None.  The masks are built only when the function is called,
+    so a poll that does not ask pays for one more call per degree.  The
+    leads of a partial basis lie in the lead ideal, so the smallest set of
+    variables that meets every mask is a lower bound on the ideal's
+    codimension.
     """
 
     basis_size: int
     pairs_done: int
     pairs_left: int
     pairs_skipped: int = 0
+    pair_degree: int = 0
+    lead_supports: Callable[[], list] | None = field(default=None, compare=False, repr=False)
 
 
 def deadline_poll(seconds: float):
@@ -322,6 +335,11 @@ class _Packing:
     def unpack(self, p: int) -> tuple:
         fmask = self.fmask
         return tuple(p >> s & fmask for s in self.shifts)
+
+    def supports(self, packed) -> list:
+        """The support of each packed monomial, bit i set when x_i divides it."""
+        fmask = self.fmask
+        return [sum(1 << i for i, s in enumerate(self.shifts) if p >> s & fmask) for p in packed]
 
     def pack_terms(self, terms: dict) -> dict:
         """Packed working terms of a polynomial's terms: residues over a prime
@@ -655,9 +673,12 @@ def buchberger(generators, *, poll=None, poll_every=8) -> GroebnerBasis:
     ring.  ``poll``, when given, is called with a :class:`GBStats` every
     ``poll_every`` generators in the seed step (or in the pass over the
     generators of a monomial ideal) and every ``poll_every`` processed
-    pairs, once per tail that an update rewrites, and every 1,024 steps
-    inside any one reduction or any one build of standard monomials; it may
-    raise to cancel the run (the command line uses this for timeouts).
+    pairs, once per tail that an update rewrites, every 1,024 steps
+    inside any one reduction or any one build of standard monomials, and
+    once each time the pair degree rises, with the supports of the leads so
+    far (see :class:`GBStats`); it may raise to cancel the run (the command
+    line uses this for timeouts, the rank report to stop a GR run that has
+    met a proved bound).
     Output is deterministic for fixed input and order.  The basis builds its
     Polynomials on first use; its size and leading monomials are known
     without them.
@@ -936,6 +957,9 @@ def _buchberger(ideal: Ideal, pk: _Packing, poll, poll_every) -> GroebnerBasis:
         if lcm_ij is None:
             continue  # pruned by a later update
         if d > memo_degree:
+            if poll is not None:
+                poll(GBStats(len(active), pairs_done, len(pairs), pairs_skipped, d,
+                             partial(pk.supports, [leads[k] for k in active])))
             # Pairs come in ascending lcm degree, so over a homogeneous ideal
             # monomials of lower degree recur only in tail rewrites, and the
             # lead ideal is final below d.

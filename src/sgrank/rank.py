@@ -19,18 +19,26 @@ answers from the rank laws: it splits a form into direct summands on
 disjoint variables, since SGR and GR add up over direct sums, and sums the
 blocks.  Each block lists its variables by degree (``_variable_order``)
 before the engine runs: the ranks do not depend on the variables' names,
-but the engine's cost does.  A block's flattening rank r (the dimension of the span of its
-partials) is read off its SGR basis, and SGR <= GR <= r, so a block with
-SGR = r has GR = r and builds no GR basis.
+but the engine's cost does.  A block's flattening rank r (the dimension
+of the span of its partials) is read off its SGR basis, and SGR <= GR <= r,
+so a block with SGR = r has GR = r and builds no GR basis.  Any other
+block's GR run has a proved upper bound U: r, or the degree d when the
+form has a linear factor (``_linear_factor``).  The engine hands over the
+leads of its partial basis when the pair degree rises, and the run stops
+once their smallest hitting set, a lower bound on GR, reaches U
+(``_stop_at``): GR is then U, proved equal to its bound before the basis
+completed.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
+from math import gcd, isqrt, lcm
 
 from .errors import DimensionMismatchError, InvalidInputError
-from .groebner import Ideal, buchberger, ideal_dimension
+from .groebner import Ideal, _min_hitting_set_size, buchberger, ideal_dimension
 from .polyring import GREVLEX, QQ, PolyRing, Polynomial
 from .tensor import GeneralTensor, SymmetricTensor
 
@@ -180,8 +188,9 @@ class RankReport:
     differ from the bases of ``sgr_details`` and ``gr_details``.  A report
     that splits its input builds one basis per block, and the blocks' bases
     together are the reduced basis of the whole ideal in that order.
-    ``gr_basis_size`` is None when some block read GR off SGR (see
-    ``rank_report``) and so built no GR basis.
+    ``gr_basis_size`` is None when some block did not complete a GR basis:
+    it read GR off SGR, or its run stopped once GR was proved equal to an
+    upper bound (see ``rank_report``).
     """
 
     sgr: int | None
@@ -287,6 +296,178 @@ def _flattening_rank(basis, degree: int) -> int:
     return sum(1 for lm in basis.leading_monomials() if sum(lm) == degree - 1)
 
 
+# The search for a linear factor factors no coefficient above this: on a
+# binary form that ends in one, it tries only the zeros (1, 0) and (0, 1).
+_FACTOR_LIMIT = 10**8
+
+
+def _divisors(n: int):
+    """The positive divisors of an int n != 0, or None when |n| > _FACTOR_LIMIT."""
+    n = abs(n)
+    if n > _FACTOR_LIMIT:
+        return None
+    small = [k for k in range(1, isqrt(n) + 1) if not n % k]
+    return small + [n // k for k in reversed(small) if k * k != n]
+
+
+def _binary_roots(coeffs) -> list:
+    """Rational zeros (s, t) of the binary form sum_k c_k s^(d-k) t^k with
+    int coefficients, not all zero, one pair of coprime ints per zero.
+
+    (1, 0) is a zero when c_0 = 0 and (0, 1) when c_d = 0.  A zero with s
+    and t nonzero is a root u = s/t of sum_k c_k u^(d-k), so s divides its
+    last nonzero coefficient and t its first (the rational root theorem).
+    Returns no zero with s, t nonzero when either coefficient is too large
+    to factor.
+    """
+    d = len(coeffs) - 1
+    nonzero = [k for k, c in enumerate(coeffs) if c]
+    lo, hi = nonzero[0], nonzero[-1]
+    roots = [(1, 0)] if lo else []
+    if hi < d:
+        roots.append((0, 1))
+    tops, bottoms = _divisors(coeffs[hi]), _divisors(coeffs[lo])
+    if tops is None or bottoms is None:
+        return roots
+    for a in tops:
+        for b in bottoms:
+            if gcd(a, b) != 1:
+                continue
+            for s in (a, -a):
+                if not sum(c * s ** (d - k) * b ** k for k, c in enumerate(coeffs)):
+                    roots.append((s, b))
+    return roots
+
+
+def _integer_coefficients(form: Polynomial) -> dict:
+    """The form's terms scaled to int coefficients: over QQ by the lcm of
+    the denominators, over Fp each residue as the int of least magnitude."""
+    p = form.ring.field.characteristic
+    if p:
+        return {m: c if 2 * c <= p else c - p for m, c in form.terms.items()}
+    den = lcm(*(c.denominator for c in form.terms.values()))
+    return {m: c.numerator * (den // c.denominator) for m, c in form.terms.items()}
+
+
+def _divides(ell, ints: dict, p: int) -> bool:
+    """Whether the nonzero linear form sum_i ell[i] x_i divides the form
+    ``ints``, both with int coefficients, by exact division: modulo p over
+    Fp, with ell in residues, and over QQ (p = 0) in the ints, with ell made
+    primitive, where by Gauss's lemma a quotient has int coefficients.
+
+    With k the last variable in ell, F = ell * G + R where R has no x_k; R
+    is 0 exactly when ell divides F.  Each term c m with x_k^e in it, e
+    from the top down, is cancelled by (c / ell_k) (m / x_k) ell, whose
+    other terms hold x_k^(e - 1).
+    """
+    if not p:
+        g = gcd(*ell)
+        ell = [c // g for c in ell]
+    k = max(i for i, c in enumerate(ell) if c)
+    lk = ell[k]
+    inv = pow(lk, -1, p) if p else None
+    rest = [(i, c) for i, c in enumerate(ell) if c and i != k]
+    r = dict(ints)
+    for e in range(max(m[k] for m in r), 0, -1):
+        for m in [m for m in r if m[k] == e]:
+            if p:
+                q = r.pop(m) * inv % p
+            else:
+                q, rem = divmod(r.pop(m), lk)
+                if rem:
+                    return False
+            base = m[:k] + (e - 1,) + m[k + 1:]
+            for i, c in rest:
+                mm = base[:i] + (base[i] + 1,) + base[i + 1:]
+                v = r.get(mm, 0) - q * c
+                if p:
+                    v %= p
+                if v:
+                    r[mm] = v
+                else:
+                    r.pop(mm, None)
+    return not r
+
+
+def _gradient_on_plane(ints: dict, n: int, i: int, j: int, s: int, t: int) -> list:
+    """The gradient of the int form ``ints`` at the point s e_i + t e_j.
+
+    A term c x^a adds to the m-th partial there only when a - e_m lives on
+    x_i and x_j: at x_i or x_j when it has no other variable, and at x_m
+    when x_m is its one other variable, with exponent 1.
+    """
+    grad = [0] * n
+    for a, c in ints.items():
+        ai, aj = a[i], a[j]
+        others = [m for m, e in enumerate(a) if e and m != i and m != j]
+        if not others:
+            if ai:
+                grad[i] += c * ai * s ** (ai - 1) * t ** aj
+            if aj:
+                grad[j] += c * aj * s ** ai * t ** (aj - 1)
+        elif len(others) == 1 and a[others[0]] == 1:
+            grad[others[0]] += c * s ** ai * t ** aj
+    return grad
+
+
+def _linear_factor(form: Polynomial, degree: int):
+    """The int coefficients of a linear form that divides ``form``, or None
+    when the search finds none; over Fp they are residues.
+
+    If F = ell * G, then on the coordinate plane of x_i and x_j the binary
+    form F(s e_i + t e_j), whose coefficients are F's terms in x_i and x_j
+    alone, vanishes at (ell_j, -ell_i), and at that point p the gradient of
+    F is G(p) ell.  So each rational zero of each such binary form gives a
+    candidate, its gradient.  The search runs on int coefficients (residues
+    over Fp are read as ints), which only proposes candidates: each is
+    certified by exact division over the form's field (``_divides``).  It can
+    miss a factor, for instance when G vanishes at every such point, as
+    when ell^2 divides F.
+    """
+    n = form.ring.nvars
+    p = form.ring.field.characteristic
+    ints = _integer_coefficients(form)
+    for i in range(n):
+        for j in range(i + 1, n):
+            coeffs = []
+            for k in range(degree + 1):
+                m = [0] * n
+                m[i], m[j] = degree - k, k
+                coeffs.append(ints.get(tuple(m), 0))
+            if not any(coeffs):
+                continue
+            for s, t in _binary_roots(coeffs):
+                ell = _gradient_on_plane(ints, n, i, j, s, t)
+                if p:
+                    ell = [c % p for c in ell]
+                if any(ell) and _divides(ell, ints, p):
+                    return ell
+    return None
+
+
+class _BoundMet(Exception):
+    """The leads of a GR run reached the block's proved upper bound."""
+
+
+def _stop_at(bound: int, poll=None):
+    """A poll for a GR run that calls ``poll`` and then raises _BoundMet
+    once the leads so far prove GR >= ``bound``.
+
+    The leads of a partial basis lie in the lead ideal, so a smallest set
+    of variables meeting their supports is no larger than one for the whole
+    ideal, which has GR variables (``ideal_dimension``).  The engine hands
+    the supports over when the pair degree rises.
+    """
+    def check(stats):
+        if poll is not None:
+            poll(stats)
+        if stats.lead_supports is not None:
+            tick = None if poll is None else partial(poll, stats)
+            if _min_hitting_set_size(stats.lead_supports(), bound, tick) >= bound:
+                raise _BoundMet
+    return check
+
+
 def rank_report(obj, compute_gr: bool = False, *, field=None, poll=None) -> RankReport:
     """Full report for a symmetric tensor or homogeneous form.
 
@@ -302,11 +483,20 @@ def rank_report(obj, compute_gr: bool = False, *, field=None, poll=None) -> Rank
     since SGR <= GR (the source paper) and GR <= r (Kopparty, Moshkovitz &
     Zuiddam, "Geometric rank of tensors and subrank of matrix
     multiplication", CCC 2020); only the other blocks run ``gr_details`` on
-    their own tensor.
+    their own tensor.  That run stops as soon as the leads of its partial
+    basis prove GR >= U for a proved upper bound U, and the block's GR is
+    then U.  U is r, or the degree d when SGR <= 2, d < r and the search
+    finds a linear factor ell of the form, checked by exact division in
+    the report's field: the polarization of ell * G is a sum of d slices,
+    so GR is at most the slice rank, at most d (ibid.).
     """
     t0 = time.perf_counter()
     if isinstance(obj, GeneralTensor):
-        if compute_gr and not obj.is_symmetric():
+        try:
+            obj = obj.to_symmetric()
+        except InvalidInputError:
+            if not compute_gr:
+                raise
             g, _, gbasis = gr_details(obj, field=field, poll=poll)
             ms = (time.perf_counter() - t0) * 1000.0
             fld = field if field is not None else obj.field
@@ -315,27 +505,34 @@ def rank_report(obj, compute_gr: bool = False, *, field=None, poll=None) -> Rank
                 ambient=obj.dim, field=fld.name, ms=round(ms, 3),
                 gr_basis_size=len(gbasis),
             )
-        obj = obj.to_symmetric()
 
     form = _as_polynomial(obj, field=field)
     degree = _form_degree(form)
     s = ssize = 0
     g = 0 if compute_gr else None
-    gsizes = []   # per block: its GR basis size, None where GR = SGR = r
+    gsizes = []   # per block: its GR basis size, None where GR equals a bound
     for block in _blocks(form):
         s_b, _, sbasis = sgr_details(block, poll=poll)
         s += s_b
         ssize += len(sbasis)
         if not compute_gr:
             continue
-        if s_b == _flattening_rank(sbasis, degree):
-            g += s_b
+        r = _flattening_rank(sbasis, degree)
+        if s_b == r:
+            g += r
             gsizes.append(None)
-        else:
-            tens = SymmetricTensor.from_polynomial(block)
-            g_b, _, gbasis = gr_details(tens, poll=poll)
-            g += g_b
+            continue
+        # A linear factor forces Sing(F) to hold {ell = G = 0}, so SGR <= 2.
+        factor = s_b <= 2 and degree < r and _linear_factor(block, degree) is not None
+        bound = degree if factor else r
+        tens = SymmetricTensor.from_polynomial(block)
+        try:
+            g_b, _, gbasis = gr_details(tens, poll=_stop_at(bound, poll))
             gsizes.append(len(gbasis))
+        except _BoundMet:
+            g_b = bound
+            gsizes.append(None)
+        g += g_b
     gsize = sum(gsizes) if compute_gr and None not in gsizes else None
     n = form.ring.nvars
     ms = (time.perf_counter() - t0) * 1000.0

@@ -288,6 +288,7 @@ _REPORT_BLOCKS = {
     "diagonal in 4": lambda rng: identity_tensor(2, 3, 3),
     "big_cw": lambda rng: big_cw(2, 3),
     "small_cw": lambda rng: small_cw(2, 2),
+    "max_compressibility": lambda rng: max_compressibility(2, 3),
     "h3": lambda rng: complete_homogeneous_cubic(rng.randint(1, 3)),
     "normal_form": lambda rng: SymmetricTensor.from_polynomial(irreducible_sgr2_cubic(2, 1)),
 }
@@ -339,6 +340,43 @@ def _case_report_blocks(seed, variant):
         f"{' + '.join(names)} + {free} free: report (sgr, gr, dim, basis) = {got}, "
         f"plain engine {want}; GR basis {rep.gr_basis_size} against {len(gbasis)}"
     )
+
+
+def _case_report_reducible(seed, variant):
+    """rank_report against sgr_details and gr on a reducible cubic ell * Q,
+    where the GR run may stop at the degree 3 once the form's linear factor
+    is found.  Q is a diagonal quadric of rank 1 + seed % 4 in a ring of
+    1-4 variables; ell is a random linear form in that ring's variables, or
+    one in an extra variable too when (seed // 4) is odd.  The form goes under a
+    random invertible change of variables, and when (seed // 8) is odd a
+    golden block under its own change is added as a direct summand."""
+    rng = random.Random(seed)
+    k = 1 + seed % 4
+    inside = (seed // 4) % 2 == 0
+    m = rng.randint(k, 4)
+    n = m if inside else m + 1
+    ring = PolyRing(n)
+    x = ring.gens()
+    q = sum((x[i] * x[i] * rng.choice((-3, -2, -1, 1, 2, 3)) for i in range(k)), ring.zero())
+    ell = ring.zero()
+    while ell.is_zero():
+        ell = sum((x[i] * rng.randint(-2, 2) for i in range(m)), ring.zero())
+    if not inside:
+        ell = ell + x[m]
+    t = SymmetricTensor.from_polynomial(ell * q)
+    t = t.apply_matrix(_random_invertible_matrix(rng, n))
+    names = [f"ell*Q, rank Q = {k}, ell {'inside' if inside else 'outside'} Q's variables"]
+    if (seed // 8) % 2:
+        name = rng.choice(sorted(_REPORT_BLOCKS))
+        block = _REPORT_BLOCKS[name](rng)
+        t = t.direct_sum(block.apply_matrix(_random_invertible_matrix(rng, block.dim)))
+        names.append(name)
+    field = _variant(variant)
+    rep = rank_report(t, compute_gr=True, field=field)
+    s, dim, _ = sgr_details(t, field=field)
+    want = (s, gr(t, field=field), dim)
+    got = (rep.sgr, rep.gr, rep.sing_dim_affine)
+    return got == want, f"{' + '.join(names)}: report (sgr, gr, dim) = {got}, plain engine {want}"
 
 
 def _random_sparse_cubic(rng: random.Random, n: int) -> SymmetricTensor:
@@ -999,6 +1037,10 @@ def suite_rank_properties():
         for variant in variants:
             cases.append(Case(f"report by blocks vs plain engine ({variant}) seed={seed}",
                               _case_report_blocks, (seed, variant)))
+    for seed in range(32):
+        for variant in variants:
+            cases.append(Case(f"report on a reducible cubic vs plain engine ({variant}) "
+                              f"seed={seed}", _case_report_reducible, (seed, variant)))
     # GR is compared too, but not on the trace cubic over Fp at m=4, where
     # the input-order GR engine takes more than six minutes
     order_cases = [(kind, args, v, True) for kind, args in _ORDER_NAMED for v in variants]

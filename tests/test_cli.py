@@ -116,16 +116,24 @@ def test_gr_big_cw(capsys):
 
 
 def test_gr_verbose_names_where_gr_came_from(capsys):
-    # big CW: SGR 2 is below the flattening rank 4, so GR needs its own basis
+    # big CW: SGR 2 is below the flattening rank 4, so GR runs the engine,
+    # which stops once its leads prove GR >= 3, the degree of a form with the
+    # linear factor x0, and so builds no full basis
     code, out, _ = run(capsys, "gr", "--poly", "x0*x1^2 + x0*x2^2 + x0^2*x3", "-v")
     assert code == 0 and "gr: 3" in out
     assert "singular ideal basis size: " in out
-    assert "multilinear ideal basis size: " in out
+    assert "proved equal to its upper bound" in out
+    assert "multilinear ideal basis size" not in out
+    # the SGR-2 normal form in 5 variables has no linear factor, and its
+    # leads never reach the flattening rank 5 before the basis completes
+    code, out, _ = run(capsys, "gr", "--poly", "x0^2*x2 + x1^3 + x1^2*x3 + x0*x1*x4", "-v")
+    assert code == 0 and "gr: 4" in out
+    assert "multilinear ideal basis size: 18" in out
     assert "read off" not in out
     # smooth: SGR 2 is the flattening rank, so it is GR too
     code, out, _ = run(capsys, "gr", "--poly", "x0^3 + x1^3", "-v")
     assert code == 0 and "gr: 2" in out
-    assert "multilinear ideal: not built for every block, GR read off SGR = flattening rank" in out
+    assert "multilinear ideal: not completed for every block; GR read off SGR = flattening rank" in out
     assert "multilinear ideal basis size" not in out
     # big CW plus x4^3: the cube reads GR off SGR, so the big CW block's
     # basis is not the whole ideal's, and no size is printed

@@ -29,11 +29,13 @@ from sgrank.tensor import (
     big_cw,
     complete_homogeneous_cubic,
     identity_tensor,
+    irreducible_sgr2_cubic,
+    max_compressibility,
     small_cw,
     sym_matrix_mult,
     w_state,
 )
-from sgrank.verify import _partials_rank
+from sgrank.verify import _partials_rank, _random_invertible_matrix
 from sgrank.verify import _random_symmetric_cubic as random_symmetric_cubic
 
 FP = PrimeField(2**31 - 1)
@@ -441,14 +443,20 @@ def test_report_splits_a_direct_sum_into_blocks():
         assert (rep.sgr, rep.gr, rep.sing_dim_affine) == (s, gr(tens), dim) == (2, 3, 3)
         assert rep.sgr_basis_size == len(sgr_details(reordered)[2])
         assert rep.gr_basis_size is None  # 2*x3^3 has SGR 1 = r
-        # the W-state x0^2*x2 alone (SGR 1 < r = 2) builds its GR basis,
-        # whose size is the whole multilinear ideal's in the order x1, x3,
-        # x2, x0
+        # the W-state x0^2*x2 alone (SGR 1 < r = 2) runs its GR engine,
+        # which stops once its leads prove GR >= r, so it reports no size
         w = parse_polynomial("3*x0^2*x2", nvars=4).convert_order(order)
         rep = rank_report(w, compute_gr=True)
-        w_reordered = parse_polynomial("3*x2*x3^2", nvars=4)
-        gbasis = gr_details(SymmetricTensor.from_polynomial(w_reordered))[2]
-        assert (rep.gr, rep.gr_basis_size) == (2, len(gbasis))
+        assert (rep.gr, rep.gr_basis_size) == (2, None)
+        # the SGR-2 normal form plus a free variable (SGR 2 < GR 4 < r = 5)
+        # completes its GR basis, whose size is the whole multilinear
+        # ideal's in the order x5, x2, x3, x4, x0, x1
+        nf = parse_polynomial("x0^2*x2 + x1^3 + x1^2*x3 + x0*x1*x4", nvars=6)
+        rep = rank_report(nf.convert_order(order), compute_gr=True)
+        assert rank._variable_order(nf) == [5, 2, 3, 4, 0, 1]
+        nf_reordered = parse_polynomial("x4^2*x1 + x5^3 + x5^2*x2 + x4*x5*x3", nvars=6)
+        gbasis = gr_details(SymmetricTensor.from_polynomial(nf_reordered))[2]
+        assert (rep.gr, rep.gr_basis_size) == (4, len(gbasis))
 
 
 def test_report_lists_the_trace_cubic_by_degree():
@@ -550,3 +558,160 @@ def test_ranks_read_only_the_leads(monkeypatch, capsys):
     assert line_tangency(parse_polynomial("x0^2*x1"), line) == Tangency.TANGENT
     assert main(["dim", "--poly", "x0*x1", "--poly", "x0^2 + x1^2", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["dim"] == 0
+
+
+# ---------------------------------------------------------------------------
+# GR stopped at a proved upper bound
+# ---------------------------------------------------------------------------
+
+def _moved(t, seed):
+    """t under a seeded invertible change of variables."""
+    return t.apply_matrix(_random_invertible_matrix(random.Random(seed), t.dim))
+
+
+def _vanishes_on_hyperplane(ell, form):
+    """Whether form vanishes on ell = 0, by substituting for ell's last
+    variable: an independent check that ell divides form."""
+    field = form.ring.field
+    n = form.ring.nvars
+    k = max(i for i, c in enumerate(ell) if c)
+    inv = field.inv(field.convert(ell[k]))
+    rows = [[field.convert(int(i == j)) for i in range(n)] for j in range(n)]
+    for j in range(n):
+        rows[j][k] = field.neg(field.mul(field.convert(ell[j]), inv)) if j != k else field.zero
+    return form.substitute_linear(rows).is_zero()
+
+
+_FACTORED = [big_cw(2, 3), small_cw(2, 2), max_compressibility(2, 3)]
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["QQ", "Fp"])
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("t", _FACTORED, ids=["big_cw", "small_cw", "max_compressibility"])
+def test_linear_factor_found_under_a_change_of_variables(t, seed, field):
+    form = _moved(t, seed).with_field(field).to_polynomial()
+    ell = rank._linear_factor(form, 3)
+    assert ell is not None and _vanishes_on_hyperplane(ell, form)
+    # the check is not vacuous: x0 divides none of these moved forms
+    assert not _vanishes_on_hyperplane([int(i == 0) for i in range(form.ring.nvars)], form)
+    if field == QQ:  # denominators are cleared before the search
+        scaled = Fraction(2, 7) * form
+        assert _vanishes_on_hyperplane(rank._linear_factor(scaled, 3), scaled)
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["QQ", "Fp"])
+@pytest.mark.parametrize("n, variant", [(2, 1), (2, 2), (3, 1), (4, 1)])
+def test_linear_factor_not_found_on_irreducible_normal_forms(n, variant, field):
+    form = irreducible_sgr2_cubic(n, variant).convert_field(field)
+    assert rank._linear_factor(form, 3) is None
+    moved = _moved(SymmetricTensor.from_polynomial(form), n + variant)
+    assert rank._linear_factor(moved.to_polynomial(), 3) is None
+
+
+def test_binary_roots_are_the_rational_zeros():
+    # 2 s^2 t - 3 s t^2 = s t (2 s - 3 t)
+    assert sorted(rank._binary_roots([0, 2, -3, 0])) == [(0, 1), (1, 0), (3, 2)]
+    # s^3 - 2 t^3 has no rational zero
+    assert rank._binary_roots([1, 0, 0, -2]) == []
+    # (s - t)^2 (s + t): a double zero is found once
+    assert sorted(rank._binary_roots([1, -1, -1, 1])) == [(-1, 1), (1, 1)]
+    # a coefficient too large to factor leaves only the zeros on the axes
+    big = rank._FACTOR_LIMIT + 1
+    assert rank._binary_roots([0, big, -big]) == [(1, 0)]
+
+
+def test_divides_is_exact_division():
+    f = parse_polynomial("x0^2*x1 + x0*x1^2 - 2*x0*x2^2", nvars=3)  # x0 (x0 x1 + x1^2 - 2 x2^2)
+    ints = rank._integer_coefficients(f)
+    assert rank._divides([1, 0, 0], ints, 0)
+    assert not rank._divides([1, 1, 0], ints, 0)
+    assert not rank._divides([0, 0, 1], ints, 0)
+    # over QQ the quotient of a primitive factor has int coefficients
+    g = parse_polynomial("x0^3 - x0*x2^2 + 2*x0^2*x1 - 2*x1*x2^2", nvars=3)  # (x0 + 2 x1)(x0^2 - x2^2)
+    ints = rank._integer_coefficients(g)
+    assert rank._divides([1, 2, 0], ints, 0) and not rank._divides([2, 1, 0], ints, 0)
+    p = FP.p
+    ints = rank._integer_coefficients(g.convert_field(FP))
+    assert rank._divides([1, 2, 0], ints, p) and not rank._divides([2, 1, 0], ints, p)
+
+
+def _pairs_reduced(tens, bound):
+    """(GR, pairs reduced) of the GR run of tens stopped at ``bound``; GR is
+    None when the run stopped."""
+    done = [0]
+
+    def poll(stats):
+        done[0] = max(done[0], stats.pairs_done)
+
+    try:
+        g = gr_details(tens, poll=rank._stop_at(bound, poll))[0]
+    except rank._BoundMet:
+        g = None
+    return g, done[0]
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["QQ", "Fp"])
+@pytest.mark.parametrize("t", [big_cw(2, 3), small_cw(3, 3), max_compressibility(3, 3)],
+                         ids=["big_cw", "small_cw", "max_compressibility"])
+def test_stopped_gr_run_answers_gr_with_fewer_pairs(t, field):
+    # concise cubics x0*Q in 4 variables, GR 3 = the degree: their leads
+    # prove GR >= 3 at the first degree-4 pair, after 6 of 19 pairs
+    tens = _moved(t, 7).with_field(field)
+    want, full = _pairs_reduced(tens, tens.dim + 1)  # a bound no run meets
+    assert want == gr(tens) == 3
+    got, stopped = _pairs_reduced(tens, want)
+    assert got is None and stopped < full
+    rep = rank_report(tens, compute_gr=True)
+    assert (rep.sgr, rep.gr, rep.gr_basis_size) == (sgr(tens), want, None)
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["QQ", "Fp"])
+@pytest.mark.parametrize("t", _FACTORED + [w_state(3), complete_homogeneous_cubic(2)],
+                         ids=["big_cw", "small_cw", "max_compressibility", "w_state", "h3"])
+def test_bound_above_gr_is_never_met(t, field):
+    # the partial leads never prove more than GR, however far the run goes
+    tens = _moved(t, 3).with_field(field)
+    g, full = _pairs_reduced(tens, tens.dim + 1)
+    assert g == gr(tens)
+    assert _pairs_reduced(tens, g + 1) == (g, full)
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["QQ", "Fp"])
+def test_report_stops_where_the_bound_is_proved(field, buchberger_calls):
+    # big CW (bound 3 = degree, from its linear factor) and the SGR-2 normal
+    # form in 4 variables (bound 4 = r): each GR run stops, so the report
+    # gives no GR basis size, and GR adds up
+    nf = SymmetricTensor.from_polynomial(irreducible_sgr2_cubic(3))
+    t = _moved(big_cw(2, 3), 1).direct_sum(_moved(nf, 2)).with_field(field)
+    rep = rank_report(t, compute_gr=True)
+    assert (rep.sgr, rep.gr, rep.gr_basis_size) == (4, 7, None) == (sgr(t), gr(t), None)
+
+
+def test_gr_runs_the_whole_engine_where_a_report_would_stop():
+    # the leads prove GR = 3 early, and gr_details still completes the
+    # basis, the same one as a run with no poll
+    tens = _moved(big_cw(2, 3), 7)
+    proved = []
+
+    def poll(stats):
+        if stats.lead_supports is not None:
+            proved.append(groebner._min_hitting_set_size(stats.lead_supports(), 9))
+
+    g, _, basis = gr_details(tens, poll=poll)
+    assert g == 3 and 3 in proved[:-1]
+    ring, gens = rank._multilinear_generators(tens.to_general())
+    assert basis.leading_monomials() == buchberger(gens).leading_monomials()
+
+
+@pytest.mark.parametrize("compute_gr", [False, True])
+def test_report_checks_symmetry_once(monkeypatch, compute_gr):
+    calls = []
+    real = GeneralTensor.is_symmetric
+
+    def is_symmetric(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(GeneralTensor, "is_symmetric", is_symmetric)
+    rep = rank_report(big_cw(2, 3).to_general(), compute_gr=compute_gr)
+    assert rep.sgr == 2 and len(calls) == 1
