@@ -145,21 +145,20 @@ class GBStats:
     (see buchberger()); ``pairs_left`` counts the live pairs still queued.
 
     The poll that comes when the pair degree rises, before the first pair
-    of the new degree is reduced, also carries that ``pair_degree`` and
-    ``lead_supports``, a function that returns the support of each lead of
-    the basis so far as an int bitmask (bit i for x_i).  Every other poll
-    has 0 and None.  The masks are built only when the function is called,
-    so a poll that does not ask pays for one more call per degree.  The
-    leads of a partial basis lie in the lead ideal, so the smallest set of
-    variables that meets every mask is a lower bound on the ideal's
-    codimension.
+    of the new degree is reduced, also carries ``lead_supports``, a function
+    that returns the support of each lead of the basis so far as an int
+    bitmask (bit i for x_i); it is the only poll whose ``lead_supports`` is
+    not None.  The masks are built only when the function is called, so a
+    poll that does not ask pays for one more call per degree.  The leads of
+    a partial basis lie in the lead ideal, so the smallest set of variables
+    that meets every mask is a lower bound on the ideal's codimension (the
+    rank report stops a GR run once it meets a proved upper bound).
     """
 
     basis_size: int
     pairs_done: int
     pairs_left: int
     pairs_skipped: int = 0
-    pair_degree: int = 0
     lead_supports: Callable[[], list] | None = field(default=None, compare=False, repr=False)
 
 
@@ -677,8 +676,8 @@ def buchberger(generators, *, poll=None, poll_every=8) -> GroebnerBasis:
     inside any one reduction or any one build of standard monomials, and
     once each time the pair degree rises, with the supports of the leads so
     far (see :class:`GBStats`); it may raise to cancel the run (the command
-    line uses this for timeouts, the rank report to stop a GR run that has
-    met a proved bound).
+    line uses this for timeouts, the rank report to stop a GR run once those
+    leads prove GR equal to the block's upper bound U).
     Output is deterministic for fixed input and order.  The basis builds its
     Polynomials on first use; its size and leading monomials are known
     without them.
@@ -958,7 +957,7 @@ def _buchberger(ideal: Ideal, pk: _Packing, poll, poll_every) -> GroebnerBasis:
             continue  # pruned by a later update
         if d > memo_degree:
             if poll is not None:
-                poll(GBStats(len(active), pairs_done, len(pairs), pairs_skipped, d,
+                poll(GBStats(len(active), pairs_done, len(pairs), pairs_skipped,
                              partial(pk.supports, [leads[k] for k in active])))
             # Pairs come in ascending lcm degree, so over a homogeneous ideal
             # monomials of lower degree recur only in tail rewrites, and the

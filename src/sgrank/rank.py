@@ -19,15 +19,15 @@ answers from the rank laws: it splits a form into direct summands on
 disjoint variables, since SGR and GR add up over direct sums, and sums the
 blocks.  Each block lists its variables by degree (``_variable_order``)
 before the engine runs: the ranks do not depend on the variables' names,
-but the engine's cost does.  A block's flattening rank r (the dimension
-of the span of its partials) is read off its SGR basis, and SGR <= GR <= r,
-so a block with SGR = r has GR = r and builds no GR basis.  Any other
-block's GR run has a proved upper bound U: r, or the degree d when the
-form has a linear factor (``_linear_factor``).  The engine hands over the
-leads of its partial basis when the pair degree rises, and the run stops
-once their smallest hitting set, a lower bound on GR, reaches U
-(``_stop_at``): GR is then U, proved equal to its bound before the basis
-completed.
+but the engine's cost does.  For GR each block has one rule, SGR <= GR <= U.
+U is the degree d of a form with a linear factor, certified by the
+engine's normal form (``_linear_factor``), and otherwise the flattening
+rank r (the dimension of the span of the partials), read off the SGR basis.
+A block with SGR = U has GR = U and builds no GR basis.  Only a block with
+SGR < U runs the GR engine: it hands over the leads of its partial basis
+when the pair degree rises, and the run stops once their smallest hitting
+set, a lower bound on GR, reaches U (``_stop_at``).  GR is then U, proved
+equal to its bound before the basis completed.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ from functools import partial
 from math import gcd, isqrt, lcm
 
 from .errors import DimensionMismatchError, InvalidInputError
-from .groebner import Ideal, _min_hitting_set_size, buchberger, ideal_dimension
+from .groebner import (GBStats, Ideal, _min_hitting_set_size, buchberger, ideal_dimension,
+                       ideal_membership)
 from .polyring import GREVLEX, QQ, PolyRing, Polynomial
 from .tensor import GeneralTensor, SymmetricTensor
 
@@ -189,8 +190,8 @@ class RankReport:
     that splits its input builds one basis per block, and the blocks' bases
     together are the reduced basis of the whole ideal in that order.
     ``gr_basis_size`` is None when some block did not complete a GR basis:
-    it read GR off SGR, or its run stopped once GR was proved equal to an
-    upper bound (see ``rank_report``).
+    its SGR met its upper bound U, or its run stopped once its leads did
+    (see ``rank_report``).
     """
 
     sgr: int | None
@@ -349,46 +350,6 @@ def _integer_coefficients(form: Polynomial) -> dict:
     return {m: c.numerator * (den // c.denominator) for m, c in form.terms.items()}
 
 
-def _divides(ell, ints: dict, p: int) -> bool:
-    """Whether the nonzero linear form sum_i ell[i] x_i divides the form
-    ``ints``, both with int coefficients, by exact division: modulo p over
-    Fp, with ell in residues, and over QQ (p = 0) in the ints, with ell made
-    primitive, where by Gauss's lemma a quotient has int coefficients.
-
-    With k the last variable in ell, F = ell * G + R where R has no x_k; R
-    is 0 exactly when ell divides F.  Each term c m with x_k^e in it, e
-    from the top down, is cancelled by (c / ell_k) (m / x_k) ell, whose
-    other terms hold x_k^(e - 1).
-    """
-    if not p:
-        g = gcd(*ell)
-        ell = [c // g for c in ell]
-    k = max(i for i, c in enumerate(ell) if c)
-    lk = ell[k]
-    inv = pow(lk, -1, p) if p else None
-    rest = [(i, c) for i, c in enumerate(ell) if c and i != k]
-    r = dict(ints)
-    for e in range(max(m[k] for m in r), 0, -1):
-        for m in [m for m in r if m[k] == e]:
-            if p:
-                q = r.pop(m) * inv % p
-            else:
-                q, rem = divmod(r.pop(m), lk)
-                if rem:
-                    return False
-            base = m[:k] + (e - 1,) + m[k + 1:]
-            for i, c in rest:
-                mm = base[:i] + (base[i] + 1,) + base[i + 1:]
-                v = r.get(mm, 0) - q * c
-                if p:
-                    v %= p
-                if v:
-                    r[mm] = v
-                else:
-                    r.pop(mm, None)
-    return not r
-
-
 def _gradient_on_plane(ints: dict, n: int, i: int, j: int, s: int, t: int) -> list:
     """The gradient of the int form ``ints`` at the point s e_i + t e_j.
 
@@ -410,25 +371,33 @@ def _gradient_on_plane(ints: dict, n: int, i: int, j: int, s: int, t: int) -> li
     return grad
 
 
-def _linear_factor(form: Polynomial, degree: int):
-    """The int coefficients of a linear form that divides ``form``, or None
-    when the search finds none; over Fp they are residues.
+def _linear_factor(form: Polynomial, degree: int, poll=None):
+    """The coefficients, in the form's field, of a linear form that divides
+    ``form``, or None when the search finds none.
 
     If F = ell * G, then on the coordinate plane of x_i and x_j the binary
     form F(s e_i + t e_j), whose coefficients are F's terms in x_i and x_j
     alone, vanishes at (ell_j, -ell_i), and at that point p the gradient of
     F is G(p) ell.  So each rational zero of each such binary form gives a
     candidate, its gradient.  The search runs on int coefficients (residues
-    over Fp are read as ints), which only proposes candidates: each is
-    certified by exact division over the form's field (``_divides``).  It can
-    miss a factor, for instance when G vanishes at every such point, as
-    when ell^2 divides F.
+    over Fp are read as ints), which only proposes candidates: the engine's
+    normal form certifies each in the form's own ring and field.  One
+    polynomial is a Groebner basis of the ideal it generates, so F reduces
+    to zero modulo ell exactly when ell divides F, and a gradient that
+    vanishes in the field is no candidate.  The search can miss a factor,
+    for instance when G vanishes at every such point, as when ell^2
+    divides F.  ``poll`` is the buchberger() callback, called once per
+    coordinate plane with no basis and no pairs; it may raise to cancel.
     """
-    n = form.ring.nvars
-    p = form.ring.field.characteristic
+    ring = form.ring
+    n = ring.nvars
+    units = [tuple(int(k == m) for k in range(n)) for m in range(n)]
     ints = _integer_coefficients(form)
+    tick = None if poll is None else partial(poll, GBStats(0, 0, 0))
     for i in range(n):
         for j in range(i + 1, n):
+            if tick is not None:
+                tick()
             coeffs = []
             for k in range(degree + 1):
                 m = [0] * n
@@ -437,10 +406,8 @@ def _linear_factor(form: Polynomial, degree: int):
             if not any(coeffs):
                 continue
             for s, t in _binary_roots(coeffs):
-                ell = _gradient_on_plane(ints, n, i, j, s, t)
-                if p:
-                    ell = [c % p for c in ell]
-                if any(ell) and _divides(ell, ints, p):
+                ell = [ring.field.convert(c) for c in _gradient_on_plane(ints, n, i, j, s, t)]
+                if any(ell) and ideal_membership(form, [ring.from_dict(dict(zip(units, ell)))]):
                     return ell
     return None
 
@@ -478,17 +445,17 @@ def rank_report(obj, compute_gr: bool = False, *, field=None, poll=None) -> Rank
     report sums their values:
     SGR and GR add up over direct sums, and a variable in no monomial adds
     nothing to either.  Each block's SGR comes from ``sgr_details``.  With
-    ``compute_gr``, a block whose SGR equals its flattening rank r, the
-    dimension of the span of its partials, has GR = r with no further basis,
-    since SGR <= GR (the source paper) and GR <= r (Kopparty, Moshkovitz &
-    Zuiddam, "Geometric rank of tensors and subrank of matrix
-    multiplication", CCC 2020); only the other blocks run ``gr_details`` on
-    their own tensor.  That run stops as soon as the leads of its partial
-    basis prove GR >= U for a proved upper bound U, and the block's GR is
-    then U.  U is r, or the degree d when SGR <= 2, d < r and the search
-    finds a linear factor ell of the form, checked by exact division in
-    the report's field: the polarization of ell * G is a sum of d slices,
-    so GR is at most the slice rank, at most d (ibid.).
+    ``compute_gr``, each block follows one rule, SGR <= GR <= U.  SGR <= GR
+    is the source paper's bound.  U is the degree d when SGR <= 2, d < r
+    and ``_linear_factor`` certifies a linear factor ell, and otherwise the
+    flattening rank r, the dimension of the span of the partials.  GR <= r
+    is due to Kopparty, Moshkovitz & Zuiddam ("Geometric rank of tensors and
+    subrank of matrix multiplication", CCC 2020), and GR <= d for ell * G
+    since its polarization is a sum of d slices, so GR is at most the slice
+    rank (ibid.).  A block with SGR = U has GR = U and builds no GR basis.
+    Only a block with SGR < U runs ``gr_details`` on its own tensor, and
+    that run stops as soon as the leads of its partial basis prove GR >= U;
+    the block's GR is then U.
     """
     t0 = time.perf_counter()
     if isinstance(obj, GeneralTensor):
@@ -518,21 +485,19 @@ def rank_report(obj, compute_gr: bool = False, *, field=None, poll=None) -> Rank
         if not compute_gr:
             continue
         r = _flattening_rank(sbasis, degree)
-        if s_b == r:
-            g += r
-            gsizes.append(None)
-            continue
         # A linear factor forces Sing(F) to hold {ell = G = 0}, so SGR <= 2.
-        factor = s_b <= 2 and degree < r and _linear_factor(block, degree) is not None
+        factor = s_b <= 2 and degree < r and _linear_factor(block, degree, poll) is not None
         bound = degree if factor else r
-        tens = SymmetricTensor.from_polynomial(block)
-        try:
-            g_b, _, gbasis = gr_details(tens, poll=_stop_at(bound, poll))
-            gsizes.append(len(gbasis))
-        except _BoundMet:
-            g_b = bound
-            gsizes.append(None)
+        g_b, size = bound, None   # SGR = U, or a run whose leads meet U, gives GR = U
+        if s_b < bound:
+            tens = SymmetricTensor.from_polynomial(block)
+            try:
+                g_b, _, gbasis = gr_details(tens, poll=_stop_at(bound, poll))
+                size = len(gbasis)
+            except _BoundMet:
+                pass
         g += g_b
+        gsizes.append(size)
     gsize = sum(gsizes) if compute_gr and None not in gsizes else None
     n = form.ring.nvars
     ms = (time.perf_counter() - t0) * 1000.0

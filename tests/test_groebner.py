@@ -677,17 +677,15 @@ def test_full_tail_rewrite_on_a_non_homogeneous_system(field, order, monkeypatch
 
 @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
 def test_degree_rise_poll_hands_over_the_lead_supports(order):
-    # a poll at each rise of the pair degree carries the degree and the
-    # supports of the leads so far, each a lead of a monomial in the final
-    # lead ideal; every other poll carries neither
+    # a poll at each rise of the pair degree carries the supports of the
+    # leads so far, each a lead of a monomial in the final lead ideal;
+    # every other poll carries none
     f = _random_symmetric_cubic(random.Random(5), 3).to_polynomial()
     gens = [g.convert_order(order) for g in singular_ideal(f)]
     seen = []
     gb = buchberger(gens, poll=seen.append, poll_every=1)
     rises = [st for st in seen if st.lead_supports is not None]
-    assert all(st.pair_degree == 0 for st in seen if st.lead_supports is None)
-    degrees = [st.pair_degree for st in rises]
-    assert len(degrees) >= 2 and degrees == sorted(set(degrees))
+    assert len(rises) >= 2
     final = [sum(1 << i for i, e in enumerate(lm) if e) for lm in gb.leading_monomials()]
     for st in rises:
         masks = st.lead_supports()
@@ -698,7 +696,7 @@ def test_degree_rise_poll_hands_over_the_lead_supports(order):
     # the supports do not take part in comparing snapshots
     assert rises[0] == GBStats(*(getattr(rises[0], k) for k in
                                  ("basis_size", "pairs_done", "pairs_left",
-                                  "pairs_skipped", "pair_degree")))
+                                  "pairs_skipped")))
 
 
 def test_poll_stops_a_run_while_it_skips():

@@ -583,11 +583,16 @@ def _vanishes_on_hyperplane(ell, form):
 
 
 _FACTORED = [big_cw(2, 3), small_cw(2, 2), max_compressibility(2, 3)]
+_PRODUCTS = [SymmetricTensor.from_polynomial(parse_polynomial(text, nvars=3)) for text in (
+    "x0^2*x1 + x0*x1^2 - 2*x0*x2^2",           # x0 (x0 x1 + x1^2 - 2 x2^2)
+    "x0^3 - x0*x2^2 + 2*x0^2*x1 - 2*x1*x2^2",  # (x0 + 2 x1)(x0^2 - x2^2)
+)]
 
 
 @pytest.mark.parametrize("field", [QQ, FP], ids=["QQ", "Fp"])
 @pytest.mark.parametrize("seed", range(3))
-@pytest.mark.parametrize("t", _FACTORED, ids=["big_cw", "small_cw", "max_compressibility"])
+@pytest.mark.parametrize("t", _FACTORED + _PRODUCTS,
+                         ids=["big_cw", "small_cw", "max_compressibility", "x0*Q", "(x0+2x1)*Q"])
 def test_linear_factor_found_under_a_change_of_variables(t, seed, field):
     form = _moved(t, seed).with_field(field).to_polynomial()
     ell = rank._linear_factor(form, 3)
@@ -608,6 +613,27 @@ def test_linear_factor_not_found_on_irreducible_normal_forms(n, variant, field):
     assert rank._linear_factor(moved.to_polynomial(), 3) is None
 
 
+def test_factor_search_polls_once_per_plane():
+    # 36756720 (x0^2 L0 + x0 x1 L1 + 2 x1^2 L0) in 16 variables, with
+    # L0 = x2 + ... + x15 and L1 = sum over i >= 2 of (i mod 3 - 1) x_i, has
+    # SGR 2; each plane through x0 or x1 tries every pair of divisors of
+    # 36756720 or of twice it, so a deadline must be seen plane by plane
+    terms = []
+    for i in range(2, 16):
+        terms += [f"x0^2*x{i}", f"{i % 3 - 1}*x0*x1*x{i}", f"2*x1^2*x{i}"]
+    form = 36756720 * parse_polynomial(" + ".join(terms), nvars=16)
+    seen = []
+
+    def poll(stats):
+        seen.append(stats)
+        if len(seen) == 2:
+            raise ComputationTimeout("stop")
+
+    with pytest.raises(ComputationTimeout):
+        rank._linear_factor(form, 3, poll)
+    assert seen == [groebner.GBStats(0, 0, 0)] * 2
+
+
 def test_binary_roots_are_the_rational_zeros():
     # 2 s^2 t - 3 s t^2 = s t (2 s - 3 t)
     assert sorted(rank._binary_roots([0, 2, -3, 0])) == [(0, 1), (1, 0), (3, 2)]
@@ -618,21 +644,6 @@ def test_binary_roots_are_the_rational_zeros():
     # a coefficient too large to factor leaves only the zeros on the axes
     big = rank._FACTOR_LIMIT + 1
     assert rank._binary_roots([0, big, -big]) == [(1, 0)]
-
-
-def test_divides_is_exact_division():
-    f = parse_polynomial("x0^2*x1 + x0*x1^2 - 2*x0*x2^2", nvars=3)  # x0 (x0 x1 + x1^2 - 2 x2^2)
-    ints = rank._integer_coefficients(f)
-    assert rank._divides([1, 0, 0], ints, 0)
-    assert not rank._divides([1, 1, 0], ints, 0)
-    assert not rank._divides([0, 0, 1], ints, 0)
-    # over QQ the quotient of a primitive factor has int coefficients
-    g = parse_polynomial("x0^3 - x0*x2^2 + 2*x0^2*x1 - 2*x1*x2^2", nvars=3)  # (x0 + 2 x1)(x0^2 - x2^2)
-    ints = rank._integer_coefficients(g)
-    assert rank._divides([1, 2, 0], ints, 0) and not rank._divides([2, 1, 0], ints, 0)
-    p = FP.p
-    ints = rank._integer_coefficients(g.convert_field(FP))
-    assert rank._divides([1, 2, 0], ints, p) and not rank._divides([2, 1, 0], ints, p)
 
 
 def _pairs_reduced(tens, bound):
@@ -685,6 +696,22 @@ def test_report_stops_where_the_bound_is_proved(field, buchberger_calls):
     t = _moved(big_cw(2, 3), 1).direct_sum(_moved(nf, 2)).with_field(field)
     rep = rank_report(t, compute_gr=True)
     assert (rep.sgr, rep.gr, rep.gr_basis_size) == (4, 7, None) == (sgr(t), gr(t), None)
+
+
+@pytest.mark.parametrize("field", [QQ, FP, PrimeField(7)], ids=["QQ", "Fp", "Fp7"])
+@pytest.mark.parametrize("seed", range(6))
+def test_report_on_reducible_quartics_matches_the_engine(seed, field):
+    # ell * C for a seeded cubic C in 2 or 3 variables: SGR <= 2, and the
+    # report's one bound rule gives what the whole engine gives
+    rng = random.Random(seed)
+    c = random_symmetric_cubic(rng, 1 + seed % 2).to_polynomial()
+    ell = sum((rng.choice((-3, -2, -1, 1, 2, 3)) * x for x in c.ring.gens()), c.ring.zero())
+    form = (ell * c).convert_field(field)
+    rep = rank_report(form, compute_gr=True)
+    assert (rep.sgr, rep.gr) == (sgr(form), gr(SymmetricTensor.from_polynomial(form)))
+    # over Fp:7 the search reads residues as ints and may miss the factor
+    found = rank._linear_factor(form, 4)
+    assert (found is None and field.characteristic == 7) or _vanishes_on_hyperplane(found, form)
 
 
 def test_gr_runs_the_whole_engine_where_a_report_would_stop():
