@@ -59,7 +59,8 @@ is in.  Those of degree t + 1 are the monomials that are not leads and whose
 degree-t divisors are all standard, each built once from its quotient by its
 largest variable; each new element removes its own lead.  The first degree
 that ends above CI(t) shows the system is not a complete intersection, and
-tracking stops there for good.  So does one cost rule: before degree t + 1
+tracking stops there for good; from then on every poll carries that fact
+(GBStats ``above_ci``).  One cost rule stops it too: before degree t + 1
 is built, tracking stops when CI(t + 1), which its standard monomials are at
 least, exceeds the tail terms of the pairs still queued (the two tails of
 each, the pair in hand included), since building them would then cost more
@@ -153,6 +154,12 @@ class GBStats:
     a partial basis lie in the lead ideal, so the smallest set of variables
     that meets every mask is a lower bound on the ideal's codimension (the
     rank report stops a GR run once it meets a proved upper bound).
+
+    ``above_ci`` turns True, for the rest of the run, once a degree t of a
+    run that tracks the Hilbert bound has ended with more standard monomials
+    than CI(t) (see buchberger()): the k generators are then no regular
+    sequence, so their zero set has codimension below k.  It stays False
+    where the bound is not tracked, or no longer is.
     """
 
     basis_size: int
@@ -160,6 +167,7 @@ class GBStats:
     pairs_left: int
     pairs_skipped: int = 0
     lead_supports: Callable[[], list] | None = field(default=None, compare=False, repr=False)
+    above_ci: bool = False
 
 
 def deadline_poll(seconds: float):
@@ -356,14 +364,19 @@ class _Packing:
         return {unpack(m): Fraction(n, d) for m, (n, d) in terms.items()}
 
 
-def _packed_run(ring: PolyRing, polys, run):
+def _packed_run(ring: PolyRing, polys, run, contexts=None):
     """run(packing) at the narrowest field width (8 bits at least) that holds
     the largest degree of ``polys``; each overflow doubles the width and
-    reruns from the input."""
+    reruns from the input.  ``contexts``, when given, maps a width to its
+    packing and keeps each one built here for the next run."""
     width = max(8, max(g.total_degree() for g in polys).bit_length() + 1)
     while True:
+        if contexts is None:
+            pk = _Packing(ring, width)
+        elif (pk := contexts.get(width)) is None:
+            pk = contexts[width] = _Packing(ring, width)
         try:
-            return run(_Packing(ring, width))
+            return run(pk)
         except _Overflow:
             width *= 2
 
@@ -593,26 +606,42 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
     No term of the result is divisible by any leading term of the basis, and
     f minus the result lies in the ideal the basis generates.
     """
-    polys = list(basis)
+    return remainders(f)(basis)
+
+
+def remainders(f: Polynomial):
+    """The function basis -> normal_form(f, basis), for dividing one
+    polynomial by many bases in turn: it packs f once per field width, not
+    once per basis."""
     ring = f.ring
-    for g in polys:
-        if g.ring != ring:
-            raise DimensionMismatchError("normal_form operands live in different rings")
-    divisors = [g for g in polys if not g.is_zero()]
+    contexts = {}  # field width -> its run context
+    packed = {}    # field width -> f's packed working terms
 
-    def run(pk):
-        reducers = sorted(
-            (_entry(pk.pack_terms(g.terms), pk) for g in divisors),
-            key=lambda e: pk.key(e[0]),
-        )
-        guard = pk.guard
+    def remainder(basis) -> Polynomial:
+        polys = list(basis)
+        for g in polys:
+            if g.ring != ring:
+                raise DimensionMismatchError("normal_form operands live in different rings")
+        divisors = [g for g in polys if not g.is_zero()]
 
-        def find(m):  # the first reducer whose lead divides m
-            return next((e for e in reducers if not (m - e[0]) & guard), None)
+        def run(pk):
+            terms = packed.get(pk.width)
+            if terms is None:
+                terms = packed[pk.width] = pk.pack_terms(f.terms)
+            reducers = sorted(
+                (_entry(pk.pack_terms(g.terms), pk) for g in divisors),
+                key=lambda e: pk.key(e[0]),
+            )
+            guard = pk.guard
 
-        return pk.unpack_terms(_reduce_full(pk.pack_terms(f.terms), find, pk))
+            def find(m):  # the first reducer whose lead divides m
+                return next((e for e in reducers if not (m - e[0]) & guard), None)
 
-    return Polynomial(ring, _packed_run(ring, (f, *divisors), run))
+            return pk.unpack_terms(_reduce_full(terms, find, pk))
+
+        return Polynomial(ring, _packed_run(ring, (f, *divisors), run, contexts))
+
+    return remainder
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -853,7 +882,7 @@ def _buchberger(ideal: Ideal, pk: _Packing, poll, poll_every) -> GroebnerBasis:
     memo: dict = {}
 
     tick = None if poll is None else lambda: poll(
-        GBStats(len(active), pairs_done, len(pairs), pairs_skipped))
+        GBStats(len(active), pairs_done, len(pairs), pairs_skipped, above_ci=above_ci))
 
     def find(m):
         """The reducer entry of m: the basis element with the smallest-key
@@ -932,6 +961,7 @@ def _buchberger(ideal: Ideal, pk: _Packing, poll, poll_every) -> GroebnerBasis:
     # Seed the basis as the pair loop grows it: each generator, smallest lead
     # first, is reduced against the basis so far and added if nonzero.
     pairs_done = pairs_skipped = 0
+    above_ci = False
     for k, terms in enumerate(seed, 1):
         h = _reduce_full(terms, find, pk, tick)
         if poll is not None and k % poll_every == 0:
@@ -958,7 +988,7 @@ def _buchberger(ideal: Ideal, pk: _Packing, poll, poll_every) -> GroebnerBasis:
         if d > memo_degree:
             if poll is not None:
                 poll(GBStats(len(active), pairs_done, len(pairs), pairs_skipped,
-                             partial(pk.supports, [leads[k] for k in active])))
+                             partial(pk.supports, [leads[k] for k in active]), above_ci))
             # Pairs come in ascending lcm degree, so over a homogeneous ideal
             # monomials of lower degree recur only in tail rewrites, and the
             # lead ideal is final below d.
@@ -971,7 +1001,8 @@ def _buchberger(ideal: Ideal, pk: _Packing, poll, poll_every) -> GroebnerBasis:
                     # A final count above the bound: not a complete intersection.
                     # More standard monomials to build than tail terms left to
                     # reduce: building them costs more than the skip can save.
-                    if len(std) > ci(t) or ci(t + 1) > left:
+                    above_ci = len(std) > ci(t)
+                    if above_ci or ci(t + 1) > left:
                         std = None
                         break
                     std = _next_standard(

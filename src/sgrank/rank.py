@@ -23,24 +23,32 @@ but the engine's cost does.  For GR each block has one rule, SGR <= GR <= U.
 U is the degree d of a form with a linear factor, certified by the
 engine's normal form (``_linear_factor``), and otherwise the flattening
 rank r (the dimension of the span of the partials), read off the SGR basis.
-A block with SGR = U has GR = U and builds no GR basis.  Only a block with
-SGR < U runs the GR engine: it hands over the leads of its partial basis
-when the pair degree rises, and the run stops once their smallest hitting
-set, a lower bound on GR, reaches U (``_stop_at``).  GR is then U, proved
-equal to its bound before the basis completed.
+A block with SGR = U has GR = U and builds no GR basis.  A block with
+SGR < U and (d - 1)^U at most 2^10 first runs its twisted system
+(``_twisted_system``), U forms of degree d - 1 in U variables, mod p: the
+GR ideal's generators on the graph of x -> (A_2 x, ..., A_{d-1} x), and,
+when U < n, on a U-dimensional subspace of it, combined into U forms.  If
+they have only the trivial zero, the dimension count of ``_twisted_codim``
+proves GR >= U, so GR = U.  Only when that fails, or the system is too
+large to try, does the block run the GR engine in 2n variables: it
+hands over the leads of its partial basis when the pair degree rises, and
+the run stops once their smallest hitting set, a lower bound on GR,
+reaches U (``_stop_at``), which proves GR = U too.  Otherwise the run
+completes, and its basis gives GR.
 """
 
 from __future__ import annotations
 
+import random
 import time
 from dataclasses import dataclass
-from functools import partial
-from math import gcd, isqrt, lcm
+from functools import lru_cache, partial
+from itertools import permutations
+from math import factorial, gcd, isqrt, lcm, prod
 
 from .errors import DimensionMismatchError, InvalidInputError
-from .groebner import (GBStats, Ideal, _min_hitting_set_size, buchberger, ideal_dimension,
-                       ideal_membership)
-from .polyring import GREVLEX, QQ, PolyRing, Polynomial
+from .groebner import GBStats, Ideal, _min_hitting_set_size, buchberger, ideal_dimension, remainders
+from .polyring import DEFAULT_PRIME, GREVLEX, QQ, PolyRing, Polynomial, PrimeField
 from .tensor import GeneralTensor, SymmetricTensor
 
 
@@ -190,8 +198,8 @@ class RankReport:
     that splits its input builds one basis per block, and the blocks' bases
     together are the reduced basis of the whole ideal in that order.
     ``gr_basis_size`` is None when some block did not complete a GR basis:
-    its SGR met its upper bound U, or its run stopped once its leads did
-    (see ``rank_report``).
+    its SGR met its upper bound U, its twisted system proved GR = U, or its
+    GR run stopped once its leads did (see ``rank_report``).
     """
 
     sgr: int | None
@@ -381,7 +389,8 @@ def _linear_factor(form: Polynomial, degree: int, poll=None):
     F is G(p) ell.  So each rational zero of each such binary form gives a
     candidate, its gradient.  The search runs on int coefficients (residues
     over Fp are read as ints), which only proposes candidates: the engine's
-    normal form certifies each in the form's own ring and field.  One
+    normal form certifies each in the form's own ring and field, with the
+    form packed once for the whole search (``remainders``).  One
     polynomial is a Groebner basis of the ideal it generates, so F reduces
     to zero modulo ell exactly when ell divides F, and a gradient that
     vanishes in the field is no candidate.  The search can miss a factor,
@@ -393,6 +402,7 @@ def _linear_factor(form: Polynomial, degree: int, poll=None):
     n = ring.nvars
     units = [tuple(int(k == m) for k in range(n)) for m in range(n)]
     ints = _integer_coefficients(form)
+    remainder = remainders(form)  # packs the form once for every candidate
     tick = None if poll is None else partial(poll, GBStats(0, 0, 0))
     for i in range(n):
         for j in range(i + 1, n):
@@ -407,7 +417,7 @@ def _linear_factor(form: Polynomial, degree: int, poll=None):
                 continue
             for s, t in _binary_roots(coeffs):
                 ell = [ring.field.convert(c) for c in _gradient_on_plane(ints, n, i, j, s, t)]
-                if any(ell) and ideal_membership(form, [ring.from_dict(dict(zip(units, ell)))]):
+                if any(ell) and not remainder([ring.from_dict(dict(zip(units, ell)))]):
                     return ell
     return None
 
@@ -417,13 +427,15 @@ class _BoundMet(Exception):
 
 
 def _stop_at(bound: int, poll=None):
-    """A poll for a GR run that calls ``poll`` and then raises _BoundMet
-    once the leads so far prove GR >= ``bound``.
+    """A poll for a GR run, or a twisted system's, that calls ``poll`` and
+    then raises _BoundMet once the leads so far prove that the ideal's
+    codimension, GR for the GR ideal, is at least ``bound``.
 
     The leads of a partial basis lie in the lead ideal, so a smallest set
     of variables meeting their supports is no larger than one for the whole
-    ideal, which has GR variables (``ideal_dimension``).  The engine hands
-    the supports over when the pair degree rises.
+    ideal, which has as many variables as the codimension
+    (``ideal_dimension``).  The engine hands the supports over when the
+    pair degree rises.
     """
     def check(stats):
         if poll is not None:
@@ -433,6 +445,169 @@ def _stop_at(bound: int, poll=None):
             if _min_hitting_set_size(stats.lead_supports(), bound, tick) >= bound:
                 raise _BoundMet
     return check
+
+
+# The field of the twisted systems of forms over QQ.
+_TWISTED_FIELD = PrimeField(DEFAULT_PRIME)
+
+# A report runs a block's twisted system only when a complete intersection
+# of its U forms of degree d - 1 has at most this many standard monomials,
+# (d - 1)^U: a run that proves GR = U builds all of them.  Dense cubics'
+# systems that proved it took 1-3 s at U = 9, 6-9 s at U = 10 and 38 s at
+# U = 11, and one that could not (tr(X^3) at m = 4, U = 16) gave up only
+# after 60 s.
+_TWISTED_LIMIT = 2**10
+
+
+@lru_cache(maxsize=512)
+def _orderings(a: tuple) -> tuple:
+    """(a!, the distinct orderings of the variables of the monomial x^a):
+    its d-th partial at each ordering is a!."""
+    return (prod(factorial(e) for e in a),
+            tuple(set(permutations([i for i, e in enumerate(a) for _ in range(e)]))))
+
+
+@lru_cache(maxsize=64)
+def _twisted_maps(n: int, degree: int, p: int, width: int) -> tuple:
+    """The d matrices, n x ``width``, of a block's twisted system in
+    ``width`` variables (see ``_twisted_system``), as tuples of rows.
+
+    A_2, ..., A_{d-1} are independent n x n matrices of ints in [0, p) from
+    a Random seeded by (n, p), so a report's answers and counts are
+    reproducible.  In n variables the maps are I, A_2, ..., A_{d-1}, I.  In
+    fewer, two more matrices B and C of the same kind, n x ``width``, make
+    them B, A_2 B, ..., A_{d-1} B, C.
+    """
+    rng = random.Random(f"twisted {n} {p}")
+
+    def draw(cols):
+        return [[rng.randrange(p) for _ in range(cols)] for _ in range(n)]
+
+    twists = [draw(n) for _ in range(degree - 2)]
+    if width == n:
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        maps = [eye, *twists, eye]
+    else:
+        b, c = draw(width), draw(width)
+        maps = [b, *([[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)]
+                       for row in a] for a in twists), c]
+    return tuple(tuple(map(tuple, m)) for m in maps)
+
+
+def _twisted_system(form: Polynomial, degree: int, width=None, maps=None) -> list:
+    """The twisted system of a form: the ``width`` forms, j < width,
+    d! T(M_1 y, ..., M_{d-1} y, M_d e_j) of degree d - 1 in ``width``
+    variables y (n by default), where T is the form's symmetric tensor and
+    M_1, ..., M_d are ``maps``, n x ``width`` (``_twisted_maps`` when None).
+    In n variables these are d! T(x, A_2 x, ..., A_{d-1} x, e_k), k < n:
+    for a cubic, the entries of Hess F(x) A x.  They are built from the
+    form's int coefficients (``_integer_coefficients``) and reduced mod p,
+    the form's own prime over Fp and DEFAULT_PRIME over QQ.  Some forms may
+    be zero.
+
+    d! T(y_1, ..., y_d) is the sum over (i_1, ..., i_d) of the constant
+    d-th partial of F at (i_1, ..., i_d) times y_1[i_1] ... y_d[i_d], and a
+    term c x^a adds c a! at each ordering of its variables.  The last slot
+    is summed against M_d first, the second last into the linear form
+    sum_i (partial) (M_{d-1} y)_i, and the others multiply it out.
+    """
+    n = form.ring.nvars
+    width = n if width is None else width
+    field = form.ring.field if form.ring.field.characteristic else _TWISTED_FIELD
+    p = field.characteristic
+    if maps is None:
+        maps = _twisted_maps(n, degree, p, width)
+    # each row as its nonzero (column, entry) pairs
+    *firsts, second_last, last = [[[(l, e) for l, e in enumerate(row) if e] for row in m]
+                                  for m in maps]
+    partials = {}   # (j, i_1, ..., i_{d-2}) -> {i_{d-1}: partial contracted with M_d}
+    for a, c in _integer_coefficients(form).items():
+        weight, orderings = _orderings(a)
+        weight = c * weight % p
+        for k, *rest, i in orderings:
+            for j, e in last[k]:
+                row = partials.setdefault((j, *rest), {})
+                row[i] = row.get(i, 0) + weight * e
+    sums = [{} for _ in range(width)]   # per form: variable tuple, in any order -> int
+    for (j, *rest), row in partials.items():
+        final = {}   # sum_i (partial) (M_{d-1} y)_i, by variable
+        for i, h in row.items():
+            for l, e in second_last[i]:
+                final[l] = final.get(l, 0) + h * e
+        terms = {(): 1}   # (M_1 y)_{i_1} ... (M_{d-2} y)_{i_{d-2}}
+        for rows, i in zip(firsts, rest):
+            terms = {m + (l,): v * e for m, v in terms.items() for l, e in rows[i]}
+        out = sums[j]
+        for m, v in terms.items():
+            for l, e in final.items():
+                key = m + (l,)
+                out[key] = out.get(key, 0) + v * e
+    ring = PolyRing(width, field)
+    forms = []
+    for out in sums:
+        terms = {}
+        for m, v in out.items():
+            e = [0] * width
+            for i in m:
+                e[i] += 1
+            e = tuple(e)
+            terms[e] = terms.get(e, 0) + v
+        forms.append(Polynomial(ring, {e: v % p for e, v in terms.items() if v % p}))
+    return forms
+
+
+def _twisted_codim(forms: list, poll=None) -> int:
+    """The codimension of the common zeros of a twisted system, by a whole
+    engine run (0 when every form is zero).
+
+    It is never above the form's GR, whatever the maps.  Let phi(y) =
+    (M_1 y, ..., M_{d-1} y), from w variables into the (d - 1) n of the GR
+    variety V, a cone of codimension GR.  The forms vanish on phi^-1(V),
+    whose dimension is at least dim V + w - (d - 1) n (the affine dimension
+    theorem on V and the image of phi, plus the kernel of phi), so their
+    codimension in w variables is at most GR.  In n variables phi is the
+    graph of x -> (A_2 x, ..., A_{d-1} x), where the source paper's proof
+    of SGR <= GR takes the diagonal.  That bounds the int system over QQ,
+    and mod p its Macaulay ranks only drop, so its codimension does too
+    (README, "Field caveat").  For generic maps it equals GR, or w when GR
+    is larger.
+    """
+    if all(f.is_zero() for f in forms):
+        return 0
+    basis = buchberger(Ideal(forms), poll=poll)
+    return forms[0].ring.nvars - ideal_dimension(basis, poll=poll)
+
+
+class _NotRegular(Exception):
+    """A square system's run showed that its forms are no regular sequence."""
+
+
+def _twisted_proves(forms: list, poll=None) -> bool:
+    """Whether a square twisted system, as many forms as variables, has
+    only the trivial zero: then its codimension is its number of variables
+    U, and GR >= U (``_twisted_codim``).
+
+    The run stops with True once the leads of its partial basis meet U
+    (``_stop_at``), and with False once the engine shows the forms are no
+    regular sequence (GBStats ``above_ci``), for then their codimension is
+    below U.  A zero form makes the answer False at once.
+    """
+    if any(f.is_zero() for f in forms):
+        return False
+    stop = _stop_at(len(forms), poll)
+
+    def check(stats):
+        if stats.above_ci:
+            raise _NotRegular
+        stop(stats)
+
+    try:
+        basis = buchberger(Ideal(forms), poll=check)
+    except _BoundMet:
+        return True
+    except _NotRegular:
+        return False
+    return ideal_dimension(basis, poll=poll) == 0
 
 
 def rank_report(obj, compute_gr: bool = False, *, field=None, poll=None) -> RankReport:
@@ -453,9 +628,15 @@ def rank_report(obj, compute_gr: bool = False, *, field=None, poll=None) -> Rank
     subrank of matrix multiplication", CCC 2020), and GR <= d for ell * G
     since its polarization is a sum of d slices, so GR is at most the slice
     rank (ibid.).  A block with SGR = U has GR = U and builds no GR basis.
-    Only a block with SGR < U runs ``gr_details`` on its own tensor, and
-    that run stops as soon as the leads of its partial basis prove GR >= U;
-    the block's GR is then U.
+    A block with SGR < U runs its twisted system, U forms in U variables
+    over Fp (``_twisted_system``, ``_twisted_proves``), first, when
+    (d - 1)^U is at most ``_TWISTED_LIMIT``.  If they have only the trivial
+    zero, GR >= U, so GR = U.  The run stops as soon
+    as the leads of its partial basis show that, or as soon as the engine
+    shows the forms are no regular sequence, so that it cannot.  Only then
+    does the block run ``gr_details`` on its own tensor, and that run stops
+    as soon as the leads of its partial basis prove GR >= U; the block's GR
+    is then U.
     """
     t0 = time.perf_counter()
     if isinstance(obj, GeneralTensor):
@@ -488,8 +669,11 @@ def rank_report(obj, compute_gr: bool = False, *, field=None, poll=None) -> Rank
         # A linear factor forces Sing(F) to hold {ell = G = 0}, so SGR <= 2.
         factor = s_b <= 2 and degree < r and _linear_factor(block, degree, poll) is not None
         bound = degree if factor else r
-        g_b, size = bound, None   # SGR = U, or a run whose leads meet U, gives GR = U
-        if s_b < bound:
+        # SGR = U, a twisted system or a run whose leads meet U: GR = U
+        g_b, size = bound, None
+        proved = s_b >= bound or ((degree - 1) ** bound <= _TWISTED_LIMIT and _twisted_proves(
+            _twisted_system(block, degree, bound), poll))
+        if not proved:
             tens = SymmetricTensor.from_polynomial(block)
             try:
                 g_b, _, gbasis = gr_details(tens, poll=_stop_at(bound, poll))

@@ -34,6 +34,8 @@ from .polyring import (
 from .rank import (
     _as_polynomial,
     _multilinear_generators,
+    _twisted_codim,
+    _twisted_system,
     _variable_order,
     gr,
     gr_details,
@@ -386,6 +388,29 @@ def _random_sparse_cubic(rng: random.Random, n: int) -> SymmetricTensor:
     return SymmetricTensor(3, n, {idx: rng.choice((-3, -2, -1, 1, 2, 3)) for idx in picks})
 
 
+def _case_twisted_bound(kind, seed, variant):
+    """The twisted systems of rank_report (rank._twisted_system), run to
+    completion, against gr: in n variables, T(x, A x, e_k) for k < n, and
+    in r variables, where r is the flattening rank, the square system that
+    the report runs.  Each codimension is never above GR, which is at most
+    r, and on cubics in 3-5 variables, where the seeded maps are generic
+    enough, it equals GR.  The form is a sparse random cubic in 3-5
+    variables or a report block, under a random invertible change of
+    variables.  The systems live in n variables or fewer, not 2n, so this
+    checks GR on ideals other than the GR ideal."""
+    rng = random.Random(seed)
+    t = _random_sparse_cubic(rng, 3 + seed % 3) if kind == "sparse cubic" else \
+        _REPORT_BLOCKS[kind](rng)
+    t = t.apply_matrix(_random_invertible_matrix(rng, t.dim))
+    field = _variant(variant)
+    form = _as_polynomial(t, field=field)
+    g = gr(t, field=field)
+    widths = sorted({t.dim, _partials_rank(form)})
+    codims = [_twisted_codim(_twisted_system(form, 3, w)) for w in widths]
+    ok = all(c <= g and (c == g or not 3 <= t.dim <= 5) for c in codims)
+    return ok, f"{t.dim} variables: twisted codim {codims} in widths {widths}, gr {g}"
+
+
 def _random_hypergraph(rng: random.Random, n: int) -> Hypergraph:
     """A 3-uniform hypergraph on n vertices with 2 to n + 2 random edges."""
     edges = rng.sample(list(itertools.combinations(range(1, n + 1), 3)), rng.randint(2, n + 2))
@@ -406,6 +431,11 @@ _ORDER_FORMS = {
         random.Random(seed), 3 + seed % 3).to_polynomial(),
     "hypergraph": lambda seed: hypergraph_tensor(
         _random_hypergraph(random.Random(seed), 5 + seed % 2)).to_polynomial(),
+    # GR 7: its GR engine ran past 600 s in the degree order, against 0.4 s
+    # in the input order; the report's twisted system proves GR = r = 6 on
+    # its 6-variable block, and x3^3 adds 1
+    "slow-order cubic": lambda: parse_polynomial(
+        "2*x0^3 + 2*x1*x2^2 + 3*x3^3 + 2*x1*x4^2 - x0*x4*x5 - 3*x2*x4*x5 - 3*x0*x2*x6"),
 }
 _ORDER_NAMED = (
     ("trace", (2,)), ("trace", (3,)),
@@ -413,7 +443,7 @@ _ORDER_NAMED = (
     ("small_cw", (2, 2)), ("small_cw", (3, 3)),
     ("max_compressibility", (2, 2)), ("max_compressibility", (3, 4)),
     ("normal_form", (2, 1)), ("normal_form", (2, 2)), ("normal_form", (3, 1)),
-    ("normal_form", (4, 1)),
+    ("normal_form", (4, 1)), ("slow-order cubic", ()),
 )
 
 
@@ -1051,6 +1081,12 @@ def suite_rank_properties():
         cases.append(Case(f"report in its variable order vs input order ({variant}"
                           f"{'' if with_gr else ', no GR'}): {kind}{list(args)}",
                           _case_report_order, (kind, args, variant, with_gr)))
+    twisted = [("sparse cubic", seed) for seed in range(30)]
+    twisted += [(kind, seed) for kind in sorted(_REPORT_BLOCKS) for seed in range(3)]
+    for kind, seed in twisted:
+        for variant in variants:
+            cases.append(Case(f"twisted system vs gr ({variant}): {kind} seed={seed}",
+                              _case_twisted_bound, (kind, seed, variant)))
     for seed in range(10):
         cases.append(Case(f"scaling seed={seed}", _case_scaling, (seed,)))
     return cases

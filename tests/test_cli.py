@@ -116,16 +116,17 @@ def test_gr_big_cw(capsys):
 
 
 def test_gr_verbose_names_where_gr_came_from(capsys):
-    # big CW: SGR 2 is below the flattening rank 4, so GR runs the engine,
-    # which stops once its leads prove GR >= 3, the degree of a form with the
-    # linear factor x0, and so builds no full basis
+    # big CW: SGR 2 is below the flattening rank 4, and the twisted system
+    # in 3 variables proves GR >= 3, the degree of a form with the linear
+    # factor x0, so no GR basis is built
     code, out, _ = run(capsys, "gr", "--poly", "x0*x1^2 + x0*x2^2 + x0^2*x3", "-v")
     assert code == 0 and "gr: 3" in out
     assert "singular ideal basis size: " in out
     assert "proved equal to its upper bound" in out
     assert "multilinear ideal basis size" not in out
-    # the SGR-2 normal form in 5 variables has no linear factor, and its
-    # leads never reach the flattening rank 5 before the basis completes
+    # the SGR-2 normal form in 5 variables has no linear factor, GR 4 is
+    # below its flattening rank 5, and neither its twisted system nor the
+    # leads of its GR run reach 5, so the GR basis completes
     code, out, _ = run(capsys, "gr", "--poly", "x0^2*x2 + x1^3 + x1^2*x3 + x0*x1*x4", "-v")
     assert code == 0 and "gr: 4" in out
     assert "multilinear ideal basis size: 18" in out

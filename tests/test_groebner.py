@@ -699,6 +699,22 @@ def test_degree_rise_poll_hands_over_the_lead_supports(order):
                                   "pairs_skipped")))
 
 
+def test_polls_say_when_a_square_system_is_no_regular_sequence():
+    # three quadrics in 3 variables with the common zero (0, 0, 1): a degree
+    # ends above the complete intersection's count, and from then on every
+    # poll says so; the partials of a smooth cubic are a regular sequence
+    r = PolyRing(3)
+    gens = [P("x0^2 + x1*x2", ring=r), P("x0*x1 + x1^2", ring=r), P("x0*x2 - x1^2", ring=r)]
+    seen = []
+    buchberger(gens, poll=seen.append, poll_every=1)
+    flags = [st.above_ci for st in seen]
+    assert flags[0] is False and flags[-1] is True and flags == sorted(flags)
+    smooth = list(singular_ideal(complete_homogeneous_cubic(2).to_polynomial()))
+    seen = []
+    buchberger(smooth, poll=seen.append, poll_every=1)
+    assert any(st.pairs_skipped for st in seen) and not any(st.above_ci for st in seen)
+
+
 def test_poll_stops_a_run_while_it_skips():
     # h3 in 9 variables skips 942 pairs; a skipped pair counts toward the
     # poll cadence, so polls fire while nothing is reduced, and raising in

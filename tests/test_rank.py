@@ -3,8 +3,10 @@
 import dataclasses
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -22,7 +24,7 @@ from sgrank.rank import (
     sgr_details,
     singular_ideal,
 )
-from sgrank.strata import ProjectiveLine, Tangency, line_tangency
+from sgrank.strata import ProjectiveLine, Tangency, line_tangency, sample_irreducible_sgr2
 from sgrank.tensor import (
     GeneralTensor,
     SymmetricTensor,
@@ -443,8 +445,8 @@ def test_report_splits_a_direct_sum_into_blocks():
         assert (rep.sgr, rep.gr, rep.sing_dim_affine) == (s, gr(tens), dim) == (2, 3, 3)
         assert rep.sgr_basis_size == len(sgr_details(reordered)[2])
         assert rep.gr_basis_size is None  # 2*x3^3 has SGR 1 = r
-        # the W-state x0^2*x2 alone (SGR 1 < r = 2) runs its GR engine,
-        # which stops once its leads prove GR >= r, so it reports no size
+        # the W-state x0^2*x2 alone (SGR 1 < r = 2) has GR = r proved by
+        # its twisted system, with no GR run, so it reports no size
         w = parse_polynomial("3*x0^2*x2", nvars=4).convert_order(order)
         rep = rank_report(w, compute_gr=True)
         assert (rep.gr, rep.gr_basis_size) == (2, None)
@@ -489,15 +491,16 @@ def buchberger_calls(monkeypatch):
 
 
 def test_report_on_a_lex_form_runs_in_grevlex(buchberger_calls):
-    # x0^2*x2 and x1*x4^2 are W-states (SGR 1 < r = 2), so each builds a GR
-    # basis; x3^3 reads GR off SGR
+    # x0^2*x2 and x1*x4^2 are W-states (SGR 1 < r = 2), so each runs its
+    # twisted system, in its own 2 variables, whose leads prove GR = 2 with
+    # no GR run; x3^3 reads GR off SGR
     f = parse_polynomial("3*x0^2*x2 + 2*x3^3 + x1*x4^2")
     want = rank_report(f, compute_gr=True)
     del buchberger_calls[:]
     got = rank_report(f.convert_order(LEX), compute_gr=True)
     assert dataclasses.replace(got, ms=want.ms) == want
     assert (got.sgr, got.gr) == (3, 5)
-    assert [ideal.ring.nvars for ideal in buchberger_calls] == [2, 4, 2, 4, 1]
+    assert [ideal.ring.nvars for ideal in buchberger_calls] == [2, 2, 2, 2, 1]
     assert {ideal.ring.order for ideal in buchberger_calls} == {GREVLEX}
 
 
@@ -690,8 +693,9 @@ def test_bound_above_gr_is_never_met(t, field):
 @pytest.mark.parametrize("field", [QQ, FP], ids=["QQ", "Fp"])
 def test_report_stops_where_the_bound_is_proved(field, buchberger_calls):
     # big CW (bound 3 = degree, from its linear factor) and the SGR-2 normal
-    # form in 4 variables (bound 4 = r): each GR run stops, so the report
-    # gives no GR basis size, and GR adds up
+    # form in 4 variables (bound 4 = r): each block's twisted system proves
+    # GR equal to its bound, so the report gives no GR basis size, and GR
+    # adds up
     nf = SymmetricTensor.from_polynomial(irreducible_sgr2_cubic(3))
     t = _moved(big_cw(2, 3), 1).direct_sum(_moved(nf, 2)).with_field(field)
     rep = rank_report(t, compute_gr=True)
@@ -742,3 +746,165 @@ def test_report_checks_symmetry_once(monkeypatch, compute_gr):
     monkeypatch.setattr(GeneralTensor, "is_symmetric", is_symmetric)
     rep = rank_report(big_cw(2, 3).to_general(), compute_gr=compute_gr)
     assert rep.sgr == 2 and len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# The twisted-diagonal lower bound on GR
+# ---------------------------------------------------------------------------
+
+def _seeded_form(seed, d, field):
+    """A random sparse form of degree d (2 to n + 2 terms with int
+    coefficients) in n = 3-5 variables for cubics, 2-4 for quartics, under a
+    random invertible change of variables, in ``field``; sparse forms are
+    mostly singular, so SGR, GR and n often differ."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 5) if d == 3 else rng.randint(2, 4)
+    monos = list(itertools.combinations_with_replacement(range(n), d))
+    while True:
+        terms = {tuple(idx.count(i) for i in range(n)): rng.choice((-3, -2, -1, 1, 2, 3))
+                 for idx in rng.sample(monos, rng.randint(2, n + 2))}
+        form = PolyRing(n, field).from_dict(terms)
+        moved = form.substitute_linear(_random_invertible_matrix(rng, n))
+        if not moved.is_zero():
+            return moved
+
+
+def _codim(forms):
+    """The codimension of a twisted system, run to completion."""
+    return rank._twisted_codim(forms)
+
+
+@pytest.mark.parametrize("fewer", [0, 1], ids=["n", "n-1"])
+@pytest.mark.parametrize("field", [QQ, FP], ids=["QQ", "Fp"])
+@pytest.mark.parametrize("d, seed", [(3, 0), (3, 1), (3, 2), (4, 3), (4, 4)])
+def test_twisted_system_is_the_gr_ideal_on_a_subspace(d, seed, field, fewer):
+    # the generators of the GR ideal in (d-1) n variables, restricted to
+    # (M_1 y, ..., M_{d-1} y) and combined by M_d, are the twisted forms
+    # over d! times the lcm of the form's denominators (over QQ the form
+    # is scaled by 2/7); in n variables M_1 = M_d = I and the rest are
+    # A_2, ..., A_{d-1}, so this is T(x, A_2 x, ..., e_k)
+    form = _seeded_form(seed, d, field)
+    if field == QQ:
+        form = Fraction(2, 7) * form
+    n = form.ring.nvars
+    width = n - fewer
+    maps = rank._twisted_maps(n, d, FP.p, width)
+    # row l of the substitution is the image of the new y_l: column l of
+    # M_t in group t
+    rows = [[m[i][l] for m in maps[:-1] for i in range(n)] for l in range(width)]
+    _, gens = rank._multilinear_generators(SymmetricTensor.from_polynomial(form).to_general())
+    assert len(gens) == n  # generator k is the one of e_k
+    restricted = [g.substitute_linear(rows).convert_field(FP) for g in gens]
+    zero = restricted[0].ring.zero()
+    den = 1 if field != QQ else lcm(*(c.denominator for c in form.terms.values()))
+    scale = math.factorial(d) * den
+    want = [scale * sum((maps[-1][k][j] * g for k, g in enumerate(restricted)), zero)
+            for j in range(width)]
+    assert rank._twisted_system(form, d, width) == want
+    assert all(f.ring == PolyRing(width, FP) for f in want) and not any(f.is_zero() for f in want)
+    if fewer == 0:
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        assert maps[0] == maps[-1] == tuple(map(tuple, eye))
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["QQ", "Fp"])
+@pytest.mark.parametrize("d, seeds", [(3, range(8)), (4, range(8, 12))])
+def test_twisted_codim_is_never_above_gr(d, seeds, field):
+    # A = 0 gives the zero system, codim 0; A = I gives (d-1)! times the
+    # partials, codim SGR; the seeded maps give a bound no larger than GR,
+    # or than the width, and on these cubics, where they are generic
+    # enough, equal to the smaller
+    below = 0
+    for seed in seeds:
+        form = _seeded_form(seed, d, field)
+        n = form.ring.nvars
+        s, g = sgr(form), gr(SymmetricTensor.from_polynomial(form))
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        zero = [eye] + [[[0] * n for _ in range(n)]] * (d - 2) + [eye]
+        assert _codim(rank._twisted_system(form, d, n, zero)) == 0
+        assert _codim(rank._twisted_system(form, d, n, [eye] * d)) == s
+        for width in (n, n - 1):
+            codim = _codim(rank._twisted_system(form, d, width))
+            least = min(g, width)
+            assert codim <= least and (d > 3 or codim == least), (str(form), width)
+        below += s < g
+    assert below >= 2  # the seeded A does better than the diagonal A = I
+
+
+def test_report_falls_through_where_the_twisted_bound_falls_short(buchberger_calls):
+    # GR 4 < U = r = 5 < n = 6: the twisted system in 5 variables proves
+    # only 4, so the block's GR comes from its GR engine, which completes
+    # its basis
+    form = sample_irreducible_sgr2(5, 1)
+    [block] = rank._blocks(form)
+    assert _codim(rank._twisted_system(block, 3, 5)) == 4
+    assert not rank._twisted_proves(rank._twisted_system(block, 3, 5))
+    del buchberger_calls[:]
+    rep = rank_report(form, compute_gr=True)
+    # the singular ideal, the twisted system and the GR ideal
+    assert [ideal.ring.nvars for ideal in buchberger_calls] == [6, 5, 12]
+    assert _partials_rank(form) == 5
+    assert (rep.sgr, rep.gr) == (sgr(form), gr(SymmetricTensor.from_polynomial(form))) == (2, 4)
+    assert rep.gr_basis_size is not None
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["QQ", "Fp"])
+def test_deadline_poll_raises_inside_the_twisted_run(field, buchberger_calls):
+    seen = []
+
+    def poll(stats):
+        if len(buchberger_calls) == 2:
+            seen.append(stats)
+            raise ComputationTimeout("stop")
+
+    nf = _moved(SymmetricTensor.from_polynomial(irreducible_sgr2_cubic(3)), 2).with_field(field)
+    with pytest.raises(ComputationTimeout):
+        rank_report(nf, compute_gr=True, poll=poll)
+    # the singular ideal, then the twisted system: 4 quadrics in 4
+    # variables over Fp, whatever the block's field
+    assert len(seen) == 1 and len(buchberger_calls) == 2
+    twisted = buchberger_calls[1]
+    assert (twisted.ring, len(twisted)) == (PolyRing(4, FP), 4)
+    assert {g.total_degree() for g in twisted} == {2}
+
+
+def test_twisted_run_stops_once_its_forms_are_no_regular_sequence():
+    # GR 5 < U = r = n = 6: the six quadrics of the twisted system have a
+    # common zero line, and a degree of the run ends above the complete
+    # intersection's count, so the run gives up there, long before a
+    # whole run would end
+    form = parse_polynomial("2*x1*x3^2 + x2*x3*x4 + 3*x1*x4^2 - 3*x3*x4^2 - 2*x0*x4*x5")
+    [block] = rank._blocks(form)
+    forms = rank._twisted_system(block, 3)
+    seen, whole = [], []
+    assert not rank._twisted_proves(forms, seen.append)
+    assert _codim(forms) == rank._twisted_codim(forms, whole.append) == 5
+    assert any(st.above_ci for st in whole)
+    assert 0 < max(st.pairs_done for st in seen) < max(st.pairs_done for st in whole) / 2
+    rep = rank_report(form, compute_gr=True)
+    assert (rep.sgr, rep.gr) == (sgr(form), gr(SymmetricTensor.from_polynomial(form))) == (3, 5)
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["QQ", "Fp"])
+def test_report_proves_gr_of_a_slow_order_cubic_with_no_gr_run(field, buchberger_calls):
+    # its GR engine ran past 600 s in the report's variable order; the
+    # 6-variable block (GR = U = r = 6) is proved by its twisted system,
+    # and x3^3 reads GR off SGR, so no GR ideal is built
+    form = parse_polynomial("2*x0^3 + 2*x1*x2^2 + 3*x3^3 + 2*x1*x4^2 - x0*x4*x5"
+                            " - 3*x2*x4*x5 - 3*x0*x2*x6").convert_field(field)
+    rep = rank_report(form, compute_gr=True)
+    assert (rep.sgr, rep.gr, rep.gr_basis_size) == (4, 7, None)
+    assert [ideal.ring.nvars for ideal in buchberger_calls] == [6, 6, 1]
+
+
+def test_report_skips_a_twisted_system_past_the_size_limit(monkeypatch, buchberger_calls):
+    # with the limit at 2^3 the SGR-2 normal form in 4 variables (U = 4,
+    # 2^4 standard monomials in a complete intersection of 4 quadrics) runs
+    # its GR engine at once; the W-state (U = 2) still runs its twisted system
+    monkeypatch.setattr(rank, "_TWISTED_LIMIT", 2**3)
+    nf = _moved(SymmetricTensor.from_polynomial(irreducible_sgr2_cubic(3)), 2)
+    assert rank_report(nf, compute_gr=True).gr == 4
+    assert [ideal.ring.nvars for ideal in buchberger_calls] == [4, 8]
+    del buchberger_calls[:]
+    assert rank_report(parse_polynomial("3*x0^2*x1"), compute_gr=True).gr == 2
+    assert [ideal.ring.nvars for ideal in buchberger_calls] == [2, 2]
