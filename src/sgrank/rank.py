@@ -26,15 +26,15 @@ rank r (the dimension of the span of the partials), read off the SGR basis.
 A block with SGR = U has GR = U and builds no GR basis.  A block with
 SGR < U and (d - 1)^U at most 2^10 first runs its twisted system
 (``_twisted_system``), U forms of degree d - 1 in U variables, mod p: the
-GR ideal's generators on the graph of x -> (A_2 x, ..., A_{d-1} x), and,
-when U < n, on a U-dimensional subspace of it, combined into U forms.  If
-they have only the trivial zero, the dimension count of ``_twisted_codim``
-proves GR >= U, so GR = U.  Only when that fails, or the system is too
-large to try, does the block run the GR engine in 2n variables: it
-hands over the leads of its partial basis when the pair degree rises, and
-the run stops once their smallest hitting set, a lower bound on GR,
-reaches U (``_stop_at``), which proves GR = U too.  Otherwise the run
-completes, and its basis gives GR.
+GR ideal's generators on a random U-dimensional subspace of their
+(d - 1) n variables, combined into U forms.  If they have only the trivial
+zero, the dimension count of ``_twisted_codim`` proves GR >= U, so
+GR = U.  Only when that fails, or the system is too large to try, does
+the block run the GR engine in 2n variables: it hands over the leads of
+its partial basis when the pair degree rises, and the run stops once
+their smallest hitting set, a lower bound on GR, reaches U (``_stop_at``),
+which proves GR = U too.  Otherwise the run completes, and its basis
+gives GR.
 """
 
 from __future__ import annotations
@@ -427,15 +427,15 @@ class _BoundMet(Exception):
 
 
 def _stop_at(bound: int, poll=None):
-    """A poll for a GR run, or a twisted system's, that calls ``poll`` and
-    then raises _BoundMet once the leads so far prove that the ideal's
-    codimension, GR for the GR ideal, is at least ``bound``.
+    """A poll for a GR run that calls ``poll`` and then raises _BoundMet
+    once the leads so far prove that GR is at least ``bound``.
 
     The leads of a partial basis lie in the lead ideal, so a smallest set
     of variables meeting their supports is no larger than one for the whole
     ideal, which has as many variables as the codimension
     (``ideal_dimension``).  The engine hands the supports over when the
-    pair degree rises.
+    pair degree rises.  Over a small prime, where a block's twisted system
+    often fails to prove GR = U, this stop still answers many of them.
     """
     def check(stats):
         if poll is not None:
@@ -469,29 +469,13 @@ def _orderings(a: tuple) -> tuple:
 
 @lru_cache(maxsize=64)
 def _twisted_maps(n: int, degree: int, p: int, width: int) -> tuple:
-    """The d matrices, n x ``width``, of a block's twisted system in
-    ``width`` variables (see ``_twisted_system``), as tuples of rows.
-
-    A_2, ..., A_{d-1} are independent n x n matrices of ints in [0, p) from
-    a Random seeded by (n, p), so a report's answers and counts are
-    reproducible.  In n variables the maps are I, A_2, ..., A_{d-1}, I.  In
-    fewer, two more matrices B and C of the same kind, n x ``width``, make
-    them B, A_2 B, ..., A_{d-1} B, C.
-    """
+    """The d matrices M_1, ..., M_d, n x ``width``, of a block's twisted
+    system in ``width`` variables (see ``_twisted_system``), as tuples of
+    rows: independent matrices of ints in [0, p) from a Random seeded by
+    (n, p), so a report's answers and counts are reproducible."""
     rng = random.Random(f"twisted {n} {p}")
-
-    def draw(cols):
-        return [[rng.randrange(p) for _ in range(cols)] for _ in range(n)]
-
-    twists = [draw(n) for _ in range(degree - 2)]
-    if width == n:
-        eye = [[int(i == j) for j in range(n)] for i in range(n)]
-        maps = [eye, *twists, eye]
-    else:
-        b, c = draw(width), draw(width)
-        maps = [b, *([[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)]
-                       for row in a] for a in twists), c]
-    return tuple(tuple(map(tuple, m)) for m in maps)
+    return tuple(tuple(tuple(rng.randrange(p) for _ in range(width)) for _ in range(n))
+                 for _ in range(degree))
 
 
 def _twisted_system(form: Polynomial, degree: int, width=None, maps=None) -> list:
@@ -499,8 +483,9 @@ def _twisted_system(form: Polynomial, degree: int, width=None, maps=None) -> lis
     d! T(M_1 y, ..., M_{d-1} y, M_d e_j) of degree d - 1 in ``width``
     variables y (n by default), where T is the form's symmetric tensor and
     M_1, ..., M_d are ``maps``, n x ``width`` (``_twisted_maps`` when None).
-    In n variables these are d! T(x, A_2 x, ..., A_{d-1} x, e_k), k < n:
-    for a cubic, the entries of Hess F(x) A x.  They are built from the
+    So they are the GR ideal's generators on the subspace spanned by the
+    columns of (M_1, ..., M_{d-1}), combined by M_d; with every M_t = I
+    they are (d - 1)! times the partials of F.  They are built from the
     form's int coefficients (``_integer_coefficients``) and reduced mod p,
     the form's own prime over Fp and DEFAULT_PRIME over QQ.  Some forms may
     be zero.
@@ -565,12 +550,12 @@ def _twisted_codim(forms: list, poll=None) -> int:
     variety V, a cone of codimension GR.  The forms vanish on phi^-1(V),
     whose dimension is at least dim V + w - (d - 1) n (the affine dimension
     theorem on V and the image of phi, plus the kernel of phi), so their
-    codimension in w variables is at most GR.  In n variables phi is the
-    graph of x -> (A_2 x, ..., A_{d-1} x), where the source paper's proof
-    of SGR <= GR takes the diagonal.  That bounds the int system over QQ,
-    and mod p its Macaulay ranks only drop, so its codimension does too
-    (README, "Field caveat").  For generic maps it equals GR, or w when GR
-    is larger.
+    codimension in w variables is at most GR.  The source paper's proof of
+    SGR <= GR takes the diagonal, every M_t = I.  That bounds the int
+    system over QQ, and mod p its Macaulay ranks only drop, so its
+    codimension does too (README, "Field caveat").  For generic maps it
+    equals GR, or w when GR is larger; random maps are less often generic
+    over a small prime.
     """
     if all(f.is_zero() for f in forms):
         return 0
@@ -587,27 +572,23 @@ def _twisted_proves(forms: list, poll=None) -> bool:
     only the trivial zero: then its codimension is its number of variables
     U, and GR >= U (``_twisted_codim``).
 
-    The run stops with True once the leads of its partial basis meet U
-    (``_stop_at``), and with False once the engine shows the forms are no
-    regular sequence (GBStats ``above_ci``), for then their codimension is
-    below U.  A zero form makes the answer False at once.
+    The run completes unless the engine shows the forms are no regular
+    sequence (GBStats ``above_ci``): their codimension is then below U, and
+    the answer False, as it is at once when a form is zero.
     """
     if any(f.is_zero() for f in forms):
         return False
-    stop = _stop_at(len(forms), poll)
 
     def check(stats):
         if stats.above_ci:
             raise _NotRegular
-        stop(stats)
+        if poll is not None:
+            poll(stats)
 
     try:
-        basis = buchberger(Ideal(forms), poll=check)
-    except _BoundMet:
-        return True
+        return _twisted_codim(forms, check) == len(forms)
     except _NotRegular:
         return False
-    return ideal_dimension(basis, poll=poll) == 0
 
 
 def rank_report(obj, compute_gr: bool = False, *, field=None, poll=None) -> RankReport:
@@ -631,12 +612,11 @@ def rank_report(obj, compute_gr: bool = False, *, field=None, poll=None) -> Rank
     A block with SGR < U runs its twisted system, U forms in U variables
     over Fp (``_twisted_system``, ``_twisted_proves``), first, when
     (d - 1)^U is at most ``_TWISTED_LIMIT``.  If they have only the trivial
-    zero, GR >= U, so GR = U.  The run stops as soon
-    as the leads of its partial basis show that, or as soon as the engine
-    shows the forms are no regular sequence, so that it cannot.  Only then
-    does the block run ``gr_details`` on its own tensor, and that run stops
-    as soon as the leads of its partial basis prove GR >= U; the block's GR
-    is then U.
+    zero, GR >= U, so GR = U.  That run completes, or gives up as soon as
+    the engine shows the forms are no regular sequence, so that they cannot
+    prove it.  Only then does the block run ``gr_details`` on its own
+    tensor, and that run stops as soon as the leads of its partial basis
+    prove GR >= U; the block's GR is then U.
     """
     t0 = time.perf_counter()
     if isinstance(obj, GeneralTensor):

@@ -390,11 +390,11 @@ def _random_sparse_cubic(rng: random.Random, n: int) -> SymmetricTensor:
 
 def _case_twisted_bound(kind, seed, variant):
     """The twisted systems of rank_report (rank._twisted_system), run to
-    completion, against gr: in n variables, T(x, A x, e_k) for k < n, and
-    in r variables, where r is the flattening rank, the square system that
-    the report runs.  Each codimension is never above GR, which is at most
-    r, and on cubics in 3-5 variables, where the seeded maps are generic
-    enough, it equals GR.  The form is a sparse random cubic in 3-5
+    completion, against gr: the GR ideal's generators on a random subspace
+    of dimension n, and of dimension r, the flattening rank, which gives
+    the square system that the report runs.  Each codimension is never
+    above GR, which is at most r, and on cubics in 3-5 variables, where the
+    seeded maps are generic enough, it equals GR.  The form is a sparse random cubic in 3-5
     variables or a report block, under a random invertible change of
     variables.  The systems live in n variables or fewer, not 2n, so this
     checks GR on ideals other than the GR ideal."""

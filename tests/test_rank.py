@@ -749,7 +749,7 @@ def test_report_checks_symmetry_once(monkeypatch, compute_gr):
 
 
 # ---------------------------------------------------------------------------
-# The twisted-diagonal lower bound on GR
+# The twisted lower bound on GR
 # ---------------------------------------------------------------------------
 
 def _seeded_form(seed, d, field):
@@ -781,14 +781,14 @@ def test_twisted_system_is_the_gr_ideal_on_a_subspace(d, seed, field, fewer):
     # the generators of the GR ideal in (d-1) n variables, restricted to
     # (M_1 y, ..., M_{d-1} y) and combined by M_d, are the twisted forms
     # over d! times the lcm of the form's denominators (over QQ the form
-    # is scaled by 2/7); in n variables M_1 = M_d = I and the rest are
-    # A_2, ..., A_{d-1}, so this is T(x, A_2 x, ..., e_k)
+    # is scaled by 2/7)
     form = _seeded_form(seed, d, field)
     if field == QQ:
         form = Fraction(2, 7) * form
     n = form.ring.nvars
     width = n - fewer
     maps = rank._twisted_maps(n, d, FP.p, width)
+    assert len(maps) == d and all(len(m) == n and {len(row) for row in m} == {width} for m in maps)
     # row l of the substitution is the image of the new y_l: column l of
     # M_t in group t
     rows = [[m[i][l] for m in maps[:-1] for i in range(n)] for l in range(width)]
@@ -802,9 +802,6 @@ def test_twisted_system_is_the_gr_ideal_on_a_subspace(d, seed, field, fewer):
             for j in range(width)]
     assert rank._twisted_system(form, d, width) == want
     assert all(f.ring == PolyRing(width, FP) for f in want) and not any(f.is_zero() for f in want)
-    if fewer == 0:
-        eye = [[int(i == j) for j in range(n)] for i in range(n)]
-        assert maps[0] == maps[-1] == tuple(map(tuple, eye))
 
 
 @pytest.mark.parametrize("field", [QQ, FP], ids=["QQ", "Fp"])
@@ -885,6 +882,22 @@ def test_twisted_run_stops_once_its_forms_are_no_regular_sequence():
     assert (rep.sgr, rep.gr) == (sgr(form), gr(SymmetricTensor.from_polynomial(form))) == (3, 5)
 
 
+def test_twisted_run_proves_only_a_zero_dimensional_system():
+    # over Fp:7 the three quadrics of this cubic's twisted system in its
+    # input order have a common zero line, and the engine never shows they
+    # are no regular sequence, so the run completes and its dimension alone
+    # rejects codim 2 < U = 3 (GR = 3: the block's own order proves it)
+    form = parse_polynomial("2*x0^3 + 3*x0^2*x1 + 2*x0*x1^2 + x1^3 + x0*x1*x2 + 2*x1^2*x2"
+                            " + 3*x0*x2^2 + 6*x1*x2^2", field=PrimeField(7))
+    forms = rank._twisted_system(form, 3)
+    seen = []
+    assert rank._twisted_codim(forms, seen.append) == 2
+    assert not any(st.above_ci for st in seen)
+    assert not rank._twisted_proves(forms)
+    rep = rank_report(form, compute_gr=True)
+    assert (rep.sgr, rep.gr) == (sgr(form), gr(SymmetricTensor.from_polynomial(form))) == (2, 3)
+
+
 @pytest.mark.parametrize("field", [QQ, FP], ids=["QQ", "Fp"])
 def test_report_proves_gr_of_a_slow_order_cubic_with_no_gr_run(field, buchberger_calls):
     # its GR engine ran past 600 s in the report's variable order; the
@@ -908,3 +921,26 @@ def test_report_skips_a_twisted_system_past_the_size_limit(monkeypatch, buchberg
     del buchberger_calls[:]
     assert rank_report(parse_polynomial("3*x0^2*x1"), compute_gr=True).gr == 2
     assert [ideal.ring.nvars for ideal in buchberger_calls] == [2, 2]
+
+
+_GOLDEN_BLOCKS = [big_cw(2, 3), small_cw(3, 3), w_state(3),
+                  SymmetricTensor.from_polynomial(irreducible_sgr2_cubic(3))]
+
+
+@pytest.mark.parametrize("p", [7, 11, 13])
+def test_small_prime_reports_fall_back_to_the_stopped_gr_run(p, buchberger_calls):
+    # over a small prime the twisted system of a 4-variable golden block
+    # often has a nontrivial zero; the GR run in 8 variables then stops at U
+    # and still answers, and the report matches the whole engine either way
+    fallbacks = 0
+    for t in _GOLDEN_BLOCKS:
+        for seed in range(12):
+            tens = _moved(t, seed).with_field(PrimeField(p))
+            del buchberger_calls[:]
+            rep = rank_report(tens, compute_gr=True)
+            nvars = [ideal.ring.nvars for ideal in buchberger_calls]
+            assert (rep.sgr, rep.gr) == (sgr(tens), gr(tens))
+            # the singular ideal, the twisted system in U variables, the GR ideal
+            fallbacks += (len(nvars) == 3 and nvars[::2] == [4, 8]
+                          and rep.gr_basis_size is None)
+    assert fallbacks >= 1
