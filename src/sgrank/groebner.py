@@ -287,7 +287,7 @@ class _Packing:
 
     __slots__ = (
         "ring", "p", "width", "shifts", "dshift", "fmask", "top", "guard", "mask",
-        "key", "varmask", "varguard", "ones", "sumshift",
+        "key", "varmask", "varguard", "ones", "sumshift", "byteorder",
     )
 
     def __init__(self, ring: PolyRing, width: int):
@@ -314,11 +314,16 @@ class _Packing:
         # sums all of them into the field of the topmost one.
         self.ones = sum(1 << i * width for i in range(nvars))
         self.sumshift = max(self.shifts)
+        # At 8 bits a field is a byte, and a packed monomial is the bytes of
+        # (m_0, ..., m_{n-1}, deg m): little-endian in grevlex, big-endian in lex.
+        self.byteorder = None if width != 8 else "little" if order == GREVLEX else "big"
 
     def pack(self, m) -> int:
         d = sum(m)
         if d > self.top:  # the degree bounds every exponent
             raise _Overflow
+        if self.byteorder:
+            return int.from_bytes(bytes((*m, d)), self.byteorder)
         return sum((e << s for e, s in zip(m, self.shifts)), d << self.dshift)
 
     def degree(self, p: int) -> int:
@@ -340,6 +345,8 @@ class _Packing:
         return vm | d << self.dshift
 
     def unpack(self, p: int) -> tuple:
+        if self.byteorder:
+            return tuple(p.to_bytes(len(self.shifts) + 1, self.byteorder)[:len(self.shifts)])
         fmask = self.fmask
         return tuple(p >> s & fmask for s in self.shifts)
 

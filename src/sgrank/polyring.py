@@ -4,11 +4,26 @@ Coefficients are either arbitrary-precision rationals (``fractions.Fraction``,
 always in lowest terms with positive denominator) or residues in a prime field
 (plain ints in ``[0, p)``).  A :class:`RationalField` or :class:`PrimeField`
 instance interprets the raw values; polynomials never box individual scalars.
+A literal of the form ``[-]digits`` (ASCII digits only) is read with
+``int``; any other text goes to ``Fraction``, whose grammar decides what
+is accepted (:func:`_literal`).
 
 Monomials are exponent tuples, one entry per variable.  A polynomial is a map
 from monomial to nonzero coefficient together with its :class:`PolyRing`
 context (variable count, field, monomial order).  The zero polynomial has an
-empty term map.
+empty term map.  A polynomial is immutable, so it computes its sorted terms,
+its lowest and highest degree and its integer image once, on first use.
+
+Where integers stand in for Fractions: the integer image
+(:meth:`Polynomial._integer_terms`) is the polynomial times the lcm of its
+denominators over QQ, and each residue as the int of least magnitude over
+Fp.  The rank layer builds the singular ideal's generators, its factor
+check and its twisted systems from it.  Over QQ those are Polynomials whose
+coefficients are ints, which the Groebner engine reads as it reads
+Fractions (``numerator`` and ``denominator``); scaling a generator changes
+neither its monic reducer nor the run.  They stay inside the rank layer:
+every public result over QQ, ``singular_ideal`` and the reduced bases
+included, holds Fractions.
 
 :func:`add_terms` is the one sparse sum outside the Groebner engine: the
 parser, polynomial ``+`` and ``*``, and the tensor sums in
@@ -20,6 +35,7 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
+from math import lcm
 
 from .errors import DimensionMismatchError, InvalidInputError, ParseError
 
@@ -66,6 +82,25 @@ def is_prime(n: int) -> bool:
 # Coefficient fields
 # ---------------------------------------------------------------------------
 
+def _literal(text: str, what: str):
+    """The value of a coefficient literal, with Fraction's grammar on the
+    running Python: an int for ``[-]digits`` in ASCII digits, read with
+    ``int``, else a Fraction.
+
+    Any other text, with a plus sign, spaces, underscores, non-ASCII digits,
+    a slash, a decimal point or an exponent, goes to ``Fraction``, so the
+    shortcut accepts only what ``Fraction`` accepts, with the same value,
+    and raises ParseError wherever ``Fraction`` raises.
+    """
+    body = text[1:] if text[:1] == "-" else text
+    try:
+        if body.isascii() and body.isdigit():
+            return int(text)
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad {what} literal {text!r}") from exc
+
+
 class RationalField:
     """The rationals.  Elements are ``fractions.Fraction`` values."""
 
@@ -81,10 +116,7 @@ class RationalField:
         if isinstance(value, int):
             return Fraction(value)
         if isinstance(value, str):
-            try:
-                return Fraction(value)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ParseError(f"bad rational literal {value!r}") from exc
+            return self.convert(_literal(value, "rational"))
         raise InvalidInputError(f"cannot coerce {value!r} into QQ")
 
     def add(self, a, b):
@@ -142,10 +174,7 @@ class PrimeField:
                 raise InvalidInputError(f"denominator of {value} vanishes modulo {p}")
             return value.numerator * pow(den, p - 2, p) % p
         if isinstance(value, str):
-            try:
-                return self.convert(Fraction(value))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ParseError(f"bad coefficient literal {value!r}") from exc
+            return self.convert(_literal(value, "coefficient"))
         raise InvalidInputError(f"cannot coerce {value!r} into {self.name}")
 
     def add(self, a, b):
@@ -365,14 +394,17 @@ class Polynomial:
     ``terms`` maps exponent tuples to nonzero coefficients.  Do not mutate it.
     """
 
-    __slots__ = ("ring", "terms", "_sorted")
+    __slots__ = ("ring", "terms", "_sorted", "_degrees", "_ints")
 
     def __init__(self, ring: PolyRing, terms: dict):
         # Internal constructor: assumes canonical terms (use PolyRing.from_dict
-        # for unchecked input).
+        # for unchecked input).  The last three slots are caches, filled on
+        # first use.
         self.ring = ring
         self.terms = terms
         self._sorted = None
+        self._degrees = None
+        self._ints = None
 
     # -- basic queries -------------------------------------------------------
 
@@ -385,17 +417,34 @@ class Polynomial:
     def __len__(self):
         return len(self.terms)
 
+    def _degree_range(self) -> tuple:
+        """(lowest, highest) total degree of the terms, (-1, -1) for zero."""
+        if self._degrees is None:
+            degs = set(map(sum, self.terms)) or {-1}
+            self._degrees = (min(degs), max(degs))
+        return self._degrees
+
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(m) for m in self.terms)
+        return self._degree_range()[1]
 
     def is_homogeneous(self) -> bool:
-        if not self.terms:
-            return True
-        degs = {sum(m) for m in self.terms}
-        return len(degs) == 1
+        lowest, highest = self._degree_range()
+        return lowest == highest
+
+    def _integer_terms(self) -> dict:
+        """The terms with int coefficients (the module docstring's integer
+        image): over QQ times the lcm of the denominators, over Fp each
+        residue as the int of least magnitude.  Do not mutate it."""
+        if self._ints is None:
+            terms = self.terms
+            p = self.ring.field.characteristic
+            if p:
+                self._ints = {m: c if 2 * c <= p else c - p for m, c in terms.items()}
+            else:
+                den = lcm(*(c.denominator for c in terms.values()))
+                self._ints = {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
+        return self._ints
 
     def sorted_terms(self):
         """Terms as a tuple of (monomial, coefficient), descending in the order."""
@@ -498,7 +547,7 @@ class Polynomial:
             e = m[i]
             if e == 0:
                 continue
-            nc = field.mul(c, field.convert(e))
+            nc = field.mul(c, e)
             if nc:
                 # m -> m - e_i is injective, so no two terms meet
                 out[m[:i] + (e - 1,) + m[i + 1:]] = nc

@@ -35,6 +35,19 @@ its partial basis when the pair degree rises, and the run stops once
 their smallest hitting set, a lower bound on GR, reaches U (``_stop_at``),
 which proves GR = U too.  Otherwise the run completes, and its basis
 gives GR.
+
+``sgr_details`` seeds the singular ideal over QQ from the form's integer
+image (``_integer_form``: the form times the lcm of its denominators,
+with int coefficients, ``Polynomial._integer_terms``), and the report
+builds its factor check and twisted systems from the same image (over
+Fp the residues read as ints of least magnitude), computed once per
+block, so no Fraction arithmetic runs between the input and the engine.
+A nonzero scale changes neither an ideal nor its run, so the bases and
+pair counts are those of the form's own ``singular_ideal``.  Only the
+GR engine's run builds its generators from the tensor's entries.  The
+twisted system is built by contracting the form's tensor with one map at
+a time, last slot first, so its cost follows the form's terms, never the
+n^d entries of a dense tensor.
 """
 
 from __future__ import annotations
@@ -43,8 +56,8 @@ import random
 import time
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import permutations
-from math import factorial, gcd, isqrt, lcm, prod
+from itertools import compress
+from math import factorial, gcd, isqrt, prod
 
 from .errors import DimensionMismatchError, InvalidInputError
 from .groebner import GBStats, Ideal, _min_hitting_set_size, buchberger, ideal_dimension, remainders
@@ -95,10 +108,21 @@ def sgr(obj, *, field=None, poll=None) -> int:
     return sgr_details(obj, field=field, poll=poll)[0]
 
 
+def _integer_form(form: Polynomial) -> Polynomial:
+    """The form the report's engine runs start from: over Fp the form
+    itself, over QQ its integer image (``Polynomial._integer_terms``), the
+    form times the lcm of its denominators, with int coefficients.  A
+    nonzero scale changes neither an ideal nor a generator's monic reducer,
+    so ``singular_ideal`` of it runs as that of the form."""
+    if form.ring.field.characteristic:
+        return form
+    return Polynomial(form.ring, form._integer_terms())
+
+
 def sgr_details(obj, *, field=None, poll=None):
     """(sgr, affine dimension of the singular locus, grevlex Groebner basis)."""
     form = _as_polynomial(obj, field=field)
-    basis = buchberger(singular_ideal(form), poll=poll)
+    basis = buchberger(singular_ideal(_integer_form(form)), poll=poll)
     dim = ideal_dimension(basis, poll=poll)
     return form.ring.nvars - dim, dim, basis
 
@@ -244,14 +268,9 @@ def _variable_order(form: Polynomial) -> list:
     basis, and its cost, do: the trace cubic at m=4 builds 161 basis
     elements in its row-major order and 62 in this one.
     """
-    n = form.ring.nvars
-    top, count = [0] * n, [0] * n
-    for m in form.terms:
-        for i, e in enumerate(m):
-            if e:
-                count[i] += 1
-                top[i] = max(top[i], e)
-    return sorted(range(n), key=lambda i: (top[i], count[i]))
+    # one column of exponents per variable, one entry per term
+    key = [(max(col), len(col) - col.count(0)) for col in zip(*form.terms)]
+    return sorted(range(form.ring.nvars), key=key.__getitem__)
 
 
 def _blocks(form: Polynomial) -> list:
@@ -266,9 +285,10 @@ def _blocks(form: Polynomial) -> list:
     order, is returned as it is.
     """
     n = form.ring.nvars
+    bits = [1 << i for i in range(n)]
+    supports = [sum(compress(bits, m)) for m in form.terms]   # bit i for x_i
     comps = []
-    for m in form.terms:
-        joined = sum(1 << i for i, e in enumerate(m) if e)
+    for joined in set(supports):
         rest = []
         for c in comps:
             if c & joined:
@@ -280,15 +300,16 @@ def _blocks(form: Polynomial) -> list:
     ranked = _variable_order(form)
     if len(comps) == 1 and comps[0] == (1 << n) - 1 and ranked == list(range(n)):
         return [form]
-    block_of = {}
+    block_of = [0] * n
     variables = []
     for b, c in enumerate(sorted(comps, key=lambda c: c & -c)):
         variables.append([i for i in ranked if c >> i & 1])
-        block_of.update((i, b) for i in variables[-1])
+        for i in variables[-1]:
+            block_of[i] = b
     terms = [{} for _ in comps]
-    for m, c in form.terms.items():
-        b = block_of[next(i for i, e in enumerate(m) if e)]
-        terms[b][tuple(m[i] for i in variables[b])] = c
+    for (m, c), support in zip(form.terms.items(), supports):
+        b = block_of[(support & -support).bit_length() - 1]   # the block of its lowest variable
+        terms[b][tuple(map(m.__getitem__, variables[b]))] = c
     field = form.ring.field
     return [Polynomial(PolyRing(len(v), field), t) for v, t in zip(variables, terms)]
 
@@ -308,6 +329,16 @@ def _flattening_rank(basis, degree: int) -> int:
 # The search for a linear factor factors no coefficient above this: on a
 # binary form that ends in one, it tries only the zeros (1, 0) and (0, 1).
 _FACTOR_LIMIT = 10**8
+
+# Over a prime field with at most this many elements, the search for a
+# linear factor tries every point of the projective line over the field on
+# each coordinate plane (``_zeros_mod_p``), in place of the rational zeros.
+# On 4-variable cubics moved by random invertible maps mod p, a factor the
+# rational search missed cost its report about 8 ms (the GR run cannot stop
+# early) against 2 ms, while trying every point added 0.2-0.8 ms (4-29%) to
+# the report of an irreducible block for p up to 211, 1.4 ms (36%) at 401
+# and 3.1 ms (103%) at 1009.
+_ENUMERATE_LIMIT = 256
 
 
 def _divisors(n: int):
@@ -348,14 +379,19 @@ def _binary_roots(coeffs) -> list:
     return roots
 
 
-def _integer_coefficients(form: Polynomial) -> dict:
-    """The form's terms scaled to int coefficients: over QQ by the lcm of
-    the denominators, over Fp each residue as the int of least magnitude."""
-    p = form.ring.field.characteristic
-    if p:
-        return {m: c if 2 * c <= p else c - p for m, c in form.terms.items()}
-    den = lcm(*(c.denominator for c in form.terms.values()))
-    return {m: c.numerator * (den // c.denominator) for m, c in form.terms.items()}
+def _zeros_mod_p(coeffs, p: int) -> list:
+    """The zeros (s, t) in P^1(F_p) of the binary form sum_k c_k s^(d-k) t^k
+    with int coefficients: (0, 1) when p divides c_d, and (1, u) for each u
+    in [0, p) with sum_k c_k u^k = 0 mod p."""
+    zeros = [] if coeffs[-1] % p else [(0, 1)]
+    rev = coeffs[::-1]
+    for u in range(p):
+        acc = 0
+        for c in rev:   # Horner's rule
+            acc = (acc * u + c) % p
+        if not acc:
+            zeros.append((1, u))
+    return zeros
 
 
 def _gradient_on_plane(ints: dict, n: int, i: int, j: int, s: int, t: int) -> list:
@@ -380,29 +416,35 @@ def _gradient_on_plane(ints: dict, n: int, i: int, j: int, s: int, t: int) -> li
 
 
 def _linear_factor(form: Polynomial, degree: int, poll=None):
-    """The coefficients, in the form's field, of a linear form that divides
-    ``form``, or None when the search finds none.
+    """The coefficients of a linear form that divides ``form``, or None when
+    the search finds none: ints over QQ, residues over Fp.
 
     If F = ell * G, then on the coordinate plane of x_i and x_j the binary
     form F(s e_i + t e_j), whose coefficients are F's terms in x_i and x_j
     alone, vanishes at (ell_j, -ell_i), and at that point p the gradient of
-    F is G(p) ell.  So each rational zero of each such binary form gives a
-    candidate, its gradient.  The search runs on int coefficients (residues
-    over Fp are read as ints), which only proposes candidates: the engine's
-    normal form certifies each in the form's own ring and field, with the
-    form packed once for the whole search (``remainders``).  One
-    polynomial is a Groebner basis of the ideal it generates, so F reduces
-    to zero modulo ell exactly when ell divides F, and a gradient that
-    vanishes in the field is no candidate.  The search can miss a factor,
-    for instance when G vanishes at every such point, as when ell^2
-    divides F.  ``poll`` is the buchberger() callback, called once per
-    coordinate plane with no basis and no pairs; it may raise to cancel.
+    F is G(p) ell.  So each zero of each such binary form gives a
+    candidate, its gradient.  The search runs on the form's integer image
+    (``Polynomial._integer_terms``): over a prime field of at most
+    ``_ENUMERATE_LIMIT`` elements it tries every point of P^1(F_p), and
+    otherwise the rational zeros of the ints (residues read as ints of
+    least magnitude), which finds a zero that exists only mod a large p
+    only by chance.  The search only proposes candidates: the engine's
+    normal form certifies each, with the form packed once for the whole
+    search (``remainders``), over QQ its integer image.  One polynomial is
+    a Groebner basis of the ideal it generates, so F reduces to zero modulo
+    ell exactly when ell divides F, and a gradient that vanishes in the
+    field is no candidate.  The search can miss a factor, for instance when
+    G vanishes at every such point, as when ell^2 divides F.  ``poll`` is
+    the buchberger() callback, called once per coordinate plane with no
+    basis and no pairs; it may raise to cancel.
     """
     ring = form.ring
     n = ring.nvars
+    p = ring.field.characteristic
     units = [tuple(int(k == m) for k in range(n)) for m in range(n)]
-    ints = _integer_coefficients(form)
-    remainder = remainders(form)  # packs the form once for every candidate
+    ints = form._integer_terms()
+    remainder = remainders(_integer_form(form))  # packs it once for every candidate
+    zeros = partial(_zeros_mod_p, p=p) if 0 < p <= _ENUMERATE_LIMIT else _binary_roots
     tick = None if poll is None else partial(poll, GBStats(0, 0, 0))
     for i in range(n):
         for j in range(i + 1, n):
@@ -415,9 +457,12 @@ def _linear_factor(form: Polynomial, degree: int, poll=None):
                 coeffs.append(ints.get(tuple(m), 0))
             if not any(coeffs):
                 continue
-            for s, t in _binary_roots(coeffs):
-                ell = [ring.field.convert(c) for c in _gradient_on_plane(ints, n, i, j, s, t)]
-                if any(ell) and not remainder([ring.from_dict(dict(zip(units, ell)))]):
+            for s, t in zeros(coeffs):
+                ell = _gradient_on_plane(ints, n, i, j, s, t)
+                if p:
+                    ell = [c % p for c in ell]
+                if any(ell) and not remainder([Polynomial(ring, {
+                        u: c for u, c in zip(units, ell) if c})]):
                     return ell
     return None
 
@@ -459,14 +504,6 @@ _TWISTED_FIELD = PrimeField(DEFAULT_PRIME)
 _TWISTED_LIMIT = 2**10
 
 
-@lru_cache(maxsize=512)
-def _orderings(a: tuple) -> tuple:
-    """(a!, the distinct orderings of the variables of the monomial x^a):
-    its d-th partial at each ordering is a!."""
-    return (prod(factorial(e) for e in a),
-            tuple(set(permutations([i for i, e in enumerate(a) for _ in range(e)]))))
-
-
 @lru_cache(maxsize=64)
 def _twisted_maps(n: int, degree: int, p: int, width: int) -> tuple:
     """The d matrices M_1, ..., M_d, n x ``width``, of a block's twisted
@@ -478,6 +515,20 @@ def _twisted_maps(n: int, degree: int, p: int, width: int) -> tuple:
                  for _ in range(degree))
 
 
+@lru_cache(maxsize=4096)
+def _peel(idx: tuple) -> tuple:
+    """(i, idx without one i) for each distinct i of a sorted multi-index."""
+    return tuple((i, idx[:k] + idx[k + 1:]) for k, i in enumerate(idx) if not k or idx[k - 1] != i)
+
+
+@lru_cache(maxsize=1024)
+def _last_slot(a: tuple) -> tuple:
+    """(a!, _peel of the sorted multi-index of x^a): the d-th partial of x^a
+    at each ordering of that index is a!."""
+    return (prod(factorial(e) for e in a if e > 1),
+            _peel(tuple(i for i, e in enumerate(a) for _ in range(e))))
+
+
 def _twisted_system(form: Polynomial, degree: int, width=None, maps=None) -> list:
     """The twisted system of a form: the ``width`` forms, j < width,
     d! T(M_1 y, ..., M_{d-1} y, M_d e_j) of degree d - 1 in ``width``
@@ -486,59 +537,68 @@ def _twisted_system(form: Polynomial, degree: int, width=None, maps=None) -> lis
     So they are the GR ideal's generators on the subspace spanned by the
     columns of (M_1, ..., M_{d-1}), combined by M_d; with every M_t = I
     they are (d - 1)! times the partials of F.  They are built from the
-    form's int coefficients (``_integer_coefficients``) and reduced mod p,
+    form's integer image (``Polynomial._integer_terms``) and reduced mod p,
     the form's own prime over Fp and DEFAULT_PRIME over QQ.  Some forms may
     be zero.
 
-    d! T(y_1, ..., y_d) is the sum over (i_1, ..., i_d) of the constant
-    d-th partial of F at (i_1, ..., i_d) times y_1[i_1] ... y_d[i_d], and a
-    term c x^a adds c a! at each ordering of its variables.  The last slot
-    is summed against M_d first, the second last into the linear form
-    sum_i (partial) (M_{d-1} y)_i, and the others multiply it out.
+    d! T(y_1, ..., y_d) is the sum over the orderings (i_1, ..., i_d) of
+    each term's multi-index of c a! y_1[i_1] ... y_d[i_d], for a term c x^a.
+    The orderings of a multi-index that end in i are those of the index
+    without one i, so T is contracted one slot at a time, last slot first,
+    and never expanded: slot d against M_d e_j, then slot t against M_t y
+    for t = d - 1, ..., 1.  Each step peels one index, once per distinct
+    index, off the multi-indices left and multiplies the product of linear
+    forms built so far, a monomial in y (its exponents packed into an int),
+    by one more.  The state is sparse: it holds only the multi-indices that
+    the form's terms reach.  The width forms ride along in one int, one
+    lane of bits per form, which takes a third of the time of per-form
+    dicts.  Every weight and entry is taken in [0, p), so a lane never goes
+    negative, and after the M_d step it holds a sum of at most n products
+    (one per index peeled) below (p - 1)^2; each later step multiplies by
+    an entry below p and sums at most n (d - 1) such values (one per index
+    peeled and variable of the monomial).  So the lane is wide enough for
+    n^d (d - 1)^(d - 1) (p - 1)^(d + 1), and no lane carries into the next.
     """
     n = form.ring.nvars
     width = n if width is None else width
     field = form.ring.field if form.ring.field.characteristic else _TWISTED_FIELD
     p = field.characteristic
-    if maps is None:
-        maps = _twisted_maps(n, degree, p, width)
-    # each row as its nonzero (column, entry) pairs
-    *firsts, second_last, last = [[[(l, e) for l, e in enumerate(row) if e] for row in m]
-                                  for m in maps]
-    partials = {}   # (j, i_1, ..., i_{d-2}) -> {i_{d-1}: partial contracted with M_d}
-    for a, c in _integer_coefficients(form).items():
-        weight, orderings = _orderings(a)
+    *firsts, last = _twisted_maps(n, degree, p, width) if maps is None else maps
+    lane = ((p - 1) ** (degree + 1) * n ** degree * (degree - 1) ** (degree - 1)).bit_length()
+    ybits = degree.bit_length()   # a y-exponent is at most d - 1
+    # each row of M_d as one int, entry j in lane j
+    packed = [sum(e % p << lane * j for j, e in enumerate(row)) for row in last]
+    state = {}   # multi-index left -> {packed monomial in y: lanes}
+    for a, c in form._integer_terms().items():
+        weight, peel = _last_slot(a)
         weight = c * weight % p
-        for k, *rest, i in orderings:
-            for j, e in last[k]:
-                row = partials.setdefault((j, *rest), {})
-                row[i] = row.get(i, 0) + weight * e
-    sums = [{} for _ in range(width)]   # per form: variable tuple, in any order -> int
-    for (j, *rest), row in partials.items():
-        final = {}   # sum_i (partial) (M_{d-1} y)_i, by variable
-        for i, h in row.items():
-            for l, e in second_last[i]:
-                final[l] = final.get(l, 0) + h * e
-        terms = {(): 1}   # (M_1 y)_{i_1} ... (M_{d-2} y)_{i_{d-2}}
-        for rows, i in zip(firsts, rest):
-            terms = {m + (l,): v * e for m, v in terms.items() for l, e in rows[i]}
-        out = sums[j]
-        for m, v in terms.items():
-            for l, e in final.items():
-                key = m + (l,)
-                out[key] = out.get(key, 0) + v * e
+        for i, rest in peel:
+            sums = state.setdefault(rest, {0: 0})
+            sums[0] += weight * packed[i]
+    for m in reversed(firsts):
+        # each row as its nonzero (packed y_l, entry) pairs
+        rows = [[(1 << ybits * l, e % p) for l, e in enumerate(row) if e % p] for row in m]
+        nxt = {}
+        for idx, sums in state.items():
+            for i, rest in _peel(idx):
+                out = nxt.setdefault(rest, {})
+                get = out.get
+                row = rows[i]
+                for y, v in sums.items():
+                    for u, e in row:
+                        out[y + u] = get(y + u, 0) + e * v
+        state = nxt
+    lane_mask = (1 << lane) - 1
+    y_mask = (1 << ybits) - 1
+    forms = [{} for _ in range(width)]
+    for y, v in state.get((), {}).items():
+        mono = tuple(y >> ybits * l & y_mask for l in range(width))
+        for terms in forms:
+            if c := (v & lane_mask) % p:
+                terms[mono] = c
+            v >>= lane
     ring = PolyRing(width, field)
-    forms = []
-    for out in sums:
-        terms = {}
-        for m, v in out.items():
-            e = [0] * width
-            for i in m:
-                e[i] += 1
-            e = tuple(e)
-            terms[e] = terms.get(e, 0) + v
-        forms.append(Polynomial(ring, {e: v % p for e, v in terms.items() if v % p}))
-    return forms
+    return [Polynomial(ring, terms) for terms in forms]
 
 
 def _twisted_codim(forms: list, poll=None) -> int:

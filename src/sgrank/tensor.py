@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections import Counter
 from fractions import Fraction
 
 from .errors import DimensionMismatchError, InvalidInputError, ParseError
@@ -28,10 +27,9 @@ from .polyring import PolyRing, Polynomial, QQ, add_terms, parse_polynomial
 
 def multiindex_multiplicity(idx) -> int:
     """Number of distinct orderings of the multi-index (d! over repeats)."""
-    counts = Counter(idx)
     out = math.factorial(len(idx))
-    for c in counts.values():
-        out //= math.factorial(c)
+    for i in set(idx):
+        out //= math.factorial(idx.count(i))
     return out
 
 
@@ -135,8 +133,7 @@ class SymmetricTensor(_Tensor):
             mono = [0] * self.dim
             for i in idx:
                 mono[i] += 1
-            mult = multiindex_multiplicity(idx)
-            c = field.mul(val, field.convert(mult))
+            c = field.mul(val, multiindex_multiplicity(idx))
             if c:
                 terms[tuple(mono)] = c
         return Polynomial(ring, terms)
@@ -327,12 +324,13 @@ def tensor_from_json(text: str, field=QQ):
             idx, val = item["idx"], item["val"]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed tensor entry {item!r}") from exc
-        if not (isinstance(idx, list) and all(map(_is_int, idx))):
+        # type() is int excludes bool, as _is_int does
+        if not (isinstance(idx, list) and set(map(type, idx)) <= {int}):
             raise ParseError(f"tensor entry index must be a list of integers, got {idx!r}")
         idx = tuple(idx)
         if len(idx) != order:
             raise ParseError(f"index {list(idx)} does not have {order} entries")
-        if any(not 0 <= i < dim for i in idx):
+        if idx and (min(idx) < 0 or max(idx) >= dim):
             raise ParseError(f"index {list(idx)} out of range for dim {dim}")
         if symmetric and list(idx) != sorted(idx):
             raise ParseError(f"symmetric tensor entries must use sorted indices: {list(idx)}")
@@ -341,8 +339,12 @@ def tensor_from_json(text: str, field=QQ):
         if not (isinstance(val, str) or _is_int(val)):
             raise ParseError(f"entry value must be a string or integer, got {val!r}")
         entries[idx] = val
+    # the indices are checked, distinct and canonical (sorted when
+    # symmetric), so only the values are left to convert
+    convert = field.convert
     cls = SymmetricTensor if symmetric else GeneralTensor
-    return cls(order, dim, entries, field)
+    return cls(order, dim, {idx: v for idx, val in entries.items() if (v := convert(val))},
+               field, _clean=True)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Callable
 
 from . import groebner
@@ -33,6 +34,7 @@ from .polyring import (
 )
 from .rank import (
     _as_polynomial,
+    _integer_form,
     _multilinear_generators,
     _twisted_codim,
     _twisted_system,
@@ -682,6 +684,38 @@ def _case_cross_order(name):
     return d_g == d_l, f"dim={d_g} grevlex, {d_l} lex"
 
 
+_SEED_VARIANTS = ("QQ", "Fp", "QQ, denominators", "Fp, denominators", "QQ, lex", "Fp, lex")
+
+
+def _case_integer_seeds(name, variant):
+    """The singular ideal of the form's integer image (``_integer_form``,
+    what ``sgr_details`` and ``rank_report`` run) against that of the form,
+    with Fraction coefficients over QQ: the same reduced basis and the same
+    GBStats at every poll, so the same pair counts.  Over Fp the image is
+    the form itself, and the case guards that.  The variant picks the
+    field, and substitutes x_i / (i mod 3 + 2) for each x_i
+    ("denominators": mixed denominators, and the same leads and pairs as
+    the plain form) or puts the form in lex."""
+    form = _engine_forms()[name]
+    if "denominators" in variant:
+        form = form.ring._build(
+            (m, c / prod((i % 3 + 2) ** e for i, e in enumerate(m)))
+            for m, c in form.terms.items())
+    if "lex" in variant:
+        form = form.convert_order(LEX)
+    if variant.startswith("Fp"):
+        form = form.convert_field(PrimeField(DEFAULT_PRIME))
+    seen_int, seen_frac = [], []
+    basis_int = buchberger(singular_ideal(_integer_form(form)), poll=seen_int.append, poll_every=1)
+    basis_frac = buchberger(singular_ideal(form), poll=seen_frac.append, poll_every=1)
+    same = list(basis_int) == list(basis_frac)
+    done = seen_frac[-1].pairs_done if seen_frac else 0
+    return same and seen_int == seen_frac, (
+        f"bases {'agree' if same else 'differ'} ({len(basis_int)} and {len(basis_frac)} elements); "
+        f"{len(seen_int)} and {len(seen_frac)} polls {'agree' if seen_int == seen_frac else 'differ'}, "
+        f"{done} pairs reduced")
+
+
 def _textbook_buchberger(generators):
     """The reduced Groebner basis by Buchberger's algorithm as textbooks
     state it: every pair's S-polynomial, smallest lcm degree first, is
@@ -1143,6 +1177,9 @@ def suite_engine():
     for name in sorted(_engine_forms()):
         cases.append(Case(f"QQ vs Fp: {name}", _case_cross_field, (name,)))
         cases.append(Case(f"grevlex vs lex: {name}", _case_cross_order, (name,)))
+        for variant in _SEED_VARIANTS:
+            cases.append(Case(f"integer seeds vs Fraction partials ({variant}): {name}",
+                              _case_integer_seeds, (name, variant)))
     for name in ("w_state", "big_cw[2,3]"):
         cases.append(Case(f"gr cross-checks: {name}", _case_cross_gr, (name,)))
     for name in _textbook_systems():

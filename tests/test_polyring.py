@@ -73,6 +73,37 @@ def test_rational_invariants():
     assert v.numerator == -3 and v.denominator == 2
 
 
+def _outcome(convert, value):
+    """("value", the result) or ("raises", the exception type)."""
+    try:
+        return "value", convert(value)
+    except Exception as exc:  # the type is compared
+        return "raises", type(exc)
+
+
+@pytest.mark.parametrize("text", [
+    "1_000", " 3 ", "+3", "-0", "\u0663", "\u00b2", "1/2", "0.5", "1e3", "", "0x10",
+    "7", "-12", "007", "-6/4", "1/0", "1/7", "-1/-2", "--1", "1 /2", "1/", "/2", "-",
+], ids=repr)
+def test_literals_follow_the_grammar_of_fraction(text):
+    # the int shortcut for [-]digits accepts exactly what Fraction accepts
+    # on the running Python (3.10's Fraction rejects "1_000", which int()
+    # accepts), with the same value, and raises ParseError where Fraction
+    # raises
+    try:
+        want = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        want = None
+    for field in (QQ, PrimeField(7), FP):
+        got = _outcome(field.convert, text)
+        if want is None:
+            assert got == ("raises", ParseError), (field, got)
+        else:
+            # over Fp:7 "1/7" raises InvalidInputError either way
+            assert got == _outcome(field.convert, want), field
+            assert type(got[1]) is type(field.zero) or got[0] == "raises"
+
+
 # ---------------------------------------------------------------------------
 # Ring axioms on random inputs (both fields)
 # ---------------------------------------------------------------------------

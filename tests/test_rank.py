@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from math import lcm
 
@@ -70,6 +71,23 @@ def test_singular_ideal_of_tangent_form_has_linear_radical():
     basis = buchberger(singular_ideal(f))
     assert ideal_membership(L * L, basis)
     assert ideal_membership(L * M, basis)
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["QQ", "Fp"])
+def test_sgr_runs_the_engine_on_integer_partials(field, buchberger_calls):
+    # over QQ the engine's seeds are the partials times the lcm of the
+    # form's denominators, with int coefficients, while singular_ideal
+    # keeps Fractions; the two give one reduced basis
+    form = parse_polynomial("2/7*x0^2*x1 + 3/2*x1^3 - x0*x1*x2 + 5*x2^3", field=field)
+    s, _, basis = sgr_details(form)
+    [seeds] = buchberger_calls
+    partials = list(singular_ideal(form))
+    scale = 14 if field == QQ else 1
+    assert list(seeds) == [scale * g for g in partials]
+    coeff_types = {type(c) for g in seeds for c in g.terms.values()}
+    assert coeff_types == {int}
+    assert {type(c) for g in partials for c in g.terms.values()} == {type(field.one)}
+    assert list(basis) == list(buchberger(partials)) and s == sgr(form)
 
 
 def test_singular_ideal_preconditions():
@@ -649,6 +667,16 @@ def test_binary_roots_are_the_rational_zeros():
     assert rank._binary_roots([0, big, -big]) == [(1, 0)]
 
 
+def test_zeros_mod_p_are_every_zero_on_the_projective_line():
+    # 2 s^2 t - 3 s t^2 = s t (2 s - 3 t): (0, 1), (1, 0) and u = 2/3 = 3 mod 7
+    assert rank._zeros_mod_p([0, 2, -3, 0], 7) == [(0, 1), (1, 0), (1, 3)]
+    # s^3 - 2 t^3: 4 is no cube mod 7
+    assert rank._zeros_mod_p([1, 0, 0, -2], 7) == []
+    # s^2 - 2 t^2 has zeros mod 7 (u = 2, 5), and no rational one
+    assert rank._zeros_mod_p([1, 0, -2], 7) == [(1, 2), (1, 5)]
+    assert rank._binary_roots([1, 0, -2]) == []
+
+
 def _pairs_reduced(tens, bound):
     """(GR, pairs reduced) of the GR run of tens stopped at ``bound``; GR is
     None when the run stopped."""
@@ -713,9 +741,10 @@ def test_report_on_reducible_quartics_matches_the_engine(seed, field):
     form = (ell * c).convert_field(field)
     rep = rank_report(form, compute_gr=True)
     assert (rep.sgr, rep.gr) == (sgr(form), gr(SymmetricTensor.from_polynomial(form)))
-    # over Fp:7 the search reads residues as ints and may miss the factor
+    # over Fp:7 the search tries every point of P^1(F_7), so it finds the
+    # factor where it exists only mod 7
     found = rank._linear_factor(form, 4)
-    assert (found is None and field.characteristic == 7) or _vanishes_on_hyperplane(found, form)
+    assert found is not None and _vanishes_on_hyperplane(found, form)
 
 
 def test_gr_runs_the_whole_engine_where_a_report_would_stop():
@@ -802,6 +831,86 @@ def test_twisted_system_is_the_gr_ideal_on_a_subspace(d, seed, field, fewer):
             for j in range(width)]
     assert rank._twisted_system(form, d, width) == want
     assert all(f.ring == PolyRing(width, FP) for f in want) and not any(f.is_zero() for f in want)
+
+
+def _twisted_by_orderings(form, d, width, maps):
+    """The twisted system expanded over orderings, the oracle of the
+    builder's contraction: a term c x^a adds c a! at each ordering of its
+    multi-index, the last slot is summed against M_d, the second last into
+    a linear form in y, and the other slots multiply it out, as tuples of
+    variables; mod p, as the builder reduces."""
+    field = form.ring.field if form.ring.field.characteristic else rank._TWISTED_FIELD
+    p = field.characteristic
+    *firsts, second_last, last = [[[(l, e) for l, e in enumerate(row) if e] for row in m]
+                                  for m in maps]
+    partials = {}   # (j, i_1, ..., i_{d-2}) -> {i_{d-1}: partial contracted with M_d}
+    for a, c in form._integer_terms().items():
+        weight = c * math.prod(math.factorial(e) for e in a) % p
+        index = [i for i, e in enumerate(a) for _ in range(e)]
+        for k, *rest, i in set(itertools.permutations(index)):
+            for j, e in last[k]:
+                row = partials.setdefault((j, *rest), {})
+                row[i] = row.get(i, 0) + weight * e
+    sums = [{} for _ in range(width)]   # per form: exponent tuple -> int
+    for (j, *rest), row in partials.items():
+        final = {}
+        for i, h in row.items():
+            for l, e in second_last[i]:
+                final[l] = final.get(l, 0) + h * e
+        terms = {(): 1}
+        for rows, i in zip(firsts, rest):
+            terms = {m + (l,): v * e for m, v in terms.items() for l, e in rows[i]}
+        for m, v in terms.items():
+            for l, e in final.items():
+                mono = tuple((*m, l).count(k) for k in range(width))
+                sums[j][mono] = sums[j].get(mono, 0) + v * e
+    ring = PolyRing(width, field)
+    return [ring.from_dict({m: v % p for m, v in out.items()}) for out in sums]
+
+
+@pytest.mark.parametrize("fewer", [0, 1], ids=["n", "n-1"])
+@pytest.mark.parametrize("field", [QQ, FP, PrimeField(7)], ids=["QQ", "Fp", "Fp7"])
+@pytest.mark.parametrize("d, seed", [(3, 0), (3, 1), (3, 2), (4, 3), (4, 4), (5, 5), (5, 6)])
+def test_twisted_contraction_is_the_expansion_over_orderings(d, seed, field, fewer):
+    # the builder contracts one slot at a time, with the forms in lanes of
+    # one int; expanded over every ordering it gives the same forms, for
+    # the seeded maps and for identity maps (over QQ the form is scaled by
+    # 2/7, so the integer image clears a denominator)
+    form = _seeded_form(seed, d, field)
+    if field == QQ:
+        form = Fraction(2, 7) * form
+    n = form.ring.nvars
+    width = n - fewer
+    p = field.characteristic or FP.p
+    maps = rank._twisted_maps(n, d, p, width)
+    got = rank._twisted_system(form, d, width)
+    assert got == _twisted_by_orderings(form, d, width, maps)
+    assert not all(f.is_zero() for f in got)
+    eye = [[int(i == j) for j in range(width)] for i in range(n)]
+    assert rank._twisted_system(form, d, width, [eye] * d) == \
+        _twisted_by_orderings(form, d, width, [eye] * d)
+
+
+def test_twisted_system_of_a_wide_block_stays_sparse():
+    # 40 terms of a cubic in 30 variables, U = 10: the contraction holds only
+    # the multi-indices the terms reach, under 1 MB at its peak (about 0.25
+    # MB); a dense array of n^d = 27,000 lane ints of about 1,400 bits each
+    # would need more than 5 MB
+    rng = random.Random(30)
+    n = 30
+    monos = list(itertools.combinations_with_replacement(range(n), 3))
+    form = PolyRing(n, QQ).from_dict({tuple(idx.count(i) for i in range(n)):
+                                      rng.choice((-3, -2, -1, 1, 2, 3))
+                                      for idx in rng.sample(monos, 40)})
+    maps = rank._twisted_maps(n, 3, FP.p, 10)
+    tracemalloc.start()
+    try:
+        got = rank._twisted_system(form, 3, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert got == _twisted_by_orderings(form, 3, 10, maps)
 
 
 @pytest.mark.parametrize("field", [QQ, FP], ids=["QQ", "Fp"])
@@ -944,3 +1053,67 @@ def test_small_prime_reports_fall_back_to_the_stopped_gr_run(p, buchberger_calls
             fallbacks += (len(nvars) == 3 and nvars[::2] == [4, 8]
                           and rep.gr_basis_size is None)
     assert fallbacks >= 1
+
+
+def _unimodular(rng, n):
+    """L*U with unit triangular L and U and +-1 off their diagonals: a dense
+    integer matrix of determinant 1."""
+    lower = [[1 if i == j else rng.choice((-1, 1)) if j < i else 0 for j in range(n)]
+             for i in range(n)]
+    upper = [[1 if i == j else rng.choice((-1, 1)) if j > i else 0 for j in range(n)]
+             for i in range(n)]
+    return [[sum(lower[i][k] * upper[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+
+
+_GOLDEN_CUBICS = {
+    "big_cw": big_cw(2, 3), "small_cw": small_cw(3, 3),
+    "max_compressibility": max_compressibility(3, 3), "h3": complete_homogeneous_cubic(3),
+    "w_state": w_state(3), "identity": identity_tensor(4, 3, 3),
+    "normal_form": SymmetricTensor.from_polynomial(irreducible_sgr2_cubic(3)),
+}
+
+# Per field, per golden cubic, per seed of its change of variables:
+# ((sgr, gr, sgr_basis_size, gr_basis_size), the rings of buchberger's runs).
+_PINNED_REPORTS = {
+    "QQ": {
+        "big_cw": [((2, 3, 4, None), (4, 3))] * 3,
+        "small_cw": [((2, 3, 4, None), (4, 3))] * 3,
+        "max_compressibility": [((2, 3, 5, None), (4, 3))] * 3,
+        "h3": [((4, 4, 12, None), (4,))] * 3,
+        "w_state": [((1, 2, 2, None), (4, 2))] * 3,
+        "identity": [((4, 4, 10, None), (4,)), ((4, 4, 10, None), (4,)), ((4, 4, 12, None), (4,))],
+        "normal_form": [((2, 4, 5, None), (4, 4)), ((2, 4, 6, None), (4, 4)),
+                        ((2, 4, 5, None), (4, 4))],
+    },
+    "Fp7": {
+        "big_cw": [((2, 3, 4, None), (4, 3))] * 3,
+        "small_cw": [((2, 3, 4, None), (4, 3, 8))] * 3,
+        "max_compressibility": [((2, 3, 5, None), (4, 3)), ((2, 3, 7, None), (4, 3)),
+                                ((2, 3, 5, None), (4, 3, 8))],
+        "h3": [((4, 4, 12, None), (4,)), ((4, 4, 12, None), (4,)), ((4, 4, 11, None), (4,))],
+        "w_state": [((1, 2, 2, None), (4, 2))] * 3,
+        "identity": [((4, 4, 12, None), (4,)), ((4, 4, 10, None), (4,)), ((4, 4, 12, None), (4,))],
+        "normal_form": [((2, 4, 5, None), (4, 4, 8)), ((2, 4, 6, None), (4, 4)),
+                        ((2, 4, 5, None), (4, 4))],
+    },
+}
+_PINNED_REPORTS["Fp"] = _PINNED_REPORTS["QQ"]  # mod 2^31 - 1 every run is as over QQ
+
+
+@pytest.mark.parametrize("field", [QQ, FP, PrimeField(7)], ids=["QQ", "Fp", "Fp7"])
+def test_golden_cubic_reports_pinned(field, buchberger_calls):
+    # the ranks, the basis sizes and the engine runs of the 7 golden cubics
+    # in 4 variables, each under 3 seeded changes of variables of
+    # determinant 1, guard the report's front end against any change in
+    # the ideals it hands to the engine
+    want = _PINNED_REPORTS[{QQ: "QQ", FP: "Fp"}.get(field, "Fp7")]
+    for name, t in _GOLDEN_CUBICS.items():
+        got = []
+        for seed in range(3):
+            form = t.to_polynomial().substitute_linear(_unimodular(random.Random(seed), 4))
+            del buchberger_calls[:]
+            rep = rank_report(form, compute_gr=True, field=field)
+            got.append(((rep.sgr, rep.gr, rep.sgr_basis_size, rep.gr_basis_size),
+                        tuple(ideal.ring.nvars for ideal in buchberger_calls)))
+        assert got == want[name], name

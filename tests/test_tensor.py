@@ -420,6 +420,23 @@ def test_json_roundtrip_general():
     assert tensor_from_json(t.to_json()) == t
 
 
+def test_json_values_keep_their_public_types():
+    # the int shortcut for literals does not leak ints: entries over QQ, and
+    # the coefficients of the form, stay Fractions; over Fp they are residues
+    doc = json.dumps({"order": 3, "dim": 2, "symmetric": True, "entries": [
+        {"idx": [0, 0, 1], "val": "-2"}, {"idx": [0, 1, 1], "val": "1/3"},
+        {"idx": [1, 1, 1], "val": 4}, {"idx": [0, 0, 0], "val": "0"}]})
+    t = tensor_from_json(doc)
+    assert t.entries == {(0, 0, 1): -2, (0, 1, 1): Fraction(1, 3), (1, 1, 1): 4}
+    assert {type(v) for v in t.entries.values()} == {Fraction}
+    form = t.to_polynomial()
+    assert form.terms == {(2, 1): -6, (1, 2): 1, (0, 3): 4}
+    assert {type(c) for c in form.terms.values()} == {Fraction}
+    f7 = tensor_from_json(doc, field=PrimeField(7))
+    assert f7.entries == {(0, 0, 1): 5, (0, 1, 1): 5, (1, 1, 1): 4}
+    assert f7.to_polynomial().terms == {(2, 1): 1, (1, 2): 1, (0, 3): 4}
+
+
 def test_json_schema_fields():
     doc = json.loads(identity_tensor(2, 2, 3).to_json())
     assert doc["order"] == 3 and doc["dim"] == 3 and doc["symmetric"] is True
