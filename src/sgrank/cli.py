@@ -95,7 +95,7 @@ def _emit_report(report: RankReport, args, annotation=None):
             print("multilinear ideal: not completed for every block; GR read off SGR = "
                   "flattening rank, or proved equal to its upper bound (the flattening "
                   "rank, or the degree of a form with a linear factor) by the "
-                  "twisted system or before the basis completed")
+                  "twisted system")
         else:
             print(f"multilinear ideal basis size: {report.gr_basis_size}")
     chain = report.bound_chain()

@@ -120,12 +120,11 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import chain
 from math import comb, gcd, lcm
-from typing import Callable
 
 from .errors import ComputationTimeout, DimensionMismatchError, InvalidInputError
 from .polyring import (
@@ -145,16 +144,6 @@ class GBStats:
     the pairs dropped unreduced because the Hilbert bound proved them zero
     (see buchberger()); ``pairs_left`` counts the live pairs still queued.
 
-    The poll that comes when the pair degree rises, before the first pair
-    of the new degree is reduced, also carries ``lead_supports``, a function
-    that returns the support of each lead of the basis so far as an int
-    bitmask (bit i for x_i); it is the only poll whose ``lead_supports`` is
-    not None.  The masks are built only when the function is called, so a
-    poll that does not ask pays for one more call per degree.  The leads of
-    a partial basis lie in the lead ideal, so the smallest set of variables
-    that meets every mask is a lower bound on the ideal's codimension (the
-    rank report stops a GR run once it meets a proved upper bound).
-
     ``above_ci`` turns True, for the rest of the run, once a degree t of a
     run that tracks the Hilbert bound has ended with more standard monomials
     than CI(t) (see buchberger()): the k generators are then no regular
@@ -166,7 +155,6 @@ class GBStats:
     pairs_done: int
     pairs_left: int
     pairs_skipped: int = 0
-    lead_supports: Callable[[], list] | None = field(default=None, compare=False, repr=False)
     above_ci: bool = False
 
 
@@ -349,11 +337,6 @@ class _Packing:
             return tuple(p.to_bytes(len(self.shifts) + 1, self.byteorder)[:len(self.shifts)])
         fmask = self.fmask
         return tuple(p >> s & fmask for s in self.shifts)
-
-    def supports(self, packed) -> list:
-        """The support of each packed monomial, bit i set when x_i divides it."""
-        fmask = self.fmask
-        return [sum(1 << i for i, s in enumerate(self.shifts) if p >> s & fmask) for p in packed]
 
     def pack_terms(self, terms: dict) -> dict:
         """Packed working terms of a polynomial's terms: residues over a prime
@@ -708,12 +691,11 @@ def buchberger(generators, *, poll=None, poll_every=8) -> GroebnerBasis:
     ring.  ``poll``, when given, is called with a :class:`GBStats` every
     ``poll_every`` generators in the seed step (or in the pass over the
     generators of a monomial ideal) and every ``poll_every`` processed
-    pairs, once per tail that an update rewrites, every 1,024 steps
-    inside any one reduction or any one build of standard monomials, and
-    once each time the pair degree rises, with the supports of the leads so
-    far (see :class:`GBStats`); it may raise to cancel the run (the command
-    line uses this for timeouts, the rank report to stop a GR run once those
-    leads prove GR equal to the block's upper bound U).
+    pairs, once per tail that an update rewrites, and every 1,024 steps
+    inside any one reduction or any one build of standard monomials; it
+    may raise to cancel the run (the command line uses this for timeouts,
+    the rank report to give up a twisted system once GBStats ``above_ci``
+    shows it cannot prove GR = U).
     Output is deterministic for fixed input and order.  The basis builds its
     Polynomials on first use; its size and leading monomials are known
     without them.
@@ -993,9 +975,6 @@ def _buchberger(ideal: Ideal, pk: _Packing, poll, poll_every) -> GroebnerBasis:
         if lcm_ij is None:
             continue  # pruned by a later update
         if d > memo_degree:
-            if poll is not None:
-                poll(GBStats(len(active), pairs_done, len(pairs), pairs_skipped,
-                             partial(pk.supports, [leads[k] for k in active]), above_ci))
             # Pairs come in ascending lcm degree, so over a homogeneous ideal
             # monomials of lower degree recur only in tail rewrites, and the
             # lead ideal is final below d.

@@ -30,11 +30,8 @@ GR ideal's generators on a random U-dimensional subspace of their
 (d - 1) n variables, combined into U forms.  If they have only the trivial
 zero, the dimension count of ``_twisted_codim`` proves GR >= U, so
 GR = U.  Only when that fails, or the system is too large to try, does
-the block run the GR engine in 2n variables: it hands over the leads of
-its partial basis when the pair degree rises, and the run stops once
-their smallest hitting set, a lower bound on GR, reaches U (``_stop_at``),
-which proves GR = U too.  Otherwise the run completes, and its basis
-gives GR.
+the block run ``gr_details``, the whole GR engine in (d - 1) n
+variables, and its basis gives GR.
 
 ``sgr_details`` seeds the singular ideal over QQ from the form's integer
 image (``_integer_form``: the form times the lcm of its denominators,
@@ -60,7 +57,7 @@ from itertools import compress
 from math import factorial, gcd, isqrt, prod
 
 from .errors import DimensionMismatchError, InvalidInputError
-from .groebner import GBStats, Ideal, _min_hitting_set_size, buchberger, ideal_dimension, remainders
+from .groebner import GBStats, Ideal, buchberger, ideal_dimension, remainders
 from .polyring import DEFAULT_PRIME, GREVLEX, QQ, PolyRing, Polynomial, PrimeField
 from .tensor import GeneralTensor, SymmetricTensor
 
@@ -221,9 +218,9 @@ class RankReport:
     differ from the bases of ``sgr_details`` and ``gr_details``.  A report
     that splits its input builds one basis per block, and the blocks' bases
     together are the reduced basis of the whole ideal in that order.
-    ``gr_basis_size`` is None when some block did not complete a GR basis:
-    its SGR met its upper bound U, its twisted system proved GR = U, or its
-    GR run stopped once its leads did (see ``rank_report``).
+    ``gr_basis_size`` is None when some block built no GR basis: its SGR
+    met its upper bound U, or its twisted system proved GR = U (see
+    ``rank_report``).
     """
 
     sgr: int | None
@@ -334,8 +331,8 @@ _FACTOR_LIMIT = 10**8
 # linear factor tries every point of the projective line over the field on
 # each coordinate plane (``_zeros_mod_p``), in place of the rational zeros.
 # On 4-variable cubics moved by random invertible maps mod p, a factor the
-# rational search missed cost its report about 8 ms (the GR run cannot stop
-# early) against 2 ms, while trying every point added 0.2-0.8 ms (4-29%) to
+# rational search missed cost its report about 8 ms (U falls back to r)
+# against 2 ms, while trying every point added 0.2-0.8 ms (4-29%) to
 # the report of an irreducible block for p up to 211, 1.4 ms (36%) at 401
 # and 3.1 ms (103%) at 1009.
 _ENUMERATE_LIMIT = 256
@@ -465,31 +462,6 @@ def _linear_factor(form: Polynomial, degree: int, poll=None):
                         u: c for u, c in zip(units, ell) if c})]):
                     return ell
     return None
-
-
-class _BoundMet(Exception):
-    """The leads of a GR run reached the block's proved upper bound."""
-
-
-def _stop_at(bound: int, poll=None):
-    """A poll for a GR run that calls ``poll`` and then raises _BoundMet
-    once the leads so far prove that GR is at least ``bound``.
-
-    The leads of a partial basis lie in the lead ideal, so a smallest set
-    of variables meeting their supports is no larger than one for the whole
-    ideal, which has as many variables as the codimension
-    (``ideal_dimension``).  The engine hands the supports over when the
-    pair degree rises.  Over a small prime, where a block's twisted system
-    often fails to prove GR = U, this stop still answers many of them.
-    """
-    def check(stats):
-        if poll is not None:
-            poll(stats)
-        if stats.lead_supports is not None:
-            tick = None if poll is None else partial(poll, stats)
-            if _min_hitting_set_size(stats.lead_supports(), bound, tick) >= bound:
-                raise _BoundMet
-    return check
 
 
 # The field of the twisted systems of forms over QQ.
@@ -633,8 +605,9 @@ def _twisted_proves(forms: list, poll=None) -> bool:
     U, and GR >= U (``_twisted_codim``).
 
     The run completes unless the engine shows the forms are no regular
-    sequence (GBStats ``above_ci``): their codimension is then below U, and
-    the answer False, as it is at once when a form is zero.
+    sequence (GBStats ``above_ci``, seen at the next poll): their
+    codimension is then below U, and the answer False, as it is at once
+    when a form is zero; the report then runs the whole GR engine.
     """
     if any(f.is_zero() for f in forms):
         return False
@@ -674,9 +647,9 @@ def rank_report(obj, compute_gr: bool = False, *, field=None, poll=None) -> Rank
     (d - 1)^U is at most ``_TWISTED_LIMIT``.  If they have only the trivial
     zero, GR >= U, so GR = U.  That run completes, or gives up as soon as
     the engine shows the forms are no regular sequence, so that they cannot
-    prove it.  Only then does the block run ``gr_details`` on its own
-    tensor, and that run stops as soon as the leads of its partial basis
-    prove GR >= U; the block's GR is then U.
+    prove it.  Only then, or when the system is too large to try, does the
+    block run ``gr_details`` on its own tensor to completion, and that
+    basis gives its GR and its share of ``gr_basis_size``.
     """
     t0 = time.perf_counter()
     if isinstance(obj, GeneralTensor):
@@ -709,17 +682,13 @@ def rank_report(obj, compute_gr: bool = False, *, field=None, poll=None) -> Rank
         # A linear factor forces Sing(F) to hold {ell = G = 0}, so SGR <= 2.
         factor = s_b <= 2 and degree < r and _linear_factor(block, degree, poll) is not None
         bound = degree if factor else r
-        # SGR = U, a twisted system or a run whose leads meet U: GR = U
+        # SGR = U or a twisted system: GR = U; otherwise the whole GR run
         g_b, size = bound, None
         proved = s_b >= bound or ((degree - 1) ** bound <= _TWISTED_LIMIT and _twisted_proves(
             _twisted_system(block, degree, bound), poll))
         if not proved:
-            tens = SymmetricTensor.from_polynomial(block)
-            try:
-                g_b, _, gbasis = gr_details(tens, poll=_stop_at(bound, poll))
-                size = len(gbasis)
-            except _BoundMet:
-                pass
+            g_b, _, gbasis = gr_details(SymmetricTensor.from_polynomial(block), poll=poll)
+            size = len(gbasis)
         g += g_b
         gsizes.append(size)
     gsize = sum(gsizes) if compute_gr and None not in gsizes else None

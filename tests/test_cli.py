@@ -125,8 +125,8 @@ def test_gr_verbose_names_where_gr_came_from(capsys):
     assert "proved equal to its upper bound" in out
     assert "multilinear ideal basis size" not in out
     # the SGR-2 normal form in 5 variables has no linear factor, GR 4 is
-    # below its flattening rank 5, and neither its twisted system nor the
-    # leads of its GR run reach 5, so the GR basis completes
+    # below its flattening rank 5, so its twisted system cannot reach 5 and
+    # the whole GR run answers, with its basis size
     code, out, _ = run(capsys, "gr", "--poly", "x0^2*x2 + x1^3 + x1^2*x3 + x0*x1*x4", "-v")
     assert code == 0 and "gr: 4" in out
     assert "multilinear ideal basis size: 18" in out

@@ -675,30 +675,6 @@ def test_full_tail_rewrite_on_a_non_homogeneous_system(field, order, monkeypatch
     assert calls
 
 
-@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
-def test_degree_rise_poll_hands_over_the_lead_supports(order):
-    # a poll at each rise of the pair degree carries the supports of the
-    # leads so far, each a lead of a monomial in the final lead ideal;
-    # every other poll carries none
-    f = _random_symmetric_cubic(random.Random(5), 3).to_polynomial()
-    gens = [g.convert_order(order) for g in singular_ideal(f)]
-    seen = []
-    gb = buchberger(gens, poll=seen.append, poll_every=1)
-    rises = [st for st in seen if st.lead_supports is not None]
-    assert len(rises) >= 2
-    final = [sum(1 << i for i, e in enumerate(lm) if e) for lm in gb.leading_monomials()]
-    for st in rises:
-        masks = st.lead_supports()
-        assert len(masks) == st.basis_size
-        # a partial lead is a multiple of a final one, so its support
-        # holds a final lead's support
-        assert all(any(m & t == t for t in final) for m in masks)
-    # the supports do not take part in comparing snapshots
-    assert rises[0] == GBStats(*(getattr(rises[0], k) for k in
-                                 ("basis_size", "pairs_done", "pairs_left",
-                                  "pairs_skipped")))
-
-
 def test_polls_say_when_a_square_system_is_no_regular_sequence():
     # three quadrics in 3 variables with the common zero (0, 0, 1): a degree
     # ends above the complete intersection's count, and from then on every
