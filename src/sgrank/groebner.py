@@ -63,11 +63,39 @@ tracking stops there for good; from then on every poll carries that fact
 (GBStats ``above_ci``).  One cost rule stops it too: before degree t + 1
 is built, tracking stops when CI(t + 1), which its standard monomials are at
 least, exceeds the tail terms of the pairs still queued (the two tails of
-each, the pair in hand included), since building them would then cost more
-than reducing every pair left.  On the GR ideal of <4,4,4>, 16 bilinear forms
+each), since building them would then cost more than reducing every pair
+left.  On the GR ideal of <4,4,4>, 16 bilinear forms
 in 32 variables, the rule stops after degree 1; without it the run built
 1.55 million standard monomials of degree 6.  More forms than variables, or
 a form that is not homogeneous, are not tracked.
+
+While the bound is tracked, the pair order also borrows the syzygy
+criterion of F5 (Faugere, "A new efficient algorithm for computing Groebner
+bases without reduction to zero (F5)", ISSAC 2002), as an order only.  Each
+entry carries a label (k, u): the k-th generator that the seed step adds,
+from 0, gets (k, 1); the remainder of pair (i, j) with lcm L gets the larger
+of (k_i, u_i L / lm_i) and (k_j, u_j L / lm_j), by k and then by the order
+key of u; a tail rewrite keeps the label.  A pair is Koszul-labelled when
+its u is divisible by the lead of a basis element labelled below its k: F5
+would reject it, expecting a zero remainder.  The first pair that reduces to
+zero in a tracked degree whose count is still above CI marks the run.  From
+then on the Koszul-labelled pairs go behind the other pairs of their degree,
+each group in its queue order: at once for the pairs still queued in that
+degree, and for each later tracked degree that starts above CI, when it
+starts.  Nothing is dropped on a label's say.  The labels are a heuristic
+here, since the reductions follow no signature order, so a deferred pair is
+reduced like any other unless the count reaches CI first; then the skip
+drops it, and the skip's proof does not depend on the order within a
+degree.  The reduced basis is unique, so it does not move either: only the
+pair counts do.  Once per degree is enough, because in a homogeneous run no
+degree-d pair is formed while degree d is reduced (a new degree-d lead is
+standard, so its lcm with any other lead has degree above d), and no
+degree-d lead divides the u of a degree-d pair, whose degree is d minus
+that of generator k.  A run that never wastes a reduction keeps the plain
+order: dense smooth cubics make none, and deferring at every degree only
+brought forward nonzero pairs that cost about twice as much, 20-33% slower
+in 6 and 7 variables.  On h3 in 8 variables over QQ the deferral cuts the
+pairs reduced from 302 to 170, and the zero remainders from 188 to 56.
 
 Internally each exponent vector is packed into one Python int, after Monagan
 & Pearce, "Polynomial division using dynamic arrays, heaps, and packed
@@ -702,6 +730,10 @@ def buchberger(generators, *, poll=None, poll_every=8) -> GroebnerBasis:
 
     Pairs are reduced in ascending lcm degree and, within a degree, those
     whose two multipliers lcm / lm have the smallest total degree first.
+    Once a run that tracks the Hilbert bound below has reduced a pair to
+    zero in a degree it could not yet skip, the pairs that F5's syzygy
+    criterion would reject by their signature label go behind the others
+    of their degree (module docstring); none is dropped on that account.
     The reduced basis does not depend on this order; ``pairs_done`` and
     ``pairs_left`` do.
 
@@ -858,6 +890,7 @@ def _buchberger(ideal: Ideal, pk: _Packing, poll, poll_every) -> GroebnerBasis:
     entries: list = []       # reducer entry of each candidate; update() rewrites tails
     leads: list[int] = []    # packed lead of each entry
     keys: list[int] = []     # order key of each lead
+    labels: list = []        # (k, u) label of each entry while the bound is tracked, else None
     active: list[int] = []   # indices of the current basis, ascending
     by_key: list = []        # (lead, index) of the basis, small keys first
     pairs: dict = {}         # live pairs (i, j), i < j -> packed lcm of their leads
@@ -895,7 +928,7 @@ def _buchberger(ideal: Ideal, pk: _Packing, poll, poll_every) -> GroebnerBasis:
         memo[m] = (best + 1) << 32 | n
         return entries[best] if best >= 0 else None
 
-    def update(entry):
+    def update(entry, label):
         """Gebauer-Moeller update with a new entry; keeps every tail reduced."""
         ih = len(entries)
         mh = entry[0]
@@ -903,6 +936,7 @@ def _buchberger(ideal: Ideal, pk: _Packing, poll, poll_every) -> GroebnerBasis:
         entries.append(entry)
         leads.append(mh)
         keys.append(kh)
+        labels.append(label)
         # lcm(mh, lm_g) once per basis element; the phases below share it.
         lcm_h = {ig: lcm(mh, leads[ig]) for ig in active}
         # Phase 1: the new pairs that survive the chain criterion.
@@ -947,16 +981,27 @@ def _buchberger(ideal: Ideal, pk: _Packing, poll, poll_every) -> GroebnerBasis:
             heapq.heappush(
                 queue, (d, 2 * d - degree(leads[ig]) - dh, pkey(lcm_hg), ig, ih))
 
-    # Seed the basis as the pair loop grows it: each generator, smallest lead
-    # first, is reduced against the basis so far and added if nonzero.
-    pairs_done = pairs_skipped = 0
-    above_ci = False
-    for k, terms in enumerate(seed, 1):
-        h = _reduce_full(terms, find, pk, tick)
-        if poll is not None and k % poll_every == 0:
-            poll(GBStats(len(seed), 0, 0))
-        if h:
-            update(_entry(h, pk))
+    def label(i, j, lcm_ij):
+        """The label of pair (i, j) with packed lcm L: the larger of (k_i, u_i
+        * L / lm_i) and (k_j, u_j * L / lm_j), by k, then by order key."""
+        (ki, ui), (kj, uj) = labels[i], labels[j]
+        ui += lcm_ij - leads[i]
+        uj += lcm_ij - leads[j]
+        return (ki, ui) if (ki, pkey(ui)) > (kj, pkey(uj)) else (kj, uj)
+
+    def defer(d):
+        """Move the queued degree-d pairs whose label F5's syzygy criterion
+        rejects, u divisible by the lead of a basis element labelled below k,
+        behind the other degree-d pairs; each group keeps its order."""
+        below = [[leads[a] for a in active if labels[a][0] < k] for k in range(seeds)]
+        for n, (dn, r, key, i, j) in enumerate(queue):
+            if tick is not None and not (n + 1) & 1023:  # every 1,024 pairs checked
+                tick()
+            if dn == d and (lcm_ij := pairs.get((i, j))) is not None:
+                k, u = label(i, j, lcm_ij)
+                if any(not (u - lm) & guard for lm in below[k]):
+                    queue[n] = (d, r + 2 * d + 1, key, i, j)
+        heapq.heapify(queue)
 
     # The Hilbert bound (module docstring): std holds the standard monomials
     # of degree memo_degree while a homogeneous system of at most nvars forms
@@ -968,21 +1013,31 @@ def _buchberger(ideal: Ideal, pk: _Packing, poll, poll_every) -> GroebnerBasis:
     nvars = pk.ring.nvars
     units = [pk.pack(tuple(int(i == k) for i in range(nvars))) for k in range(nvars)]
 
+    # Seed the basis as the pair loop grows it: each generator, smallest lead
+    # first, is reduced against the basis so far and added if nonzero.  The
+    # k-th one added, from 0, is labelled (k, 1); the monomial 1 packs to 0.
+    pairs_done = pairs_skipped = seeds = 0
+    above_ci = False
+    for k, terms in enumerate(seed, 1):
+        h = _reduce_full(terms, find, pk, tick)
+        if poll is not None and k % poll_every == 0:
+            poll(GBStats(len(seed), 0, 0))
+        if h:
+            update(_entry(h, pk), None if std is None else (seeds, 0))
+            seeds += 1
+
     memo_degree = 0
+    marked = False  # a tracked degree that needs leads has reduced a pair to zero
     while pairs:
-        d, _, _, i, j = heapq.heappop(queue)
-        lcm_ij = pairs.pop((i, j), None)
-        if lcm_ij is None:
-            continue  # pruned by a later update
+        d = queue[0][0]
         if d > memo_degree:
             # Pairs come in ascending lcm degree, so over a homogeneous ideal
             # monomials of lower degree recur only in tail rewrites, and the
             # lead ideal is final below d.
             memo.clear()
             if std is not None:
-                # The tail terms of the pairs left to reduce, this one included.
-                left = sum(len(entries[a][2]) + len(entries[b][2])
-                           for a, b in chain(pairs, ((i, j),)))
+                # The tail terms of the pairs left to reduce.
+                left = sum(len(entries[a][2]) + len(entries[b][2]) for a, b in pairs)
                 for t in range(memo_degree, d):
                     # A final count above the bound: not a complete intersection.
                     # More standard monomials to build than tail terms left to
@@ -995,7 +1050,13 @@ def _buchberger(ideal: Ideal, pk: _Packing, poll, poll_every) -> GroebnerBasis:
                         std, {leads[k] for k in active if degree(leads[k]) == t + 1},
                         units, tick)
                 full = ci(d)
+                if marked and std is not None and len(std) > full:
+                    defer(d)
             memo_degree = d
+        _, _, _, i, j = heapq.heappop(queue)
+        lcm_ij = pairs.pop((i, j), None)
+        if lcm_ij is None:
+            continue  # pruned by a later update
         if std is not None and len(std) == full:
             pairs_skipped += 1
             h = None
@@ -1008,9 +1069,13 @@ def _buchberger(ideal: Ideal, pk: _Packing, poll, poll_every) -> GroebnerBasis:
             tick()
         if h:
             entry = _entry(h, pk)
-            update(entry)
+            update(entry, None if std is None else label(i, j, lcm_ij))
             if std is not None:
                 del std[entry[0]]  # its lead leaves the standard monomials
+        elif std is not None and len(std) > full and not marked:
+            # A wasted reduction: from now on, defer Koszul-labelled pairs.
+            marked = True
+            defer(d)
 
     return GroebnerBasis(pk, [entries[k] for _, k in reversed(by_key)])
 

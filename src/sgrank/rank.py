@@ -624,6 +624,20 @@ def _twisted_proves(forms: list, poll=None) -> bool:
         return False
 
 
+def _gr_certificate(block: Polynomial, degree: int, s_b: int, sbasis, poll=None):
+    """(U, proved) for a block of SGR ``s_b`` whose singular ideal has the
+    basis ``sbasis``: the upper bound U on its GR that rank_report uses, and
+    whether GR = U is certified without a GR run, by SGR = U or by the
+    twisted system."""
+    r = _flattening_rank(sbasis, degree)
+    # A linear factor forces Sing(F) to hold {ell = G = 0}, so SGR <= 2.
+    factor = s_b <= 2 and degree < r and _linear_factor(block, degree, poll) is not None
+    bound = degree if factor else r
+    proved = s_b >= bound or ((degree - 1) ** bound <= _TWISTED_LIMIT and _twisted_proves(
+        _twisted_system(block, degree, bound), poll))
+    return bound, proved
+
+
 def rank_report(obj, compute_gr: bool = False, *, field=None, poll=None) -> RankReport:
     """Full report for a symmetric tensor or homogeneous form.
 
@@ -678,14 +692,9 @@ def rank_report(obj, compute_gr: bool = False, *, field=None, poll=None) -> Rank
         ssize += len(sbasis)
         if not compute_gr:
             continue
-        r = _flattening_rank(sbasis, degree)
-        # A linear factor forces Sing(F) to hold {ell = G = 0}, so SGR <= 2.
-        factor = s_b <= 2 and degree < r and _linear_factor(block, degree, poll) is not None
-        bound = degree if factor else r
         # SGR = U or a twisted system: GR = U; otherwise the whole GR run
+        bound, proved = _gr_certificate(block, degree, s_b, sbasis, poll)
         g_b, size = bound, None
-        proved = s_b >= bound or ((degree - 1) ** bound <= _TWISTED_LIMIT and _twisted_proves(
-            _twisted_system(block, degree, bound), poll))
         if not proved:
             g_b, _, gbasis = gr_details(SymmetricTensor.from_polynomial(block), poll=poll)
             size = len(gbasis)

@@ -34,6 +34,8 @@ from .polyring import (
 )
 from .rank import (
     _as_polynomial,
+    _blocks,
+    _gr_certificate,
     _integer_form,
     _multilinear_generators,
     _twisted_codim,
@@ -311,9 +313,13 @@ def _case_report_blocks(seed, variant):
     every variable then moved to a random place.  SGR, GR and the dimension
     are compared with the whole form in its input order; the basis sizes
     with the whole form in the report's variable order, whose basis is the
-    blocks' bases together.  Over Fp:7, where a block's twisted system often
-    fails and its whole GR run answers, a form with a denominator divisible
-    by 7 or zero mod 7 is skipped, and the detail says so."""
+    blocks' bases together.  The report leaves the GR basis size out exactly
+    when a block has a GR certificate, SGR = U or a twisted system that
+    proves GR = U, since that block builds no GR basis; otherwise it built
+    every block's and owes the whole GR basis's size.  Over Fp:7, where a
+    block's twisted system often fails and its whole GR run answers, a form
+    with a denominator divisible by 7 or zero mod 7 is skipped, and the
+    detail says so."""
     rng = random.Random(seed)
     kinds = sorted(_REPORT_BLOCKS)
     names = [kinds[seed % len(kinds)]] + [rng.choice(kinds) for _ in range(rng.randint(0, 2))]
@@ -341,17 +347,21 @@ def _case_report_blocks(seed, variant):
     s, dim, _ = sgr_details(t, field=field)
     g = gr(t, field=field)
     form = _as_polynomial(t, field=field)
+    certified = False  # a block of the report with a GR certificate
+    for block in _blocks(form):
+        s_b, _, sbasis = sgr_details(block)
+        certified = certified or _gr_certificate(block, t.order, s_b, sbasis)[1]
     ranked = _variable_order(form)
     form = Polynomial(form.ring, {tuple(m[i] for i in ranked): c for m, c in form.terms.items()})
     basis = sgr_details(form)[2]
     gbasis = gr_details(SymmetricTensor.from_polynomial(form))[2]
     got = (rep.sgr, rep.gr, rep.sing_dim_affine, rep.sgr_basis_size)
     want = (s, g, n - s, len(basis))
-    # a report that built every block's GR basis has the whole one's size
-    whole = rep.gr_basis_size in (None, len(gbasis))
+    whole = rep.gr_basis_size == (None if certified else len(gbasis))
     return got == want and dim == n - s and whole, (
         f"{label}: report (sgr, gr, dim, basis) = {got}, "
         f"plain engine {want}; GR basis {rep.gr_basis_size} against {len(gbasis)}"
+        f"{', a block certified' if certified else ''}"
     )
 
 

@@ -25,7 +25,7 @@ from sgrank.groebner import (
     s_polynomial,
 )
 from sgrank.polyring import GREVLEX, LEX, PolyRing, PrimeField, QQ, parse_polynomial
-from sgrank.rank import gr_details, matrix_rank, singular_ideal
+from sgrank.rank import _multilinear_generators, gr_details, matrix_rank, singular_ideal
 from sgrank.tensor import (
     GeneralTensor,
     SymmetricTensor,
@@ -491,7 +491,7 @@ def test_poll_fires_inside_one_long_reduction(field):
 
 @pytest.mark.parametrize("form, counts, digest", [
     (lambda: sym_matrix_mult(3).convert_field(FP), (95, 61, 25), "f4f728549ec93dde"),
-    (lambda: complete_homogeneous_cubic(5).to_polynomial(), (72, 68, 43), "f40090886b5e2a3b"),
+    (lambda: complete_homogeneous_cubic(5).to_polynomial(), (57, 80, 43), "f40090886b5e2a3b"),
     (lambda: big_cw(2, 3).to_polynomial(), (4, 3, 4), "1b3297379b1ba7d1"),
     # dense, 6 variables, basis coefficients up to 681 bits
     (lambda: _random_symmetric_cubic(random.Random(5), 5).to_polynomial(), (33, 80, 39),
@@ -499,9 +499,12 @@ def test_poll_fires_inside_one_long_reduction(field):
     (lambda: sym_matrix_mult(3).convert_order(LEX), (95, 66, 25), "c83eccf283874507"),
     # the engine inputs of the benchmark's trace-m4-fp and h3-n7-qq, unscaled
     (lambda: sym_matrix_mult(4).convert_field(FP), (1318, 682, 161), "9277c25d91267b14"),
-    (lambda: complete_homogeneous_cubic(7).to_polynomial(), (302, 294, 122), "6c85d0108d62ddda"),
+    (lambda: complete_homogeneous_cubic(7).to_polynomial(), (170, 315, 122), "6c85d0108d62ddda"),
+    # a GR ideal, 4 bilinear forms in 8 variables, that defers Koszul-labelled pairs
+    (lambda: Ideal(_multilinear_generators(complete_homogeneous_cubic(4).to_general())[1]),
+     (50, 36, 26), "44fe0f5dd5bc04c0"),
 ], ids=["sym_matrix_mult-3-Fp", "h3-5-QQ", "big_cw-2-3-QQ", "random-cubic-5-QQ",
-        "sym_matrix_mult-3-lex-QQ", "sym_matrix_mult-4-Fp", "h3-7-QQ"])
+        "sym_matrix_mult-3-lex-QQ", "sym_matrix_mult-4-Fp", "h3-7-QQ", "gr-h3-4-QQ"])
 def test_engine_counts_pinned(form, counts, digest):
     # (pairs reduced, peak queued pairs, basis size) guard the pair-selection
     # order and the criteria against engine changes; the reduced basis is
@@ -513,7 +516,10 @@ def test_engine_counts_pinned(form, counts, digest):
         done[0] = max(done[0], stats.pairs_done)
         peak[0] = max(peak[0], stats.pairs_left)
 
-    gb = buchberger(singular_ideal(form()), poll=poll, poll_every=1)
+    system = form()
+    if not isinstance(system, Ideal):
+        system = singular_ideal(system)
+    gb = buchberger(system, poll=poll, poll_every=1)
     # the lead readout comes before the polynomials exist and matches them
     size, leads, unit = len(gb), gb.leading_monomials(), gb.is_unit_ideal
     assert gb._polys is None
